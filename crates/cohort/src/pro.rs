@@ -10,8 +10,8 @@
 //! fixed thresholds.
 
 use crate::domains::Domain;
-use crate::rng::normal;
-use rand::rngs::StdRng;
+use crate::rng::{box_muller, box_muller_uniforms};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::sync::LazyLock;
 
@@ -150,20 +150,128 @@ fn build_bank() -> Vec<ProQuestion> {
 /// The 56-item bank, in canonical order (feature order of the DD models).
 pub static QUESTION_BANK: LazyLock<Vec<ProQuestion>> = LazyLock::new(build_bank);
 
+/// The graded response's cut points: a readout below `THRESHOLDS[0]`
+/// is category 1, one at or above `THRESHOLDS[3]` is category 5.
+const THRESHOLDS: [f64; 4] = [-1.5, -0.5, 0.5, 1.5];
+
+// The certified series draw
+// -------------------------
+// `answer` forms N = fl(fl(√fl(−2·ln u1))·fl(cos fl(τ·u2))) through libm
+// and cuts the readout z = fl(m + fl(s·N)), m = disc·(θ−0.5)·4 −
+// difficulty, s = noise_scale. Only the side of each threshold z falls
+// on matters, so `answer_series` forms N' from the same u1 ∈ [2⁻¹⁰²²,
+// 1) and u2 ∈ [0, 1) with `fast_ln` and `fast_cos_tau`, and keeps the
+// category of z' = fl(m + fl(s·N')) unless z' lies within a band of a
+// threshold. With u = 2⁻⁵³ the band covers four error sources:
+//
+// 1. Polynomial truncation. `fast_ln` writes u1 = 2^k·x, x ∈ [√½, √2),
+//    and sums ln x = 2·atanh(t), t = (x−1)/(x+1), |t| ≤ 0.1716, through
+//    t⁹: the dropped tail is below t¹⁰/11/(1−t²) ≤ 2.08e-9 of ln x.
+//    `fast_cos_tau` folds cos(2π·u2) onto sin(2π·y), y = |u2 − ½| − ¼ ∈
+//    [−¼, ¼] (both steps are exact on the 2⁻⁵³ grid u2 is drawn on), and
+//    sums its Taylor series through y¹³: the alternating tail is below
+//    (π/2)¹⁵/15! ≤ 6.69e-10.
+// 2. Rounding. The division, Horner steps and k·ln 2 add at most 16u
+//    relative to ln u1 (|ln u1| ≥ ln √2 whenever k ≠ 0); fourteen Horner
+//    steps on terms summing to sinh(π/2) add under 4e-15 to the cosine.
+// 3. libm. glibc documents at most 1 ulp for `log` and `cos` on x86_64;
+//    4 ulp are budgeted, so ln u1 is off by at most 2⁻⁵⁰ relative and
+//    cos by 4.5e-16, plus 1.0e-15 because τ·u2 is rounded first (cos is
+//    1-Lipschitz).
+// 4. What sqrt and the product pass on. A relative error under the root
+//    halves, and R = √(−2·ln u1) ≤ 37.65 (at u1 = 2⁻¹⁰²²), so the two
+//    paths' R differ by at most 37.65·(1.04e-9 + 2⁻⁵¹ + 2u) ≤ 3.9e-8.
+//    Then |R'C' − RC| ≤ |R' − R|·|C'| + R·|C' − C| ≤ 3.9e-8 + 37.65·
+//    6.7e-10 ≤ 6.5e-8, and rounding N, N', s·N and s·N' adds at most
+//    4u·37.65·|s|.
+//
+// Hence |fl(s·N) − fl(s·N')| ≤ |s|·NORMAL_ERR, with NORMAL_ERR = 1e-7
+// leaving 50% headroom. The last addition moves z' off m + fl(s·N') by
+// at most u·|z'|, and for every threshold t the float t − 2⁻⁵² exists,
+// so a z' clear of every t by more than
+//     band = |s|·NORMAL_ERR + 2⁻⁵⁰·(1 + |z'|)
+// has z on the same side of every t (the band's own rounding, that of
+// |z' − t| and any underflow fit in the slack). A z' inside a band, or
+// a non-finite one (a non-finite θ or noise scale), takes the exact
+// path.
+
+/// Bound on |fl(s·N) − fl(s·N')| per unit of noise scale; see above.
+const NORMAL_ERR: f64 = 1e-7;
+
+/// Rounding allowance of the band, per unit of `1 + |z'|`: 2⁻⁵⁰.
+const ROUNDING_BAND: f64 = 4.0 * f64::EPSILON;
+
 impl ProQuestion {
     /// Draw a Likert 1–5 answer given the latent capacity of the item's
     /// domain (`theta` in `[0,1]`) and an observation-noise multiplier.
-    pub fn answer(&self, theta: f64, noise_scale: f64, rng: &mut StdRng) -> u8 {
-        // Graded response: latent readout centred at capacity 0.5.
-        let z =
-            self.discrimination * (theta - 0.5) * 4.0 - self.difficulty + noise_scale * normal(rng);
-        let raw = match z {
-            z if z < -1.5 => 1u8,
-            z if z < -0.5 => 2,
-            z if z < 0.5 => 3,
-            z if z < 1.5 => 4,
-            _ => 5,
-        };
+    ///
+    /// This is the reference implementation of the answer model: one
+    /// libm Box–Muller draw per answer. The generator draws whole weekly
+    /// series through [`ProQuestion::answer_series`], which returns the
+    /// same answers from the same RNG words; the tests compare the two.
+    pub fn answer<R: RngCore + ?Sized>(&self, theta: f64, noise_scale: f64, rng: &mut R) -> u8 {
+        let (u1, u2) = box_muller_uniforms(rng);
+        self.category(self.exact_readout(theta, noise_scale, u1, u2))
+    }
+
+    /// Draw one answer per entry of `thetas` into `answers`: the same
+    /// bytes, from the same RNG words, as that many
+    /// [`ProQuestion::answer`] calls in order. Readouts are formed with
+    /// a fast `ln` and `cos` and certified against the thresholds (see
+    /// the derivation above `NORMAL_ERR`); the few that land within the
+    /// error band of a threshold are recomputed exactly. Returns how
+    /// many answers took that exact path.
+    ///
+    /// # Panics
+    /// When `answers` and `thetas` differ in length.
+    pub(crate) fn answer_series<R: RngCore + ?Sized>(
+        &self,
+        thetas: &[f64],
+        noise_scale: f64,
+        rng: &mut R,
+        answers: &mut [u8],
+    ) -> usize {
+        assert_eq!(thetas.len(), answers.len(), "one answer slot per theta");
+        let noise_band = noise_scale.abs() * NORMAL_ERR;
+        let mut exact = 0;
+        for (&theta, answer) in thetas.iter().zip(answers.iter_mut()) {
+            let (u1, u2) = box_muller_uniforms(rng);
+            let z = self.mean_readout(theta) + noise_scale * fast_normal(u1, u2);
+            // The thresholds are ±0.5 and ±1.5, so |z| is as far from the
+            // nearest one as z is.
+            let a = z.abs();
+            let band = noise_band + ROUNDING_BAND * (1.0 + a);
+            let clear = z.is_finite() & ((a - 0.5).abs() > band) & ((a - 1.5).abs() > band);
+            let z = if clear {
+                z
+            } else {
+                exact += 1;
+                self.exact_readout(theta, noise_scale, u1, u2)
+            };
+            *answer = self.category(z);
+        }
+        exact
+    }
+
+    /// The readout's noise-free part: latent capacity centred at 0.5.
+    #[inline]
+    fn mean_readout(&self, theta: f64) -> f64 {
+        self.discrimination * (theta - 0.5) * 4.0 - self.difficulty
+    }
+
+    /// The graded-response readout of one libm Box–Muller draw, in the
+    /// evaluation order `disc·(θ−0.5)·4 − difficulty + s·N`.
+    #[inline]
+    fn exact_readout(&self, theta: f64, noise_scale: f64, u1: f64, u2: f64) -> f64 {
+        self.mean_readout(theta) + noise_scale * box_muller(u1, u2)
+    }
+
+    /// The Likert answer a readout cuts to, polarity applied.
+    #[inline]
+    fn category(&self, z: f64) -> u8 {
+        // 5 less the thresholds z lies below, counted without a branch;
+        // a NaN readout lies below none and answers 5.
+        let raw = 5 - THRESHOLDS.iter().map(|&t| u8::from(z < t)).sum::<u8>();
         if self.positive {
             raw
         } else {
@@ -172,10 +280,57 @@ impl ProQuestion {
     }
 }
 
+/// Box–Muller's transform with [`fast_ln`] and [`fast_cos_tau`] in
+/// place of libm: within `NORMAL_ERR` of [`box_muller`].
+#[inline(always)]
+fn fast_normal(u1: f64, u2: f64) -> f64 {
+    (-2.0 * fast_ln(u1)).sqrt() * fast_cos_tau(u2)
+}
+
+/// `ln x` for a positive normal `x`, branch-free, within 2.1e-9
+/// relative. Splits `x = 2^k·z` with `z ∈ [√½, √2)` on the bits and
+/// sums `ln z = 2·atanh((z−1)/(z+1))` through its ninth power.
+#[inline(always)]
+fn fast_ln(x: f64) -> f64 {
+    const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+    const EXPONENT_MASK: u64 = 0xfff0_0000_0000_0000;
+    let bits = x.to_bits();
+    // x's bits less √½'s: the exponent field holds k, the rest moves z.
+    let offset = bits.wrapping_sub(SQRT_HALF_BITS);
+    let k = ((offset as i64) >> 52) as f64;
+    let z = f64::from_bits(bits.wrapping_sub(offset & EXPONENT_MASK));
+    let f = z - 1.0;
+    let t = f / (2.0 + f);
+    let w = t * t;
+    let ln_z = t * (2.0 + w * (2.0 / 3.0 + w * (2.0 / 5.0 + w * (2.0 / 7.0 + w * (2.0 / 9.0)))));
+    k * std::f64::consts::LN_2 + ln_z
+}
+
+/// `cos(2π·u)` for `u ∈ [0, 1)`, branch-free, within 6.7e-10: folded
+/// exactly onto `sin(2π·y)`, `y ∈ [−¼, ¼]`, and summed through `y¹³`.
+#[inline(always)]
+fn fast_cos_tau(u: f64) -> f64 {
+    // (−1)ʲ·(2π)²ʲ⁺¹/(2j+1)!, j = 0..=6.
+    const C: [f64; 7] = [
+        std::f64::consts::TAU,
+        -41.34170224039976,
+        81.60524927607506,
+        -76.70585975306139,
+        42.058693944897655,
+        -15.09464257682299,
+        3.819952584848282,
+    ];
+    let y = (u - 0.5).abs() - 0.25;
+    let y2 = y * y;
+    y * (C[0] + y2 * (C[1] + y2 * (C[2] + y2 * (C[3] + y2 * (C[4] + y2 * (C[5] + y2 * C[6]))))))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{substream, Stream};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
 
     #[test]
     fn bank_has_56_items_with_unique_names() {
@@ -241,6 +396,199 @@ mod tests {
         for q in QUESTION_BANK.iter() {
             assert!((0.7..=1.5).contains(&q.discrimination), "{}", q.name);
             assert!(q.difficulty.abs() <= 0.3, "{}", q.name);
+        }
+    }
+
+    /// Replays fixed RNG words, so a test can choose `u1` and `u2`.
+    struct Replay<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for Replay<'_> {
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("the test supplies every word the draw takes")
+        }
+    }
+
+    /// The word [`box_muller_uniforms`] reads as `k·2⁻⁵³`.
+    fn word(k: u64) -> u64 {
+        k << 11
+    }
+
+    /// An item whose noise-free readout is exactly `mean` at θ = 0.5.
+    fn item_with_mean(mean: f64, positive: bool) -> ProQuestion {
+        ProQuestion {
+            name: "pro_test_item".into(),
+            domain: Domain::Locomotion,
+            positive,
+            discrimination: 1.0,
+            difficulty: -mean,
+            balance_loading: 0.0,
+        }
+    }
+
+    /// Series and reference answers over the same replayed words, plus
+    /// the series draw's exact-path count.
+    fn replay_both(
+        q: &ProQuestion,
+        thetas: &[f64],
+        noise_scale: f64,
+        words: &[u64],
+    ) -> (Vec<u8>, Vec<u8>, usize) {
+        let replay = || Replay(words.iter());
+        let mut series = vec![0; thetas.len()];
+        let exact = q.answer_series(thetas, noise_scale, &mut replay(), &mut series);
+        let mut rng = replay();
+        let reference = thetas.iter().map(|&t| q.answer(t, noise_scale, &mut rng)).collect();
+        (series, reference, exact)
+    }
+
+    /// `(u1, u2)` word pairs, flattened in draw order.
+    fn pairs(u1: &[u64], u2: &[u64]) -> Vec<u64> {
+        u1.iter().flat_map(|&a| u2.iter().flat_map(move |&b| [a, b])).collect()
+    }
+
+    #[test]
+    fn fast_ln_meets_its_relative_bound() {
+        let mut rng = substream(5, Stream::Pro, 0, 0);
+        let mut xs = vec![f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0, 0.5, 0.25, 1e-300];
+        xs.extend((0..20_000).map(|_| box_muller_uniforms(&mut rng).0));
+        for x in xs {
+            let (fast, libm) = (fast_ln(x), x.ln());
+            assert!((fast - libm).abs() <= 2.1e-9 * libm.abs(), "ln {x}: {fast} vs {libm}");
+        }
+    }
+
+    #[test]
+    fn fast_cos_tau_meets_its_absolute_bound() {
+        let mut rng = substream(6, Stream::Pro, 0, 0);
+        let mut us: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0].into();
+        us.extend((0..20_000).map(|_| box_muller_uniforms(&mut rng).1));
+        for u in us {
+            let (fast, libm) = (fast_cos_tau(u), (std::f64::consts::TAU * u).cos());
+            assert!((fast - libm).abs() <= 6.7e-10, "cos 2π·{u}: {fast} vs {libm}");
+        }
+    }
+
+    #[test]
+    fn fast_normal_stays_within_the_certified_error() {
+        let mut rng = substream(7, Stream::Pro, 0, 0);
+        let mut draws = vec![(f64::MIN_POSITIVE, 0.0), (f64::MIN_POSITIVE, 0.5)];
+        draws.extend((0..20_000).map(|_| box_muller_uniforms(&mut rng)));
+        for (u1, u2) in draws {
+            let (fast, libm) = (fast_normal(u1, u2), box_muller(u1, u2));
+            assert!((fast - libm).abs() <= NORMAL_ERR, "N({u1}, {u2}): {fast} vs {libm}");
+        }
+    }
+
+    #[test]
+    fn cos_zero_crossings_take_the_exact_path_and_agree() {
+        // u2 a few ulps either side of 1/4 and 3/4, where cos(2π·u2) ≈ 0,
+        // under a readout that sits on a threshold without noise.
+        let quarter = 1u64 << 51;
+        let u2: Vec<u64> = (0..=4)
+            .flat_map(|j| [quarter - j, quarter + j, 3 * quarter - j, 3 * quarter + j])
+            .map(word)
+            .collect();
+        let u1 = [word(1 << 52), word(12_345_678_901)];
+        let words = pairs(&u1, &u2);
+        let thetas = vec![0.5; words.len() / 2];
+        for positive in [true, false] {
+            let q = item_with_mean(0.5, positive);
+            let (series, reference, exact) = replay_both(&q, &thetas, 1.0, &words);
+            assert_eq!(series, reference);
+            assert_eq!(exact, thetas.len(), "every readout lies inside the band");
+        }
+    }
+
+    #[test]
+    fn extreme_uniforms_agree_with_the_reference() {
+        // The all-zero word gives u1 = f64::MIN_POSITIVE (the largest
+        // |N|, ≈ 37.6); the all-ones word gives u1 = 1 − 2⁻⁵³ (the
+        // smallest, ≈ 1.5e-8, which a threshold-sitting item cannot
+        // certify).
+        let u2: Vec<u64> = [0, 1 << 50, 1 << 51, 3 << 51, (1 << 53) - 1].map(word).into();
+        for (u1, forced) in [(0u64, false), (u64::MAX, true)] {
+            let words = pairs(&[u1], &u2);
+            let thetas = vec![0.5; words.len() / 2];
+            for mean in THRESHOLDS {
+                let q = item_with_mean(mean, true);
+                let (series, reference, exact) = replay_both(&q, &thetas, 1.0, &words);
+                assert_eq!(series, reference, "u1 word {u1:#x}, mean {mean}");
+                if forced {
+                    assert_eq!(exact, thetas.len(), "a tiny |N| stays inside the band");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn readouts_within_an_ulp_of_a_threshold_take_the_exact_path() {
+        let words: Vec<u64> = (0..6).flat_map(|i| [word(1 << 50) + i, word(5 << 49) + i]).collect();
+        let thetas = [0.5; 6];
+        for t in THRESHOLDS {
+            for mean in [t.next_down(), t, t.next_up()] {
+                let q = item_with_mean(mean, true);
+                let (series, reference, exact) = replay_both(&q, &thetas, 0.0, &words);
+                assert_eq!(series, reference, "mean {mean}");
+                assert_eq!(exact, thetas.len(), "mean {mean} is within an ulp of {t}");
+                let expected = if mean < t { q.category(t.next_down()) } else { q.category(t) };
+                assert!(series.iter().all(|&a| a == expected), "mean {mean}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_readouts_take_the_exact_path() {
+        let words: Vec<u64> = (1..=8).map(|i| word(i << 48)).collect();
+        let q = &QUESTION_BANK[3];
+        for (theta, noise) in [(f64::NAN, 1.0), (0.5, f64::INFINITY), (0.5, f64::NAN)] {
+            let thetas = [theta; 4];
+            let (series, reference, exact) = replay_both(q, &thetas, noise, &words);
+            assert_eq!(series, reference, "theta {theta}, noise {noise}");
+            assert_eq!(exact, thetas.len());
+        }
+    }
+
+    #[test]
+    fn silent_and_loud_noise_agree_with_the_reference() {
+        let thetas: Vec<f64> = (0..72).map(|w| w as f64 / 71.0).collect();
+        let mut fell_back = 0;
+        for (i, q) in QUESTION_BANK.iter().enumerate() {
+            for noise in [0.0, 10.0] {
+                let mut series = vec![0; thetas.len()];
+                let mut a = substream(8, Stream::Pro, i as u64, noise as u64);
+                let mut b = a.clone();
+                fell_back += q.answer_series(&thetas, noise, &mut a, &mut series);
+                let reference: Vec<u8> =
+                    thetas.iter().map(|&t| q.answer(t, noise, &mut b)).collect();
+                assert_eq!(series, reference, "{} at noise {noise}", q.name);
+                assert_eq!(a, b, "both draws consume the same words");
+            }
+        }
+        // Noise off, every readout is the item's mean readout: nowhere
+        // near an ulp of a threshold across this θ grid.
+        assert!(fell_back < 10, "{fell_back} exact-path answers");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The series draw is `answer` in a loop: same answers, same
+        /// words consumed, for any item, capacities and noise scale.
+        #[test]
+        fn series_draw_equals_the_reference(
+            seed in any::<u64>(),
+            item in 0..N_PRO,
+            thetas in proptest::collection::vec(-0.5f64..1.5, 0..80),
+            noise in 0.0f64..12.0,
+        ) {
+            let q = &QUESTION_BANK[item];
+            let mut a: StdRng = substream(seed, Stream::Pro, 0, item as u64);
+            let mut b = a.clone();
+            let mut series = vec![0; thetas.len()];
+            q.answer_series(&thetas, noise, &mut a, &mut series);
+            let reference: Vec<u8> = thetas.iter().map(|&t| q.answer(t, noise, &mut b)).collect();
+            prop_assert_eq!(series, reference);
+            prop_assert_eq!(a, b);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! reordering generation steps never perturbs unrelated streams.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Named noise streams (the values are part of the reproducibility
 /// contract — reordering them changes generated cohorts).
@@ -47,9 +47,25 @@ pub fn substream(seed: u64, stream: Stream, patient: u64, item: u64) -> StdRng {
 
 /// Standard-normal draw via Box–Muller (avoids needing `rand_distr`).
 pub fn normal(rng: &mut StdRng) -> f64 {
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one [`normal`] draw consumes, in draw order: `u1`
+/// in `[f64::MIN_POSITIVE, 1)` (so its logarithm is finite) and `u2`
+/// in `[0, 1)`. Each takes one RNG word.
+#[inline]
+pub(crate) fn box_muller_uniforms<R: RngCore + ?Sized>(rng: &mut R) -> (f64, f64) {
     use rand::RngExt;
     let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.random_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// Box–Muller's transform of [`box_muller_uniforms`] into one standard
+/// normal variate (the second variate is not formed).
+#[inline]
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

@@ -91,7 +91,7 @@ pub fn generate_patient(
 ) -> Option<PatientRecord> {
     let clinic_cfg = clinic_config_of(config, id)?;
     let seed = config.seed;
-    let n_weeks = STUDY_MONTHS * WEEKS_PER_MONTH;
+    const N_WEEKS: usize = STUDY_MONTHS * WEEKS_PER_MONTH;
 
     let patient = make_patient(id, clinic_cfg, seed);
     let traj = trajectory::simulate(&patient, clinic_cfg, seed);
@@ -99,17 +99,23 @@ pub fn generate_patient(
 
     // Weekly PRO answers for all 56 questions, then gaps.
     let mut per_question: Vec<Vec<Option<u8>>> = Vec::with_capacity(N_PRO);
+    let mut thetas = [0.0; N_WEEKS];
+    let mut answers = [0u8; N_WEEKS];
     for (q_idx, question) in QUESTION_BANK.iter().enumerate() {
         let mut rng_answers = substream(seed, Stream::Pro, patient.id.0 as u64, q_idx as u64);
-        let mut series: Vec<Option<u8>> = (0..n_weeks)
-            .map(|week| {
-                let month = week / WEEKS_PER_MONTH + 1;
-                let domain_theta = traj.capacity[month].get(question.domain);
-                let bl = question.balance_loading;
-                let theta = (1.0 - bl) * domain_theta + bl * balance;
-                Some(question.answer(theta, clinic_cfg.observation_noise, &mut rng_answers))
-            })
-            .collect();
+        for (week, theta) in thetas.iter_mut().enumerate() {
+            let month = week / WEEKS_PER_MONTH + 1;
+            let domain_theta = traj.capacity[month].get(question.domain);
+            let bl = question.balance_loading;
+            *theta = (1.0 - bl) * domain_theta + bl * balance;
+        }
+        question.answer_series(
+            &thetas,
+            clinic_cfg.observation_noise,
+            &mut rng_answers,
+            &mut answers,
+        );
+        let mut series: Vec<Option<u8>> = answers.iter().map(|&a| Some(a)).collect();
         let mut rng_gaps = substream(seed, Stream::Gaps, patient.id.0 as u64, q_idx as u64);
         inject_gaps(&mut series, &config.missingness, &mut rng_gaps);
         per_question.push(series);

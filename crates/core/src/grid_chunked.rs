@@ -45,7 +45,9 @@ use msaw_gbdt::{
 };
 use msaw_kd::{compute_ici_row, default_ici_spec, frailty_index, IciVariable};
 use msaw_parallel::{try_run_waves_on, WaveError};
-use msaw_preprocess::{label_of, patient_samples, FeaturePanel, OutcomeKind, PipelineConfig};
+use msaw_preprocess::{
+    label_of, patient_samples, FeaturePanel, OutcomeKind, PipelineConfig, N_FEATURES,
+};
 use std::path::PathBuf;
 
 /// Configuration of a sharded chunked grid run.
@@ -207,7 +209,7 @@ pub fn try_run_full_grid_chunked(
 ) -> Result<ChunkedGridReport, PipelineError> {
     let max_bins = validate_config(cfg)?;
     let exp = &cfg.experiment;
-    let n_features = FeaturePanel::feature_names().len();
+    let n_features = N_FEATURES;
     let dd_cols = n_features + 1;
     let spec = default_ici_spec();
     let names = FeaturePanel::feature_names();

@@ -34,7 +34,7 @@ use msaw_gbdt::{
     TreeMethod,
 };
 use msaw_parallel::{try_run_waves_on, WaveError};
-use msaw_preprocess::{range_samples, FeaturePanel, OutcomeKind, PipelineConfig};
+use msaw_preprocess::{range_samples, OutcomeKind, PipelineConfig, N_FEATURES};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ impl From<ChunkError> for PipelineError {
 /// (while the sketch stays exact, which it does by a wide margin for
 /// this feature panel).
 pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
-    let n_features = FeaturePanel::feature_names().len();
+    let n_features = N_FEATURES;
     let workers = cfg.workers.max(1);
     let chunk_patients = cfg.chunk_patients.max(1);
     let n_patients = cohort.total_patients();
@@ -263,7 +263,7 @@ pub fn peak_rss_mb() -> Option<f64> {
 mod tests {
     use super::*;
     use msaw_gbdt::{Booster, DEFAULT_SKETCH_DISTINCT};
-    use msaw_preprocess::build_samples;
+    use msaw_preprocess::{build_samples, FeaturePanel};
     use proptest::prelude::*;
 
     /// The streamed, chunked, out-of-core run must train the same model
@@ -395,7 +395,7 @@ mod tests {
         ) {
             let cohort = CohortConfig::small(42);
             let pipeline = PipelineConfig::default();
-            let n_features = FeaturePanel::feature_names().len();
+            let n_features = N_FEATURES;
             let n_patients = cohort.total_patients();
 
             let serial_block =

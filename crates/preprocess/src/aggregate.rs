@@ -12,24 +12,25 @@ pub fn monthly_means(series: &[f64], block_len: usize) -> Vec<f64> {
         series.len(),
         block_len
     );
-    series
-        .chunks_exact(block_len)
-        .map(|chunk| {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for &v in chunk {
-                if !v.is_nan() {
-                    sum += v;
-                    n += 1;
-                }
-            }
-            if n == 0 {
-                f64::NAN
-            } else {
-                sum / n as f64
-            }
-        })
-        .collect()
+    series.chunks_exact(block_len).map(block_mean).collect()
+}
+
+/// Mean of one block's present values, skipping `NaN`s; `NaN` when the
+/// block has none.
+pub(crate) fn block_mean(block: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for &v in block {
+        if !v.is_nan() {
+            sum += v;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        f64::NAN
+    } else {
+        sum / n as f64
+    }
 }
 
 #[cfg(test)]

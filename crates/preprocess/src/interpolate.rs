@@ -6,6 +6,12 @@
 /// missing. Returns an `f64` series with `NaN` for still-missing slots.
 pub fn interpolate(series: &[Option<f64>], max_gap: usize) -> Vec<f64> {
     let mut out: Vec<f64> = series.iter().map(|v| v.unwrap_or(f64::NAN)).collect();
+    interpolate_in_place(&mut out, max_gap);
+    out
+}
+
+/// [`interpolate`] in place, on a series whose missing slots are `NaN`.
+pub(crate) fn interpolate_in_place(out: &mut [f64], max_gap: usize) {
     let mut i = 0usize;
     while i < out.len() {
         if !out[i].is_nan() {
@@ -28,7 +34,6 @@ pub fn interpolate(series: &[Option<f64>], max_gap: usize) -> Vec<f64> {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 pub mod aggregate;
 pub mod error;
+pub mod featurise;
 pub mod ingest;
 pub mod interpolate;
 pub mod samples;
@@ -34,6 +35,7 @@ pub mod stream;
 
 pub use aggregate::monthly_means;
 pub use error::SampleError;
+pub use featurise::N_FEATURES;
 pub use ingest::{frame_to_samples, ingest_frame, read_sample_csv, IngestMode, Ingested};
 pub use interpolate::interpolate;
 pub use samples::{

@@ -1,13 +1,10 @@
 //! Sample-set construction (the paper's §3 "Observational data and
 //! feature space").
 
-use crate::aggregate::monthly_means;
-use crate::interpolate::interpolate;
+use crate::featurise::{append_rows, featurise_into, MONTH_TABLE_LEN, N_FEATURES};
+use crate::stream::SampleBlock;
 use msaw_cohort::activity::ActivityTrace;
-use msaw_cohort::{
-    Clinic, CohortData, OutcomeRecord, PatientId, N_PRO, QUESTION_BANK, STUDY_MONTHS,
-    WEEKS_PER_MONTH,
-};
+use msaw_cohort::{Clinic, CohortData, OutcomeRecord, PatientId, QUESTION_BANK};
 use msaw_tabular::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -211,61 +208,45 @@ impl SampleSet {
 /// three per-outcome sample sets are cut from.
 #[derive(Debug, Clone)]
 pub struct FeaturePanel {
-    /// `pro[patient][question][month-1]`, `NaN` = missing after QA.
-    pub pro: Vec<Vec<Vec<f64>>>,
-    /// `activity[patient][channel][month-1]`, channels = steps, sleep,
-    /// calories.
-    pub activity: Vec<[Vec<f64>; 3]>,
+    /// One [`PatientFeatures`] per patient, in patient-id order. Not one
+    /// flat array: freeing a multi-MB allocation raises glibc's dynamic
+    /// mmap threshold, which grew a serving process's later peak RSS by
+    /// ~60%.
+    patients: Vec<PatientFeatures>,
 }
 
 /// Monthly feature values for one patient: the per-patient slice of
-/// [`FeaturePanel`], computable from that patient's raw series alone —
-/// the unit of work the streaming featurizer operates on.
+/// [`FeaturePanel`], computable from that patient's raw series alone.
 #[derive(Debug, Clone)]
 pub struct PatientFeatures {
-    /// `pro[question][month-1]`, `NaN` = missing after QA.
-    pub pro: Vec<Vec<f64>>,
-    /// `activity[channel][month-1]`, channels = steps, sleep, calories.
-    pub activity: [Vec<f64>; 3],
+    /// Month-major: entry `(m − 1)·N_FEATURES + j` is feature `j` of
+    /// month `m`, in [`FeaturePanel::feature_names`] order; `NaN` =
+    /// missing after QA.
+    pub table: Vec<f64>,
 }
 
 impl PatientFeatures {
     /// Interpolate + aggregate one patient's weekly PRO series and
-    /// daily activity trace into monthly features. This is *the*
-    /// featurization — [`FeaturePanel::build`] is a per-patient loop
-    /// over it, so the streamed and materialised paths cannot diverge.
+    /// daily activity trace into monthly features, through the same
+    /// featuriser every sample path uses.
     pub fn build(
         pro_series: &[Vec<Option<u8>>],
         trace: &ActivityTrace,
         cfg: &PipelineConfig,
     ) -> PatientFeatures {
-        let mut per_question = Vec::with_capacity(N_PRO);
-        for series in pro_series.iter().take(N_PRO) {
-            let weekly: Vec<Option<f64>> = series.iter().map(|a| a.map(|v| v as f64)).collect();
-            let filled = interpolate(&weekly, cfg.max_interpolation_gap);
-            per_question.push(monthly_means(&filled, WEEKS_PER_MONTH));
-        }
-        let activity = [
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.steps, m)).collect::<Vec<f64>>(),
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.sleep_hours, m)).collect(),
-            (1..=STUDY_MONTHS).map(|m| trace.monthly_mean(&trace.calories, m)).collect(),
-        ];
-        PatientFeatures { pro: per_question, activity }
+        let mut table = vec![0.0; MONTH_TABLE_LEN];
+        featurise_into(pro_series, trace, cfg, &mut table);
+        PatientFeatures { table }
     }
 }
 
 impl FeaturePanel {
     /// Run interpolation + aggregation over the cohort.
     pub fn build(data: &CohortData, cfg: &PipelineConfig) -> FeaturePanel {
-        let n = data.patients.len();
-        let mut pro = Vec::with_capacity(n);
-        let mut activity = Vec::with_capacity(n);
-        for p in 0..n {
-            let pf = PatientFeatures::build(&data.pro.series[p], &data.activity[p], cfg);
-            pro.push(pf.pro);
-            activity.push(pf.activity);
-        }
-        FeaturePanel { pro, activity }
+        let patients = (0..data.patients.len())
+            .map(|p| PatientFeatures::build(&data.pro.series[p], &data.activity[p], cfg))
+            .collect();
+        FeaturePanel { patients }
     }
 
     /// The canonical 59 feature names: the 56 PRO items in bank order,
@@ -288,54 +269,6 @@ pub fn label_of(record: &OutcomeRecord, outcome: OutcomeKind) -> f64 {
     }
 }
 
-/// Append every QA-passing sample of one patient — both windows, all
-/// eight candidate months each — to `rows`/`labels`/`meta`.
-/// `label_for_visit(9·window)` supplies the window's label (or `None`
-/// to skip that window). Both [`build_samples`] and the streaming
-/// featurizer in [`crate::stream`] funnel through this, which is what
-/// makes the two paths byte-identical.
-// A sink per output stream plus the per-patient inputs: the arity is
-// the fan-in, not incidental state to bundle.
-#[allow(clippy::too_many_arguments)]
-pub fn emit_patient_samples<F>(
-    patient: PatientId,
-    clinic: Clinic,
-    pro: &[Vec<f64>],
-    activity: &[Vec<f64>],
-    label_for_visit: F,
-    cfg: &PipelineConfig,
-    rows: &mut Vec<Vec<f64>>,
-    labels: &mut Vec<f64>,
-    meta: &mut Vec<SampleMeta>,
-) where
-    F: Fn(usize) -> Option<f64>,
-{
-    let n_features = pro.len() + activity.len();
-    for window in 1u8..=2 {
-        let visit_month = 9 * window as usize;
-        let Some(label) = label_for_visit(visit_month) else {
-            continue;
-        };
-        for i in 1usize..=8 {
-            let month = i + (window as usize - 1) * 9;
-            let mut row = Vec::with_capacity(n_features);
-            for q in pro {
-                row.push(q[month - 1]);
-            }
-            for channel in activity {
-                row.push(channel[month - 1]);
-            }
-            let missing = row.iter().filter(|v| v.is_nan()).count();
-            if missing > cfg.max_missing_features {
-                continue;
-            }
-            rows.push(row);
-            labels.push(label);
-            meta.push(SampleMeta { patient, clinic, month, window });
-        }
-    }
-}
-
 /// Build `Sample_o` for one outcome: every in-window month of every
 /// patient becomes a candidate sample; rows missing more than
 /// `cfg.max_missing_features` features are dropped (QA).
@@ -345,30 +278,25 @@ pub fn build_samples(
     outcome: OutcomeKind,
     cfg: &PipelineConfig,
 ) -> SampleSet {
-    let feature_names = FeaturePanel::feature_names();
-    let n_features = feature_names.len();
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
-
+    let mut block = SampleBlock::new();
     for patient in &data.patients {
-        let p = patient.id.0 as usize;
-        emit_patient_samples(
+        append_rows(
+            &panel.patients[patient.id.0 as usize].table,
             patient.id,
             patient.clinic,
-            &panel.pro[p],
-            &panel.activity[p],
             |visit_month| data.outcome(patient.id, visit_month).map(|r| label_of(r, outcome)),
             cfg,
-            &mut rows,
-            &mut labels,
-            &mut meta,
+            &mut block,
         );
     }
-
-    let features =
-        if rows.is_empty() { Matrix::zeros(0, n_features) } else { Matrix::from_rows(&rows) };
-    SampleSet { features, feature_names, labels, meta, outcome }
+    let nrows = block.n_rows();
+    SampleSet {
+        features: Matrix::from_vec(block.rows, nrows, N_FEATURES),
+        feature_names: FeaturePanel::feature_names(),
+        labels: block.labels,
+        meta: block.meta,
+        outcome,
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +316,7 @@ mod tests {
     fn feature_names_are_59_and_unique() {
         let names = FeaturePanel::feature_names();
         assert_eq!(names.len(), 59);
+        assert_eq!(names.len(), N_FEATURES);
         let unique: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(unique.len(), 59);
     }

@@ -2,24 +2,22 @@
 //! ready-to-train samples without ever materialising the cohort or the
 //! full feature matrix.
 //!
-//! Each patient is featurized independently ([`PatientFeatures::build`]
-//! on their own raw series) and their QA-passing samples are emitted
-//! through the same [`emit_patient_samples`] the materialised
-//! [`build_samples`] path uses, in the same patient order — so
-//! concatenating the streamed blocks reproduces the in-memory
-//! [`SampleSet`] byte for byte (pinned by the tests below).
+//! Each patient is featurized independently by the featuriser in
+//! [`crate::featurise`], which appends its QA-passing rows straight
+//! into the block being built — the same featurisation and row filter
+//! the materialised [`crate::build_samples`] path runs, in the same patient
+//! order — so concatenating the streamed blocks reproduces the
+//! in-memory [`SampleSet`] byte for byte (pinned by the tests below).
 
-use crate::samples::{
-    emit_patient_samples, label_of, FeaturePanel, OutcomeKind, PatientFeatures, PipelineConfig,
-    SampleMeta, SampleSet,
-};
+use crate::featurise::{append_patient_samples, N_FEATURES};
+use crate::samples::{FeaturePanel, OutcomeKind, PipelineConfig, SampleMeta, SampleSet};
 use msaw_cohort::stream::{CohortChunks, CohortStream};
 use msaw_cohort::{CohortConfig, PatientRecord};
 use msaw_tabular::Matrix;
 
 /// A block of assembled samples — the streamed counterpart of a
-/// [`SampleSet`] slice. `rows` is row-major with
-/// `FeaturePanel::feature_names().len()` columns per row.
+/// [`SampleSet`] slice. `rows` is row-major with [`N_FEATURES`]
+/// columns per row.
 #[derive(Debug, Clone)]
 pub struct SampleBlock {
     /// Row-major feature values, `n_rows × n_features`.
@@ -33,6 +31,16 @@ pub struct SampleBlock {
 }
 
 impl SampleBlock {
+    /// An empty block of [`N_FEATURES`]-wide rows.
+    pub(crate) fn new() -> SampleBlock {
+        SampleBlock {
+            rows: Vec::new(),
+            labels: Vec::new(),
+            meta: Vec::new(),
+            n_features: N_FEATURES,
+        }
+    }
+
     /// Number of samples in the block.
     pub fn n_rows(&self) -> usize {
         self.labels.len()
@@ -44,38 +52,17 @@ impl SampleBlock {
     }
 }
 
-/// Featurize one generated patient into QA-passing samples. Mirrors
-/// the per-patient step of [`build_samples`] exactly: same
-/// featurization, same emission, with the window label read off the
-/// record's own outcome visits.
+/// Featurize one generated patient into QA-passing samples: the
+/// per-patient step of [`crate::build_samples`], with the window label read
+/// off the record's own outcome visits.
 pub fn patient_samples(
     record: &PatientRecord,
     outcome: OutcomeKind,
     cfg: &PipelineConfig,
 ) -> SampleBlock {
-    let features = PatientFeatures::build(&record.pro, &record.activity, cfg);
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
-    emit_patient_samples(
-        record.patient.id,
-        record.patient.clinic,
-        &features.pro,
-        &features.activity,
-        |visit_month| {
-            record.outcomes.iter().find(|o| o.month == visit_month).map(|r| label_of(r, outcome))
-        },
-        cfg,
-        &mut rows,
-        &mut labels,
-        &mut meta,
-    );
-    let n_features = FeaturePanel::feature_names().len();
-    let mut flat = Vec::with_capacity(rows.len() * n_features);
-    for row in rows {
-        flat.extend_from_slice(&row);
-    }
-    SampleBlock { rows: flat, labels, meta, n_features }
+    let mut block = SampleBlock::new();
+    append_patient_samples(record, outcome, cfg, &mut block);
+    block
 }
 
 /// Featurize the patients with ids `start..end` into one
@@ -90,14 +77,9 @@ pub fn range_samples(
     start: u32,
     end: u32,
 ) -> SampleBlock {
-    let n_features = FeaturePanel::feature_names().len();
-    let mut block =
-        SampleBlock { rows: Vec::new(), labels: Vec::new(), meta: Vec::new(), n_features };
+    let mut block = SampleBlock::new();
     for record in CohortStream::range(config, start, end) {
-        let part = patient_samples(&record, outcome, cfg);
-        block.rows.extend_from_slice(&part.rows);
-        block.labels.extend(part.labels);
-        block.meta.extend(part.meta);
+        append_patient_samples(&record, outcome, cfg, &mut block);
     }
     block
 }
@@ -129,14 +111,9 @@ impl Iterator for SampleStream<'_> {
 
     fn next(&mut self) -> Option<SampleBlock> {
         let records = self.chunks.next()?;
-        let n_features = FeaturePanel::feature_names().len();
-        let mut block =
-            SampleBlock { rows: Vec::new(), labels: Vec::new(), meta: Vec::new(), n_features };
+        let mut block = SampleBlock::new();
         for record in &records {
-            let part = patient_samples(record, self.outcome, &self.cfg);
-            block.rows.extend_from_slice(&part.rows);
-            block.labels.extend(part.labels);
-            block.meta.extend(part.meta);
+            append_patient_samples(record, self.outcome, &self.cfg, &mut block);
         }
         Some(block)
     }
@@ -151,7 +128,6 @@ pub fn collect_samples(
     cfg: &PipelineConfig,
     chunk_patients: usize,
 ) -> SampleSet {
-    let n_features = FeaturePanel::feature_names().len();
     let mut rows: Vec<f64> = Vec::new();
     let mut labels = Vec::new();
     let mut meta = Vec::new();
@@ -162,7 +138,7 @@ pub fn collect_samples(
     }
     let nrows = labels.len();
     SampleSet {
-        features: Matrix::from_vec(rows, nrows, n_features),
+        features: Matrix::from_vec(rows, nrows, N_FEATURES),
         feature_names: FeaturePanel::feature_names(),
         labels,
         meta,

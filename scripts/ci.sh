@@ -40,6 +40,11 @@ echo "==> serving robustness suite (deadlines / quotas / reload / supervision)"
 cargo test --quiet --test serve_robustness
 MSAW_FORCE_SCALAR=1 cargo test --quiet --test serve_robustness
 
+echo "==> benchmark tests (perfbench: build + tiny-run output checks)"
+# The benchmark is its own Cargo package; a library change that breaks
+# its build or its tiny-run checks must fail here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (release codegen + debug assertions)"
 cargo test --workspace --quiet --profile release-dbg
 
