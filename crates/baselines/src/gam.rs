@@ -174,9 +174,11 @@ impl AdditiveModel {
     /// Transformed predictions for a matrix, fanned across the shared
     /// worker pool in row blocks (per-row values unchanged).
     pub fn predict(&self, data: &Matrix) -> Vec<f64> {
-        msaw_parallel::run_blocks(data.nrows(), 256, |range| {
+        let workers = msaw_parallel::available_workers();
+        msaw_parallel::try_run_blocks_on(workers, data.nrows(), 256, |range| {
             range.map(|i| self.predict_row(data.row(i))).collect()
         })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Exact per-feature contributions for a row (raw-score space):

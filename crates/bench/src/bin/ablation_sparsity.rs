@@ -8,8 +8,8 @@
 //!    scale while histogram trains faster (timings in the Criterion
 //!    bench `train_gbdt`).
 
-use msaw_bench::{experiment_config, paper_cohort, pct};
-use msaw_core::{run_variant, Approach};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, pct, BenchError};
+use msaw_core::{try_run_variant, Approach};
 use msaw_gbdt::TreeMethod;
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind, SampleSet};
 use msaw_tabular::Matrix;
@@ -46,15 +46,19 @@ fn mean_impute(set: &SampleSet) -> SampleSet {
 }
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
     let set = build_samples(&data, &panel, OutcomeKind::Qol, &cfg.pipeline);
 
     println!("Ablation 1 — missing-value handling (QoL, DD)");
-    let native = run_variant(&set, Approach::DataDriven, false, &cfg);
+    let native = try_run_variant(&set, Approach::DataDriven, false, &cfg)?;
     let imputed_set = mean_impute(&set);
-    let imputed = run_variant(&imputed_set, Approach::DataDriven, false, &cfg);
+    let imputed = try_run_variant(&imputed_set, Approach::DataDriven, false, &cfg)?;
     println!(
         "  sparsity-aware (native NaN):  1-MAPE {}  MAE {:.4}",
         pct(native.regression.unwrap().one_minus_mape),
@@ -75,7 +79,7 @@ fn main() {
     ] {
         let mut c = cfg.clone();
         c.regression_params.tree_method = method;
-        let r = run_variant(&set, Approach::DataDriven, false, &c);
+        let r = try_run_variant(&set, Approach::DataDriven, false, &c)?;
         println!(
             "  {:<14} 1-MAPE {}  MAE {:.4}",
             label,
@@ -83,4 +87,5 @@ fn main() {
             r.regression.unwrap().mae
         );
     }
+    Ok(())
 }

@@ -11,13 +11,17 @@
 //! construction).
 
 use msaw_baselines::{AdditiveModel, GamParams, LinearModel, LinearParams};
-use msaw_bench::{experiment_config, paper_cohort, pct};
-use msaw_core::{run_variant, Approach};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, pct, BenchError};
+use msaw_core::{try_run_variant, Approach};
 use msaw_metrics::train_test_split;
 use msaw_metrics::{one_minus_mape, ConfusionMatrix};
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
@@ -33,7 +37,7 @@ fn main() {
         let x_test = set.features.take_rows(&test);
         let y_test: Vec<f64> = test.iter().map(|&i| set.labels[i]).collect();
 
-        let gbdt = run_variant(&set, Approach::DataDriven, false, &cfg).primary_metric();
+        let gbdt = try_run_variant(&set, Approach::DataDriven, false, &cfg)?.primary_metric();
 
         let gam_params =
             if outcome.is_classification() { GamParams::binary() } else { GamParams::regression() };
@@ -68,4 +72,5 @@ fn main() {
     println!();
     println!("Metric: 1-MAPE for QoL/SPPB, accuracy for Falls. Expect gradient boosting to");
     println!("match or beat the glass-box learners, as the paper found for GA2M.");
+    Ok(())
 }

@@ -1,6 +1,7 @@
-//! Performance tracking for the 12-model grid: times `run_full_grid`
-//! on `CohortConfig::small` and writes `BENCH_grid.json` so the grid's
-//! perf trajectory is recorded from run to run.
+//! Performance tracking for the 12-model grid: times
+//! `try_run_full_grid_on` on `CohortConfig::small` and writes
+//! `BENCH_grid.json` so the grid's perf trajectory is recorded from run
+//! to run.
 //!
 //! Three rows tell the story, all medians of 3 runs:
 //!
@@ -9,7 +10,7 @@
 //!   timed this only inside the grid row, which made the end-to-end
 //!   number read *slower* than the sum of its per-variant parts.)
 //! * `variants_secs`/`variants_total_secs` — each variant run serially
-//!   through `run_variant` on its own context and scratch.
+//!   through `try_run_variant` on its own context and scratch.
 //! * `run_full_grid_secs` — the pooled engine end to end (setup
 //!   included): shared context cache, per-worker scratch arenas, fits
 //!   fanned across `workers` pool workers.
@@ -33,7 +34,7 @@ use msaw_cohort::{generate, CohortConfig};
 use msaw_core::grid::build_variant_sets;
 use msaw_core::scale::peak_rss_mb;
 use msaw_core::{
-    run_full_grid, run_variant, try_run_full_grid_chunked, Approach, ChunkedGridConfig,
+    try_run_full_grid_chunked, try_run_full_grid_on, try_run_variant, Approach, ChunkedGridConfig,
     ExperimentConfig,
 };
 use msaw_gbdt::TreeMethod;
@@ -123,9 +124,12 @@ fn run() -> Result<(), BenchError> {
             ("dd_fi", &sets.dd_fi, Approach::DataDriven, true),
         ];
         for (tag, set, approach, with_fi) in jobs {
+            let mut checked = Ok(());
             let secs = time_median(3, || {
-                std::hint::black_box(run_variant(set, approach, with_fi, &cfg));
+                checked =
+                    std::hint::black_box(try_run_variant(set, approach, with_fi, &cfg)).map(drop);
             });
+            checked?;
             let name = format!("{}_{}", outcome.name().to_lowercase(), tag);
             eprintln!("  {name:<12} {secs:.3}s");
             variants.push((name, secs));
@@ -135,10 +139,12 @@ fn run() -> Result<(), BenchError> {
     eprintln!("serial variants total: {variants_total:.3}s (excludes setup)");
 
     // End-to-end pooled grid (setup + cached planning + pooled fits).
+    let mut checked = Ok(());
     let total = time_median(3, || {
-        std::hint::black_box(run_full_grid(&data, &cfg));
+        checked = std::hint::black_box(try_run_full_grid_on(0, &data, &cfg)).map(drop);
     });
-    eprintln!("run_full_grid total: {total:.3}s (includes setup)");
+    checked?;
+    eprintln!("pooled grid total: {total:.3}s (includes setup)");
 
     // The histogram-accumulation kernel in isolation: root-node
     // gradient/hessian histograms over the binned DD QoL matrix with

@@ -13,6 +13,7 @@ use msaw_bench::{
     exit_on_error, experiment_config, out_path_arg, paper_cohort, BenchError, EXPERIMENT_SEED,
 };
 use msaw_core::experiment::fit_final_model;
+use msaw_core::PipelineError;
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 /// Median of at least one timed repetition, in seconds.
@@ -46,11 +47,13 @@ fn run() -> Result<(), BenchError> {
     let model = fit_final_model(&set, &cfg);
     let flat = model.flat_forest();
     let workers = msaw_parallel::available_workers();
+    let level = msaw_gbdt::simd::active_level();
 
     // The engine swap must be invisible in the outputs before its
     // timings are comparable: flat == node walk, bit for bit.
     let walk: Vec<f64> = set.features.rows().map(|r| model.predict_raw_row(r)).collect();
-    for (a, b) in flat.predict_raw_batch(&set.features).iter().zip(&walk) {
+    let batch = flat.try_predict_raw_batch_on(workers, &set.features, level);
+    for (a, b) in batch.map_err(PipelineError::Predict)?.iter().zip(&walk) {
         assert_eq!(a.to_bits(), b.to_bits(), "flat forest diverged from the node walk");
     }
 
@@ -64,32 +67,34 @@ fn run() -> Result<(), BenchError> {
     }) / PASSES as f64;
     eprintln!("node walk (single core):   {:.3}ms/batch", walk_secs * 1e3);
 
-    let flat_single_secs = time_median(5, || {
-        for _ in 0..PASSES {
-            std::hint::black_box(flat.predict_raw_batch_on(1, &set.features));
-        }
-    }) / PASSES as f64;
+    // Every row times the one batch entry point; a failing batch is
+    // reported after its timing, like bench_grid's rows.
+    let time_batch = |workers, level| -> Result<f64, BenchError> {
+        let mut checked = Ok(());
+        let secs = time_median(5, || {
+            for _ in 0..PASSES {
+                checked = std::hint::black_box(flat.try_predict_raw_batch_on(
+                    workers,
+                    &set.features,
+                    level,
+                ))
+                .map(drop);
+            }
+        });
+        checked.map_err(PipelineError::Predict)?;
+        Ok(secs / PASSES as f64)
+    };
+
+    let flat_single_secs = time_batch(1, level)?;
     eprintln!("flat forest (single core): {:.3}ms/batch", flat_single_secs * 1e3);
 
-    let flat_multi_secs = time_median(5, || {
-        for _ in 0..PASSES {
-            std::hint::black_box(flat.predict_raw_batch_on(workers, &set.features));
-        }
-    }) / PASSES as f64;
+    let flat_multi_secs = time_batch(workers, level)?;
     eprintln!("flat forest ({workers} workers):   {:.3}ms/batch", flat_multi_secs * 1e3);
 
     // The always-compiled scalar fallback on the same single core, via
-    // the explicit-level entry point: both the regression guard for the
+    // the explicit kernel level: both the regression guard for the
     // fallback and the denominator of the SIMD speedup headline.
-    let flat_scalar_secs = time_median(5, || {
-        for _ in 0..PASSES {
-            std::hint::black_box(flat.predict_raw_batch_on_with(
-                1,
-                &set.features,
-                msaw_gbdt::SimdLevel::Scalar,
-            ));
-        }
-    }) / PASSES as f64;
+    let flat_scalar_secs = time_batch(1, msaw_gbdt::SimdLevel::Scalar)?;
     let simd_kernel = msaw_gbdt::simd::kernel_name();
     eprintln!("flat forest (scalar, 1 core): {:.3}ms/batch", flat_scalar_secs * 1e3);
     eprintln!(

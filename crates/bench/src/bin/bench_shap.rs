@@ -13,6 +13,7 @@ use msaw_bench::{
 };
 use msaw_core::experiment::fit_final_model;
 use msaw_core::interpret::ShapReport;
+use msaw_core::PipelineError;
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind, SampleSet};
 use msaw_shap::{dependence_curve, reference, sign_change_threshold, GlobalSummary, TreeExplainer};
 use msaw_tabular::Matrix;
@@ -50,15 +51,15 @@ fn fig7_pre_refactor(model: &msaw_gbdt::Booster, set: &SampleSet) -> Option<f64>
 
 /// The same path on the current engine: one [`ShapReport`] feeds both
 /// the ranking and the dependence curve.
-fn fig7_current(model: &msaw_gbdt::Booster, set: &SampleSet) -> Option<f64> {
-    let report = ShapReport::new(model, set);
+fn fig7_current(model: &msaw_gbdt::Booster, set: &SampleSet) -> Result<Option<f64>, PipelineError> {
+    let report = ShapReport::try_new(model, set)?;
     let feature = report
         .global_ranking(8)
         .into_iter()
         .map(|(n, _)| n)
         .find(|n| n.starts_with("pro_"))
         .expect("a PRO item ranks among the top features");
-    report.dependence_report(&feature).threshold
+    Ok(report.try_dependence_report(&feature)?.threshold)
 }
 
 fn main() {
@@ -92,7 +93,7 @@ fn run() -> Result<(), BenchError> {
 
     // Fig. 7 end-to-end: ranking + dependence report.
     let fig7 = time_median(3, || {
-        std::hint::black_box(fig7_current(&model, &set));
+        let _ = std::hint::black_box(fig7_current(&model, &set));
     });
     eprintln!("fig7 path (shared ShapReport): {fig7:.3}s");
     let fig7_pre = time_median(3, || {
@@ -102,7 +103,7 @@ fn run() -> Result<(), BenchError> {
 
     // The two paths must agree before their timings are comparable.
     assert_eq!(
-        fig7_current(&model, &set),
+        fig7_current(&model, &set)?,
         fig7_pre_refactor(&model, &set),
         "current and pre-refactor Fig. 7 paths must find the same threshold"
     );

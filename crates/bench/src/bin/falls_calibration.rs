@@ -6,19 +6,23 @@
 //! trustworthy. This binary reports the Brier score, the expected
 //! calibration error and the reliability curve of the DD w/ FI model.
 
-use msaw_bench::{experiment_config, paper_cohort};
-use msaw_core::oof::oof_predictions;
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
+use msaw_core::oof::try_oof_predictions;
 use msaw_kd::attach_fi;
 use msaw_metrics::{brier_score, calibration_curve, expected_calibration_error};
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
     let set = attach_fi(&build_samples(&data, &panel, OutcomeKind::Falls, &cfg.pipeline), &data);
     eprintln!("computing out-of-fold fall probabilities...");
-    let probs = oof_predictions(&set, &cfg);
+    let probs = try_oof_predictions(&set, &cfg)?;
     let labels: Vec<bool> = set.labels.iter().map(|&l| l == 1.0).collect();
 
     let prevalence = labels.iter().filter(|&&l| l).count() as f64 / labels.len() as f64;
@@ -48,4 +52,5 @@ fn main() {
     }
     println!();
     println!("A well-calibrated model tracks the diagonal (predicted ≈ observed).");
+    Ok(())
 }

@@ -4,11 +4,15 @@
 //! The paper plots (a) and (b) with log-scale counts; we print the raw
 //! counts per bin, which carry the same information.
 
-use msaw_bench::{experiment_config, paper_cohort};
-use msaw_metrics::histogram::{histogram, value_counts_bool, value_counts_i64};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
+use msaw_metrics::histogram::{try_histogram, value_counts_bool, value_counts_i64};
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
@@ -24,7 +28,7 @@ fn main() {
     );
     println!();
     println!("(a) QoL distribution");
-    for bin in histogram(&qol.labels, 0.0, 1.0, 10) {
+    for bin in try_histogram(&qol.labels, 0.0, 1.0, 10)? {
         println!(
             "  {:>8}  {:>6}  {}",
             bin.label(),
@@ -53,6 +57,7 @@ fn main() {
         "positive rate: {:.1}% (paper Fig. 1c shows a small minority of True)",
         100.0 * pos as f64 / falls.len() as f64
     );
+    Ok(())
 }
 
 fn bar(count: usize, scale: f64) -> String {

@@ -6,19 +6,23 @@
 //! SPPB regressions (left) and the per-class classification report for
 //! Falls (right).
 
-use msaw_bench::{experiment_config, paper_cohort, pct};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, pct, BenchError};
 use msaw_core::grid::find;
-use msaw_core::{run_full_grid, Approach};
+use msaw_core::{try_run_full_grid_on, Approach};
 use msaw_preprocess::OutcomeKind;
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     eprintln!(
         "cohort: {} patients; running 12 models (3 outcomes x DD/KD x +/-FI)...",
         data.patients.len()
     );
-    let results = run_full_grid(&data, &cfg);
+    let results = try_run_full_grid_on(0, &data, &cfg)?;
 
     println!("Figure 4 — predictive performance (test split)");
     println!();
@@ -77,4 +81,5 @@ fn main() {
     for r in &results {
         println!("  {}", r.summary_line());
     }
+    Ok(())
 }

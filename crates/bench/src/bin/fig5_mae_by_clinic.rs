@@ -7,12 +7,16 @@
 //! reads this figure for robustness: Hong Kong shows more outliers than
 //! Modena and Sydney because of its small, homogeneous stratum.
 
-use msaw_bench::{experiment_config, paper_cohort};
-use msaw_core::oof::{mae_boxes_by_clinic, oof_predictions};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
+use msaw_core::oof::{mae_boxes_by_clinic, try_oof_predictions};
 use msaw_kd::attach_fi;
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
@@ -21,7 +25,7 @@ fn main() {
     for outcome in [OutcomeKind::Qol, OutcomeKind::Sppb] {
         eprintln!("computing out-of-fold predictions for {}...", outcome.name());
         let set = attach_fi(&build_samples(&data, &panel, outcome, &cfg.pipeline), &data);
-        let preds = oof_predictions(&set, &cfg);
+        let preds = try_oof_predictions(&set, &cfg)?;
         println!();
         println!(
             "{} (DD w/ FI model, {}-fold out-of-fold predictions)",
@@ -45,4 +49,5 @@ fn main() {
     }
     println!();
     println!("Expect Hong Kong's distribution to be the least stable (fewest patients).");
+    Ok(())
 }

@@ -3,7 +3,7 @@
 //! personalised-medicine argument of §5.2 (similar outcomes explained by
 //! different behaviour → different interventions).
 
-use msaw_bench::{experiment_config, paper_cohort};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
 use msaw_core::experiment::fit_final_model;
 use msaw_core::interpret::{LocalReport, ShapReport};
 use msaw_kd::attach_fi;
@@ -27,6 +27,10 @@ fn print_report(report: &LocalReport, tag: &str) {
 }
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
@@ -35,7 +39,7 @@ fn main() {
     let model = fit_final_model(&set, &cfg);
 
     println!("Figure 6 — local explanations of two patients' SPPB predictions");
-    let shap = ShapReport::new(&model, &set);
+    let shap = ShapReport::try_new(&model, &set)?;
     match shap.find_contrast_pair(0.15, 5) {
         Some((a, b)) => {
             print_report(&a, "Patient A");
@@ -61,4 +65,5 @@ fn main() {
         }
         None => println!("no contrast pair found at this tolerance — relax it and rerun"),
     }
+    Ok(())
 }

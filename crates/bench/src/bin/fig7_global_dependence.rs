@@ -4,12 +4,16 @@
 //! of cutoff (≥ 3 on a Likert answer) the KD approach hard-codes, but
 //! from data and per-model.
 
-use msaw_bench::{experiment_config, paper_cohort};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
 use msaw_core::experiment::fit_final_model;
 use msaw_core::interpret::ShapReport;
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
     let panel = FeaturePanel::build(&data, &cfg.pipeline);
@@ -18,7 +22,7 @@ fn main() {
     let model = fit_final_model(&set, &cfg);
     // One explainer + one SHAP matrix feed both the ranking and the
     // dependence curve below.
-    let shap = ShapReport::new(&model, &set);
+    let shap = ShapReport::try_new(&model, &set)?;
 
     println!("Figure 7 — global SHAP dependence for one PRO question");
     println!();
@@ -35,7 +39,7 @@ fn main() {
         .find(|n| n.starts_with("pro_"))
         .expect("a PRO item ranks among the top features")
         .clone();
-    let report = shap.dependence_report(&feature);
+    let report = shap.try_dependence_report(&feature)?;
 
     println!();
     println!("Dependence of `{feature}` (mean SHAP per answer bucket):");
@@ -65,4 +69,5 @@ fn main() {
         ),
         None => println!("\nNo sign change found for this feature."),
     }
+    Ok(())
 }

@@ -10,11 +10,15 @@
 //! and 1-MAPE. Small limits starve the training set; large limits admit
 //! spurious interpolated data.
 
-use msaw_bench::{experiment_config, paper_cohort};
-use msaw_core::{run_variant, Approach};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, BenchError};
+use msaw_core::{try_run_variant, Approach};
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind, PipelineConfig};
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let base = experiment_config();
 
@@ -31,7 +35,7 @@ fn main() {
             println!("{max_gap:>7} | {:>12} | too few samples to evaluate", set.len());
             continue;
         }
-        let result = run_variant(&set, Approach::DataDriven, false, &cfg);
+        let result = try_run_variant(&set, Approach::DataDriven, false, &cfg)?;
         let scores = result.regression.expect("regression outcome");
         println!(
             "{max_gap:>7} | {:>12} | {:>6.1}% | {:>12.1}% | {:.4}{}",
@@ -45,4 +49,5 @@ fn main() {
     println!();
     println!("The paper fixed max gap = 5 as the balance point between sample count and");
     println!("interpolation-induced noise.");
+    Ok(())
 }

@@ -3,13 +3,17 @@
 //! this to probe inter-clinic protocol differences; its Hong Kong rows
 //! show anomalies it attributes to the small stratum (33 patients).
 
-use msaw_bench::{experiment_config, paper_cohort, pct};
+use msaw_bench::{exit_on_error, experiment_config, paper_cohort, pct, BenchError};
 use msaw_cohort::Clinic;
-use msaw_core::grid::{find, run_clinic_grids};
+use msaw_core::grid::{find, try_run_clinic_grids};
 use msaw_core::Approach;
 use msaw_preprocess::OutcomeKind;
 
 fn main() {
+    exit_on_error(run());
+}
+
+fn run() -> Result<(), BenchError> {
     let data = paper_cohort();
     let cfg = experiment_config();
 
@@ -21,7 +25,7 @@ fn main() {
     // share one set of full-cohort variant builds (filtered per clinic).
     eprintln!("running 12 models for each of 3 clinics...");
     let per_clinic =
-        run_clinic_grids(&data, &[Clinic::HongKong, Clinic::Modena, Clinic::Sydney], &cfg);
+        try_run_clinic_grids(&data, &[Clinic::HongKong, Clinic::Modena, Clinic::Sydney], &cfg)?;
     for (clinic, results) in per_clinic {
         for with_fi in [false, true] {
             let get = |o: OutcomeKind, a: Approach| find(&results, o, a, with_fi);
@@ -52,4 +56,5 @@ fn main() {
     }
     println!();
     println!("Expect Hong Kong (33 patients) to be the noisiest stratum, as in the paper.");
+    Ok(())
 }

@@ -51,6 +51,8 @@ pub enum BenchError {
     },
     /// The pipeline failed beneath the binary.
     Pipeline(msaw_core::PipelineError),
+    /// A report asked for a degenerate histogram binning.
+    Histogram(msaw_metrics::HistogramError),
     /// The serving bench's client/service harness failed.
     Serve(String),
 }
@@ -61,6 +63,7 @@ impl std::fmt::Display for BenchError {
             BenchError::Usage(msg) => write!(f, "usage: {msg}"),
             BenchError::Io { path, source } => write!(f, "cannot write `{path}`: {source}"),
             BenchError::Pipeline(e) => write!(f, "{e}"),
+            BenchError::Histogram(e) => write!(f, "{e}"),
             BenchError::Serve(msg) => write!(f, "serving bench failed: {msg}"),
         }
     }
@@ -71,6 +74,7 @@ impl std::error::Error for BenchError {
         match self {
             BenchError::Io { source, .. } => Some(source),
             BenchError::Pipeline(e) => Some(e),
+            BenchError::Histogram(e) => Some(e),
             BenchError::Usage(_) | BenchError::Serve(_) => None,
         }
     }
@@ -79,6 +83,12 @@ impl std::error::Error for BenchError {
 impl From<msaw_core::PipelineError> for BenchError {
     fn from(e: msaw_core::PipelineError) -> Self {
         BenchError::Pipeline(e)
+    }
+}
+
+impl From<msaw_metrics::HistogramError> for BenchError {
+    fn from(e: msaw_metrics::HistogramError) -> Self {
+        BenchError::Histogram(e)
     }
 }
 

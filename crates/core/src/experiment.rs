@@ -311,9 +311,10 @@ pub(crate) fn split_plan(
 /// 80/20 split and CV folds, all in absolute row indices.
 ///
 /// A plan is immutable and `Sync`: its fit jobs are independent and may
-/// run on any thread in any order — [`run_fit_job`] is a pure function
-/// of `(plan, job)` — which is what lets [`crate::grid::run_full_grid`]
-/// fan the whole grid's jobs across one bounded worker pool.
+/// run on any thread in any order — [`try_run_fit_job_with`] is a pure
+/// function of `(plan, job)` — which is what lets
+/// [`crate::grid::try_run_full_grid_on`] fan the whole grid's jobs
+/// across one bounded worker pool.
 pub struct VariantPlan<'a> {
     set: &'a SampleSet,
     approach: Approach,
@@ -350,21 +351,8 @@ pub enum FitOutput {
 
 /// Prepare one variant: build its shared context (the set's matrix is
 /// quantised here, once, on the calling thread) and freeze the
-/// protocol's split and folds.
-///
-/// Panicking wrapper over [`try_plan_variant`] for callers that know
-/// their set is non-empty.
-pub fn plan_variant<'a>(
-    set: &'a SampleSet,
-    approach: Approach,
-    with_fi: bool,
-    cfg: &ExperimentConfig,
-) -> VariantPlan<'a> {
-    try_plan_variant(set, approach, with_fi, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`plan_variant`]: an empty sample set is a
-/// [`PipelineError::EmptySampleSet`] instead of a panic.
+/// protocol's split and folds. An empty sample set is a
+/// [`PipelineError::EmptySampleSet`].
 pub fn try_plan_variant<'a>(
     set: &'a SampleSet,
     approach: Approach,
@@ -440,32 +428,15 @@ impl VariantPlan<'_> {
 }
 
 /// Execute one fit job against a plan. Pure in `(plan, job, cfg)`:
-/// safe to call from any thread, results independent of scheduling.
+/// safe to call from any thread, results independent of scheduling. A
+/// fit failure (bad labels, bad hyper-parameters) surfaces as a
+/// [`TrainError`].
 ///
-/// Panicking wrapper over [`try_run_fit_job`].
-pub fn run_fit_job(plan: &VariantPlan<'_>, job: FitJob, cfg: &ExperimentConfig) -> FitOutput {
-    try_run_fit_job(plan, job, cfg)
-        .unwrap_or_else(|e| panic!("training failed on valid inputs: {e}"))
-}
-
-/// Fallible twin of [`run_fit_job`]: a fit failure (bad labels, bad
-/// hyper-parameters) surfaces as a [`TrainError`] instead of a panic.
-///
-/// Builds a fresh [`TreeScratch`] per call; workers that run many jobs
-/// should hold one and call [`try_run_fit_job_with`] instead.
-pub fn try_run_fit_job(
-    plan: &VariantPlan<'_>,
-    job: FitJob,
-    cfg: &ExperimentConfig,
-) -> Result<FitOutput, TrainError> {
-    try_run_fit_job_with(plan, job, cfg, &mut TreeScratch::new())
-}
-
-/// [`try_run_fit_job`] against a caller-owned [`TreeScratch`]: the fit
-/// reuses the scratch's gradient/partition/histogram arenas instead of
-/// allocating fresh ones, which is what makes a worker's Nth fit
-/// allocation-free. Results are independent of the scratch's history —
-/// the same bit-identity contract as [`Booster::train_on_rows_with`].
+/// The fit reuses the caller-owned `scratch`'s gradient/partition/
+/// histogram arenas instead of allocating fresh ones, which is what
+/// makes a worker's Nth fit allocation-free. Results are independent of
+/// the scratch's history — the same bit-identity contract as
+/// [`Booster::train_on_rows_with`].
 pub fn try_run_fit_job_with(
     plan: &VariantPlan<'_>,
     job: FitJob,
@@ -531,20 +502,8 @@ pub fn finish_variant(plan: &VariantPlan<'_>, outputs: Vec<FitOutput>) -> Varian
 
 /// Run the paper's protocol on one prepared sample set: shuffle-split
 /// 80/20, K-fold CV on the training side (stratified for Falls), final
-/// fit on all training rows, report on the held-out 20%.
-///
-/// Panicking wrapper over [`try_run_variant`].
-pub fn run_variant(
-    set: &SampleSet,
-    approach: Approach,
-    with_fi: bool,
-    cfg: &ExperimentConfig,
-) -> VariantResult {
-    try_run_variant(set, approach, with_fi, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_variant`]: empty sets and fit failures come
-/// back as a [`PipelineError`] instead of a panic.
+/// fit on all training rows, report on the held-out 20%. Empty sets and
+/// fit failures come back as a [`PipelineError`].
 pub fn try_run_variant(
     set: &SampleSet,
     approach: Approach,
@@ -560,15 +519,13 @@ pub fn try_run_variant(
     Ok(finish_variant(&plan, outputs))
 }
 
-/// Train a final model on the full 80% training split of a sample set
-/// (the model the interpretation experiments explain).
-///
-/// Panicking wrapper over [`try_fit_final_model`].
+/// [`try_fit_final_model`], panicking on failure.
 pub fn fit_final_model(set: &SampleSet, cfg: &ExperimentConfig) -> Booster {
     try_fit_final_model(set, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible twin of [`fit_final_model`].
+/// Train a final model on the full 80% training split of a sample set
+/// (the model the interpretation experiments explain).
 pub fn try_fit_final_model(
     set: &SampleSet,
     cfg: &ExperimentConfig,
@@ -603,7 +560,8 @@ mod tests {
     #[test]
     fn regression_variant_produces_regression_scores() {
         let set = qol_set();
-        let r = run_variant(&set, Approach::DataDriven, false, &ExperimentConfig::fast());
+        let r =
+            try_run_variant(&set, Approach::DataDriven, false, &ExperimentConfig::fast()).unwrap();
         assert!(r.regression.is_some());
         assert!(r.classification.is_none());
         let scores = r.regression.unwrap();
@@ -616,7 +574,8 @@ mod tests {
     #[test]
     fn classification_variant_produces_report() {
         let set = falls_set();
-        let r = run_variant(&set, Approach::DataDriven, false, &ExperimentConfig::fast());
+        let r =
+            try_run_variant(&set, Approach::DataDriven, false, &ExperimentConfig::fast()).unwrap();
         assert!(r.classification.is_some());
         assert!(r.regression.is_none());
         let c = r.classification.unwrap();
@@ -627,7 +586,7 @@ mod tests {
     fn model_beats_predicting_the_mean() {
         let set = qol_set();
         let cfg = ExperimentConfig::fast();
-        let r = run_variant(&set, Approach::DataDriven, false, &cfg);
+        let r = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
         // Baseline: predict the train mean everywhere.
         let (train_rows, test_rows) = train_test_split(set.len(), cfg.test_fraction, cfg.seed);
         let mean: f64 =
@@ -646,8 +605,8 @@ mod tests {
     fn results_are_seed_deterministic() {
         let set = qol_set();
         let cfg = ExperimentConfig::fast();
-        let a = run_variant(&set, Approach::DataDriven, false, &cfg);
-        let b = run_variant(&set, Approach::DataDriven, false, &cfg);
+        let a = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
+        let b = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
         assert_eq!(a.primary_metric(), b.primary_metric());
         assert_eq!(a.cv_scores, b.cv_scores);
     }
@@ -655,7 +614,8 @@ mod tests {
     #[test]
     fn summary_lines_mention_the_variant() {
         let set = qol_set();
-        let r = run_variant(&set, Approach::KnowledgeDriven, true, &ExperimentConfig::fast());
+        let r = try_run_variant(&set, Approach::KnowledgeDriven, true, &ExperimentConfig::fast())
+            .unwrap();
         let line = r.summary_line();
         assert!(line.contains("QoL") && line.contains("KD") && line.contains("w/ FI"));
     }
@@ -687,7 +647,7 @@ mod tests {
             );
         }
         // And the run itself still completes under the grouped protocol.
-        let r = run_variant(&set, Approach::DataDriven, false, &cfg);
+        let r = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
         assert!(r.primary_metric().is_finite());
     }
 
@@ -726,7 +686,7 @@ mod tests {
             assert!(bv.windows(2).all(|w| w[0] < w[1]));
         }
         // The protocol still runs end to end under the flag.
-        let r = run_variant(&set, Approach::DataDriven, false, &sorted_cfg);
+        let r = try_run_variant(&set, Approach::DataDriven, false, &sorted_cfg).unwrap();
         assert!(r.primary_metric().is_finite());
     }
 
@@ -752,29 +712,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty sample set")]
-    fn empty_set_is_rejected() {
-        let set = qol_set();
-        let empty = set.take(&[]);
-        run_variant(&empty, Approach::DataDriven, false, &ExperimentConfig::fast());
-    }
-
-    #[test]
     fn try_run_variant_types_the_empty_set() {
         let set = qol_set();
         let empty = set.take(&[]);
         let err = try_run_variant(&empty, Approach::DataDriven, false, &ExperimentConfig::fast())
             .unwrap_err();
         assert_eq!(err, PipelineError::EmptySampleSet);
-    }
-
-    #[test]
-    fn try_run_variant_matches_the_panicking_path() {
-        let set = qol_set();
-        let cfg = ExperimentConfig::fast();
-        let a = run_variant(&set, Approach::DataDriven, false, &cfg);
-        let b = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
-        assert_eq!(a.regression, b.regression);
-        assert_eq!(a.cv_scores, b.cv_scores);
     }
 }

@@ -4,8 +4,8 @@
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
 use crate::experiment::{
-    finish_variant, run_variant, try_plan_variant_cached, try_run_fit_job_with, Approach, FitJob,
-    FitOutput, VariantPlan, VariantResult,
+    finish_variant, try_plan_variant_cached, try_run_fit_job_with, Approach, FitJob, FitOutput,
+    VariantPlan, VariantResult,
 };
 use msaw_cohort::{Clinic, CohortData};
 use msaw_gbdt::{ContextCache, TreeScratch};
@@ -37,16 +37,6 @@ pub fn build_variant_sets(
     let kd = ici_sample_set(&dd, &spec);
     let kd_fi = attach_fi(&kd, data);
     VariantSets { dd, dd_fi, kd, kd_fi }
-}
-
-/// Run the four variants of one outcome.
-pub fn run_grid_for_samples(sets: &VariantSets, cfg: &ExperimentConfig) -> Vec<VariantResult> {
-    vec![
-        run_variant(&sets.kd, Approach::KnowledgeDriven, false, cfg),
-        run_variant(&sets.kd_fi, Approach::KnowledgeDriven, true, cfg),
-        run_variant(&sets.dd, Approach::DataDriven, false, cfg),
-        run_variant(&sets.dd_fi, Approach::DataDriven, true, cfg),
-    ]
 }
 
 fn job_count(plans: &[VariantPlan<'_>]) -> usize {
@@ -106,30 +96,15 @@ fn variant_specs(sets: &VariantSets) -> [(&SampleSet, Approach, bool); 4] {
     ]
 }
 
-/// Run the full 12-model grid over a cohort (Fig. 4).
+/// Run the full 12-model grid over a cohort (Fig. 4) on `workers` pool
+/// workers; `workers == 0` means the default.
 ///
 /// Every variant's sample set is indexed and binned exactly once, on
-/// this thread, by [`crate::experiment::plan_variant`]; the ~72
-/// resulting fold/final fits are then fanned across one bounded worker
-/// pool, so parallelism scales with fits rather than with the 3
-/// outcomes.
-///
-/// Panicking wrapper over [`try_run_full_grid`].
-pub fn run_full_grid(data: &CohortData, cfg: &ExperimentConfig) -> Vec<VariantResult> {
-    try_run_full_grid(data, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_full_grid`] on the default worker count.
-pub fn try_run_full_grid(
-    data: &CohortData,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<VariantResult>, PipelineError> {
-    try_run_full_grid_on(0, data, cfg)
-}
-
-/// [`try_run_full_grid`] with an explicit pool width: `workers == 0`
-/// means the default; any other count produces byte-identical results
-/// and, on failure, the identical error (same lowest failing job).
+/// this thread, by [`crate::experiment::try_plan_variant_cached`]; the
+/// ~72 resulting fold/final fits are then fanned across one bounded
+/// worker pool, so parallelism scales with fits rather than with the 3
+/// outcomes. Any worker count produces byte-identical results and, on
+/// failure, the identical error (same lowest failing job).
 pub fn try_run_full_grid_on(
     workers: usize,
     data: &CohortData,
@@ -157,36 +132,12 @@ pub fn try_run_full_grid_on(
     try_run_plans_on(workers, &plans, cfg)
 }
 
-/// Run the grid restricted to one clinic's patients (Table 1 rows),
-/// through the same shared-binning engine and worker pool as
-/// [`run_full_grid`]. For several clinics prefer [`run_clinic_grids`],
-/// which builds the full-cohort variant sets only once.
-pub fn run_clinic_grid(
-    data: &CohortData,
-    clinic: Clinic,
-    cfg: &ExperimentConfig,
-) -> Vec<VariantResult> {
-    let (_, results) =
-        run_clinic_grids(data, &[clinic], cfg).pop().expect("one clinic in, one result set out");
-    results
-}
-
 /// Run the per-clinic grids of Table 1: each outcome's four variant
 /// sets are built from the full cohort exactly once, then filtered to
 /// each clinic, planned (one quantisation per filtered set) and fanned
 /// across the bounded worker pool. Results are per clinic, in input
-/// order, each in the grid's canonical variant order.
-pub fn run_clinic_grids(
-    data: &CohortData,
-    clinics: &[Clinic],
-    cfg: &ExperimentConfig,
-) -> Vec<(Clinic, Vec<VariantResult>)> {
-    try_run_clinic_grids(data, clinics, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_clinic_grids`]: an empty filtered set (a
-/// clinic with no usable samples) or a failing fit comes back as a
-/// [`PipelineError`] instead of a panic.
+/// order, each in the grid's canonical variant order. A clinic with no
+/// usable samples or a failing fit is a [`PipelineError`].
 pub fn try_run_clinic_grids(
     data: &CohortData,
     clinics: &[Clinic],
@@ -242,11 +193,20 @@ pub fn find(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::try_run_variant;
     use msaw_cohort::{generate, CohortConfig};
 
     fn small_grid() -> Vec<VariantResult> {
         let data = generate(&CohortConfig::small(42));
-        run_full_grid(&data, &ExperimentConfig::fast())
+        try_run_full_grid_on(0, &data, &ExperimentConfig::fast()).unwrap()
+    }
+
+    fn clinic_grid(
+        data: &CohortData,
+        clinic: Clinic,
+        cfg: &ExperimentConfig,
+    ) -> Vec<VariantResult> {
+        try_run_clinic_grids(data, &[clinic], cfg).unwrap().pop().unwrap().1
     }
 
     #[test]
@@ -308,7 +268,7 @@ mod tests {
         let data = generate(&CohortConfig::small(42));
         let before_fits = msaw_gbdt::binning::fit_count();
         let before_cols = msaw_gbdt::binning::column_fit_count();
-        let results = run_full_grid(&data, &ExperimentConfig::fast());
+        let results = try_run_full_grid_on(0, &data, &ExperimentConfig::fast()).unwrap();
         assert_eq!(results.len(), 12);
         assert_eq!(
             msaw_gbdt::binning::fit_count() - before_fits,
@@ -318,7 +278,7 @@ mod tests {
         assert_eq!(
             msaw_gbdt::binning::column_fit_count() - before_cols,
             61,
-            "run_full_grid must quantise each distinct column exactly once"
+            "the grid must quantise each distinct column exactly once"
         );
     }
 
@@ -329,7 +289,7 @@ mod tests {
         // variant sets, filter, run each variant serially — exactly.
         let data = generate(&CohortConfig::small(42));
         let cfg = ExperimentConfig::fast();
-        let new = run_clinic_grid(&data, Clinic::Modena, &cfg);
+        let new = clinic_grid(&data, Clinic::Modena, &cfg);
 
         let panel = FeaturePanel::build(&data, &cfg.pipeline);
         let mut old = Vec::new();
@@ -341,7 +301,9 @@ mod tests {
                 kd: sets.kd.filter_clinic(Clinic::Modena),
                 kd_fi: sets.kd_fi.filter_clinic(Clinic::Modena),
             };
-            old.extend(run_grid_for_samples(&restricted, &cfg));
+            for (set, approach, with_fi) in variant_specs(&restricted) {
+                old.push(try_run_variant(set, approach, with_fi, &cfg).unwrap());
+            }
         }
 
         assert_eq!(new.len(), old.len());
@@ -370,7 +332,7 @@ mod tests {
         let clinics = [Clinic::HongKong, Clinic::Sydney];
         let before_fits = msaw_gbdt::binning::fit_count();
         let before_cols = msaw_gbdt::binning::column_fit_count();
-        let per_clinic = run_clinic_grids(&data, &clinics, &cfg);
+        let per_clinic = try_run_clinic_grids(&data, &clinics, &cfg).unwrap();
         assert_eq!(per_clinic.len(), 2);
         assert_eq!(per_clinic[0].0, Clinic::HongKong);
         assert_eq!(per_clinic[1].0, Clinic::Sydney);
@@ -387,8 +349,8 @@ mod tests {
     fn clinic_grid_uses_fewer_samples() {
         let data = generate(&CohortConfig::small(42));
         let cfg = ExperimentConfig::fast();
-        let full = run_full_grid(&data, &cfg);
-        let hk = run_clinic_grid(&data, Clinic::HongKong, &cfg);
+        let full = try_run_full_grid_on(0, &data, &cfg).unwrap();
+        let hk = clinic_grid(&data, Clinic::HongKong, &cfg);
         assert_eq!(hk.len(), 12);
         let full_n = find(&full, OutcomeKind::Qol, Approach::DataDriven, false).n_train;
         let hk_n = find(&hk, OutcomeKind::Qol, Approach::DataDriven, false).n_train;

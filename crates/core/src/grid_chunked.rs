@@ -1,5 +1,5 @@
 //! The 12-model grid, sharded out of core: every `(outcome, variant)`
-//! fit of [`crate::grid::try_run_full_grid`] driven through the
+//! fit of [`crate::grid::try_run_full_grid_on`] driven through the
 //! chunked trainer over spillable bin-coded matrices, so the grid runs
 //! on cohorts whose feature matrices never fit in RAM.
 //!

@@ -6,12 +6,12 @@
 //! Global: dependence curves with data-driven thresholds (Fig. 7).
 //!
 //! All reports over the same `(model, sample set)` pair share one
-//! explainer and one SHAP matrix through [`ShapReport`]; the free
-//! functions remain as one-shot conveniences and produce bit-identical
-//! results.
+//! explainer and one SHAP matrix through [`ShapReport`], the one entry
+//! point for every report. The free [`explain_row`] stays beside it
+//! because it explains a single row without computing the full matrix.
 
 use crate::error::PipelineError;
-use msaw_gbdt::{Booster, PredictError};
+use msaw_gbdt::Booster;
 use msaw_preprocess::SampleSet;
 use msaw_shap::{
     dependence_curve, sign_change_threshold, Explanation, GlobalSummary, TreeExplainer,
@@ -71,29 +71,13 @@ fn local_report(
 
 /// Explain one row of a sample set.
 ///
-/// One-shot convenience: builds one explainer and explains one row. To
-/// explain many rows of the same set — or mix local and global reports —
-/// build a [`ShapReport`] once instead.
+/// Builds one explainer and explains one row, without the full SHAP
+/// matrix. To explain many rows of the same set — or mix local and
+/// global reports — build a [`ShapReport`] once instead.
 pub fn explain_row(model: &Booster, set: &SampleSet, row: usize, top_k: usize) -> LocalReport {
     let explainer = TreeExplainer::new(model);
     let exp = explainer.shap_values_row(set.features.row(row));
     local_report(model, set, row, &exp, top_k)
-}
-
-/// Find two samples from *different patients* whose predictions agree
-/// within `tolerance` but whose top-1 explanation differs — the paper's
-/// Fig. 6 scenario ("same SPPB, different drivers → different
-/// interventions"). Returns `None` when no such pair exists.
-///
-/// One-shot convenience over [`ShapReport::find_contrast_pair`]; the
-/// SHAP matrix it needs is computed once, on the shared worker pool.
-pub fn find_contrast_pair(
-    model: &Booster,
-    set: &SampleSet,
-    tolerance: f64,
-    top_k: usize,
-) -> Option<(LocalReport, LocalReport)> {
-    ShapReport::new(model, set).find_contrast_pair(tolerance, top_k)
 }
 
 /// Global dependence report for one feature (Fig. 7): the SHAP-vs-value
@@ -108,42 +92,10 @@ pub struct DependenceReport {
     pub threshold: Option<f64>,
 }
 
-/// Build the dependence report for `feature_name` over a sample set.
-///
-/// One-shot convenience over [`ShapReport::dependence_report`]. For
-/// several features — or a dependence report alongside a ranking, as in
-/// Fig. 7 — build a [`ShapReport`] once; each one-shot call here pays
-/// for a full SHAP matrix.
-pub fn dependence_report(model: &Booster, set: &SampleSet, feature_name: &str) -> DependenceReport {
-    ShapReport::new(model, set).dependence_report(feature_name)
-}
-
-/// Extract data-driven thresholds for *every* PRO feature of a model —
-/// the paper's closing suggestion that "this explanation capability may
-/// underpin epidemiological studies": a population-level catalogue of
-/// where each questionnaire item's influence flips sign, the DD
-/// counterpart of the KD cutoff table. Features without a sign change
-/// (monotone or inert) are omitted.
-pub fn population_thresholds(model: &Booster, set: &SampleSet) -> Vec<(String, f64)> {
-    ShapReport::new(model, set).population_thresholds()
-}
-
-/// Global importance ranking (mean |SHAP|) with feature names attached.
-///
-/// One-shot convenience over [`ShapReport::global_ranking`].
-pub fn global_ranking(model: &Booster, set: &SampleSet, top_k: usize) -> Vec<(String, f64)> {
-    ShapReport::new(model, set).global_ranking(top_k)
-}
-
 /// Shared interpretation state for one `(model, sample set)` pair: one
 /// [`TreeExplainer`] and one SHAP matrix over every row of the set,
-/// computed once on the shared worker pool and reused by every report.
-///
-/// The free functions in this module each rebuilt this state per call —
-/// Fig. 7 alone paid for two full SHAP matrices (ranking + dependence)
-/// and `find_contrast_pair` for three explainers plus a re-explained
-/// pair. A `ShapReport` makes the sharing explicit; every method is
-/// bit-identical to its free-function counterpart.
+/// computed once on the shared worker pool and reused by every report —
+/// Fig. 7's ranking and dependence curve read the same matrix.
 pub struct ShapReport<'a> {
     model: &'a Booster,
     set: &'a SampleSet,
@@ -157,27 +109,12 @@ pub struct ShapReport<'a> {
 impl<'a> ShapReport<'a> {
     /// Build the shared state: one explainer, one SHAP matrix and one
     /// raw-prediction vector over all rows of `set` (fanned across the
-    /// worker pool).
-    ///
-    /// Panicking wrapper over [`ShapReport::try_new`] for the usual case
-    /// where the model was trained on this very set.
-    pub fn new(model: &'a Booster, set: &'a SampleSet) -> Self {
-        Self::try_new(model, set).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ShapReport::new`]: a model/set width mismatch
-    /// (explaining a set the model was not trained on) is a
-    /// [`PipelineError::Predict`] instead of a downstream panic.
+    /// worker pool). A model/set width mismatch (explaining a set the
+    /// model was not trained on) is a [`PipelineError::Predict`].
     pub fn try_new(model: &'a Booster, set: &'a SampleSet) -> Result<Self, PipelineError> {
-        if model.n_features() != set.features.ncols() {
-            return Err(PipelineError::Predict(PredictError::FeatureCount {
-                expected: model.n_features(),
-                actual: set.features.ncols(),
-            }));
-        }
+        let raw = model.try_predict_raw(&set.features)?;
         let explainer = TreeExplainer::new(model);
         let shap = explainer.shap_values(&set.features);
-        let raw = model.flat_forest().predict_raw_batch(&set.features);
         Ok(ShapReport { model, set, explainer, shap, raw })
     }
 
@@ -205,9 +142,9 @@ impl<'a> ShapReport<'a> {
         local_report(self.model, self.set, row, &self.explanation(row), top_k)
     }
 
-    /// Find a Fig. 6 contrast pair from the cached matrix (cf. the free
-    /// [`find_contrast_pair`]): same prediction within `tolerance`,
-    /// different patients, different top-1 driver.
+    /// Find two samples from *different patients* whose predictions
+    /// agree within `tolerance` but whose top-1 drivers differ — the
+    /// paper's Fig. 6 scenario — or `None` when no such pair exists.
     pub fn find_contrast_pair(
         &self,
         tolerance: f64,
@@ -233,16 +170,9 @@ impl<'a> ShapReport<'a> {
         None
     }
 
-    /// Dependence report for one feature from the cached matrix (cf. the
-    /// free [`dependence_report`]).
-    ///
-    /// Panicking wrapper over [`ShapReport::try_dependence_report`].
-    pub fn dependence_report(&self, feature_name: &str) -> DependenceReport {
-        self.try_dependence_report(feature_name).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ShapReport::dependence_report`]: a feature the
-    /// set does not have is [`PipelineError::UnknownFeature`].
+    /// Dependence report for `feature_name` from the cached matrix
+    /// (Fig. 7). A feature the set does not have is
+    /// [`PipelineError::UnknownFeature`].
     pub fn try_dependence_report(
         &self,
         feature_name: &str,
@@ -262,8 +192,9 @@ impl<'a> ShapReport<'a> {
         })
     }
 
-    /// Sign-flip thresholds of every PRO feature from the cached matrix
-    /// (cf. the free [`population_thresholds`]).
+    /// Where each PRO item's influence flips sign — the population-level
+    /// DD counterpart of the KD cutoff table that the paper suggests for
+    /// epidemiological studies. Monotone or inert items are omitted.
     pub fn population_thresholds(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (f, name) in self.set.feature_names.iter().enumerate() {
@@ -278,8 +209,8 @@ impl<'a> ShapReport<'a> {
         out
     }
 
-    /// Global mean-|SHAP| ranking from the cached matrix (cf. the free
-    /// [`global_ranking`]).
+    /// Global importance ranking (mean |SHAP|) with feature names
+    /// attached, from the cached matrix.
     pub fn global_ranking(&self, top_k: usize) -> Vec<(String, f64)> {
         let summary = GlobalSummary::from_shap_matrix(&self.shap);
         summary
@@ -296,6 +227,7 @@ mod tests {
     use crate::config::ExperimentConfig;
     use crate::experiment::fit_final_model;
     use msaw_cohort::{generate, CohortConfig};
+    use msaw_gbdt::PredictError;
     use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
     fn setup() -> (SampleSet, Booster) {
@@ -326,7 +258,7 @@ mod tests {
     #[test]
     fn contrast_pair_has_same_prediction_different_driver() {
         let (set, model) = setup();
-        let pair = find_contrast_pair(&model, &set, 0.5, 5);
+        let pair = ShapReport::try_new(&model, &set).unwrap().find_contrast_pair(0.5, 5);
         let (a, b) = pair.expect("a contrast pair should exist in a real cohort");
         assert_ne!(a.patient, b.patient);
         assert!((a.prediction - b.prediction).abs() <= 0.5);
@@ -336,7 +268,10 @@ mod tests {
     #[test]
     fn dependence_report_produces_points() {
         let (set, model) = setup();
-        let report = dependence_report(&model, &set, "pro_locomotion_walk_distance");
+        let report = ShapReport::try_new(&model, &set)
+            .unwrap()
+            .try_dependence_report("pro_locomotion_walk_distance")
+            .unwrap();
         assert!(!report.points.is_empty());
         // Points sorted by feature value.
         for w in report.points.windows(2) {
@@ -347,7 +282,7 @@ mod tests {
     #[test]
     fn global_ranking_names_features() {
         let (set, model) = setup();
-        let ranking = global_ranking(&model, &set, 10);
+        let ranking = ShapReport::try_new(&model, &set).unwrap().global_ranking(10);
         assert_eq!(ranking.len(), 10);
         for w in ranking.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -357,7 +292,7 @@ mod tests {
     #[test]
     fn population_thresholds_are_within_likert_range() {
         let (set, model) = setup();
-        let thresholds = population_thresholds(&model, &set);
+        let thresholds = ShapReport::try_new(&model, &set).unwrap().population_thresholds();
         assert!(!thresholds.is_empty(), "some PRO item should show a threshold");
         for (name, t) in &thresholds {
             assert!(name.starts_with("pro_"));
@@ -366,16 +301,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown feature")]
-    fn unknown_feature_panics() {
-        let (set, model) = setup();
-        dependence_report(&model, &set, "not_a_feature");
-    }
-
-    #[test]
     fn unknown_feature_is_a_typed_error() {
         let (set, model) = setup();
-        let report = ShapReport::new(&model, &set);
+        let report = ShapReport::try_new(&model, &set).unwrap();
         let err = report.try_dependence_report("not_a_feature").unwrap_err();
         assert_eq!(err, PipelineError::UnknownFeature("not_a_feature".into()));
     }
@@ -383,7 +311,7 @@ mod tests {
     #[test]
     fn mismatched_set_width_is_a_predict_error() {
         let (set, model) = setup();
-        let wider = set.with_extra_feature("fi_baseline", &vec![0.0; set.len()]);
+        let wider = set.try_with_extra_feature("fi_baseline", &vec![0.0; set.len()]).unwrap();
         match ShapReport::try_new(&model, &wider) {
             Err(PipelineError::Predict(PredictError::FeatureCount { expected, actual })) => {
                 assert_eq!(expected, set.features.ncols());
@@ -409,29 +337,20 @@ mod tests {
     }
 
     #[test]
-    fn shap_report_matches_free_functions_exactly() {
-        // The cached-matrix API must be a pure refactor: every report it
-        // produces equals its one-shot counterpart, bit for bit.
+    fn shap_report_explain_row_matches_the_free_function() {
+        // The cached matrix and the one-row path explain identically,
+        // bit for bit.
         let (set, model) = setup();
-        let report = ShapReport::new(&model, &set);
-
+        let report = ShapReport::try_new(&model, &set).unwrap();
         for row in [0usize, 3, set.len() - 1] {
             assert_reports_bits_eq(&report.explain_row(row, 5), &explain_row(&model, &set, row, 5));
         }
-        let (a, b) = report.find_contrast_pair(0.5, 5).expect("pair exists");
-        let (fa, fb) = find_contrast_pair(&model, &set, 0.5, 5).expect("pair exists");
-        assert_reports_bits_eq(&a, &fa);
-        assert_reports_bits_eq(&b, &fb);
-        let feature = "pro_locomotion_walk_distance";
-        assert_eq!(report.dependence_report(feature), dependence_report(&model, &set, feature));
-        assert_eq!(report.population_thresholds(), population_thresholds(&model, &set));
-        assert_eq!(report.global_ranking(10), global_ranking(&model, &set, 10));
     }
 
     #[test]
     fn shap_report_caches_one_matrix_of_set_shape() {
         let (set, model) = setup();
-        let report = ShapReport::new(&model, &set);
+        let report = ShapReport::try_new(&model, &set).unwrap();
         assert_eq!(report.shap_matrix().nrows(), set.len());
         assert_eq!(report.shap_matrix().ncols(), set.features.ncols());
         // The cached matrix is the explainer's own output.

@@ -32,10 +32,12 @@
 //! use msaw_core::{config::ExperimentConfig, grid};
 //!
 //! let data = generate(&CohortConfig::paper(42));
-//! let results = grid::run_full_grid(&data, &ExperimentConfig::default());
+//! // Worker count 0: the default bounded pool.
+//! let results = grid::try_run_full_grid_on(0, &data, &ExperimentConfig::default())?;
 //! for r in &results {
 //!     println!("{}", r.summary_line());
 //! }
+//! # Ok::<(), msaw_core::PipelineError>(())
 //! ```
 
 pub mod config;
@@ -50,12 +52,9 @@ pub mod scale;
 
 pub use config::ExperimentConfig;
 pub use error::PipelineError;
-pub use experiment::{run_variant, try_run_variant, Approach, RegressionScores, VariantResult};
-pub use grid::{
-    run_full_grid, run_grid_for_samples, try_run_clinic_grids, try_run_full_grid,
-    try_run_full_grid_on,
-};
+pub use experiment::{try_run_variant, Approach, RegressionScores, VariantResult};
+pub use grid::{try_run_clinic_grids, try_run_full_grid_on};
 pub use grid_chunked::{try_run_full_grid_chunked, ChunkedGridConfig, ChunkedGridReport};
-pub use oof::{oof_predictions, try_oof_predictions};
+pub use oof::try_oof_predictions;
 pub use registry::{cohort_fingerprint, ModelKey, ModelRegistry, PruneReport, RegistryError};
 pub use scale::{peak_rss_mb, run_scale, ScaleConfig, ScaleReport};

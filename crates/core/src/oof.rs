@@ -11,14 +11,8 @@ use std::collections::BTreeMap;
 
 /// Predict every row of `set` using K-fold rotation: for each fold, a
 /// model is trained on the other folds and predicts the held-out rows.
-///
-/// Panicking wrapper over [`try_oof_predictions`].
-pub fn oof_predictions(set: &SampleSet, cfg: &ExperimentConfig) -> Vec<f64> {
-    try_oof_predictions(set, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`oof_predictions`]: a set too small for the fold
-/// rotation is [`PipelineError::TooFewSamples`], a failing fold fit is
+/// A set too small for the fold rotation is
+/// [`PipelineError::TooFewSamples`], a failing fold fit is
 /// [`PipelineError::Train`].
 pub fn try_oof_predictions(
     set: &SampleSet,
@@ -95,7 +89,7 @@ mod tests {
     #[test]
     fn every_row_gets_an_oof_prediction() {
         let (set, cfg) = setup();
-        let preds = oof_predictions(&set, &cfg);
+        let preds = try_oof_predictions(&set, &cfg).unwrap();
         assert_eq!(preds.len(), set.len());
         assert!(preds.iter().all(|p| p.is_finite()));
     }
@@ -103,7 +97,7 @@ mod tests {
     #[test]
     fn per_patient_mae_covers_all_patients_in_set() {
         let (set, cfg) = setup();
-        let preds = oof_predictions(&set, &cfg);
+        let preds = try_oof_predictions(&set, &cfg).unwrap();
         let mae = per_patient_mae(&set, &preds);
         let patients: std::collections::HashSet<u32> =
             set.meta.iter().map(|m| m.patient.0).collect();
@@ -114,7 +108,7 @@ mod tests {
     #[test]
     fn boxes_cover_all_clinics() {
         let (set, cfg) = setup();
-        let preds = oof_predictions(&set, &cfg);
+        let preds = try_oof_predictions(&set, &cfg).unwrap();
         let boxes = mae_boxes_by_clinic(&set, &preds);
         assert_eq!(boxes.len(), 3);
         for (_, b) in &boxes {
@@ -126,7 +120,10 @@ mod tests {
     #[test]
     fn oof_is_deterministic() {
         let (set, cfg) = setup();
-        assert_eq!(oof_predictions(&set, &cfg), oof_predictions(&set, &cfg));
+        assert_eq!(
+            try_oof_predictions(&set, &cfg).unwrap(),
+            try_oof_predictions(&set, &cfg).unwrap()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Byte-identity pin for the 12-model grid.
 //!
-//! The training engine underneath `run_full_grid` is allowed to change
+//! The training engine underneath `try_run_full_grid_on` is allowed to change
 //! (shared binning, parallel split search, work-queue scheduling) only
 //! if the grid's results stay bit-for-bit identical for a fixed seed.
 //! This test pins the full `Debug` rendering of the grid — every float
@@ -14,7 +14,7 @@
 //! ```
 
 use msaw_cohort::{generate, CohortConfig};
-use msaw_core::{run_full_grid, ExperimentConfig};
+use msaw_core::{try_run_full_grid_on, ExperimentConfig};
 
 fn snapshot_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/grid_small_fast.txt")
@@ -23,7 +23,7 @@ fn snapshot_path() -> std::path::PathBuf {
 #[test]
 fn full_grid_matches_snapshot() {
     let data = generate(&CohortConfig::small(42));
-    let results = run_full_grid(&data, &ExperimentConfig::fast());
+    let results = try_run_full_grid_on(0, &data, &ExperimentConfig::fast()).unwrap();
     let rendered = format!("{results:#?}\n");
 
     let path = snapshot_path();

@@ -1,9 +1,9 @@
-//! The v2 persisted-model artifact: the full prediction bundle.
+//! The persisted-model artifact (format version 2): the full
+//! prediction bundle and the workspace's one model format.
 //!
-//! Where the v1 format ([`crate::serialize`]) persists the booster
-//! alone — so every load pays a [`FlatForest`] recompile and loses the
-//! binning metadata a serving layer needs to quantise incoming rows —
-//! the v2 artifact persists everything prediction needs:
+//! It persists everything prediction needs, so a load neither
+//! recompiles a [`FlatForest`] nor loses the binning metadata a serving
+//! layer needs to quantise incoming rows:
 //!
 //! * the booster trees (SHAP and retraining still need the full
 //!   `Node` representation with covers and gains);
@@ -22,7 +22,7 @@
 //! f64      base score                             8 B
 //! u32      feature count                          4 B
 //! u32      tree count                             4 B
-//! per tree u32 node count · tagged nodes          (v1 tree records)
+//! per tree u32 node count · tagged nodes          (tree records)
 //! u8       has_cuts (0 | 1)                       1 B
 //!   if 1, per feature: u32 cut count · f64 cuts
 //! u32      flat node count                        4 B
@@ -59,11 +59,11 @@
 //!
 //! ## Versioning policy
 //!
-//! The `u16` after the magic selects the decoder. v1 readers reject v2
-//! artifacts (unknown version) and vice versa; fields are only ever
+//! The `u16` after the magic selects the decoder; fields are only ever
 //! appended behind a version bump, never reinterpreted. [`decode`]
-//! accepts both versions, compiling the flat forest on the fly for v1
-//! input.
+//! reads version 2 only. The retired version 1 — the booster alone,
+//! without cuts, flat forest or checksum — fails as `unsupported
+//! version 1`.
 
 use crate::booster::Booster;
 use crate::error::PredictError;
@@ -184,9 +184,8 @@ pub fn encode(artifact: &ModelArtifact) -> Bytes {
     buf.freeze()
 }
 
-/// Decode an artifact, accepting both the v2 bundle and (compiling on
-/// the fly) a v1 booster-only model. See the module docs for the full
-/// validation contract; corruption of any byte is a typed error.
+/// Decode an artifact. See the module docs for the full validation
+/// contract; corruption of any byte is a typed error.
 pub fn decode(mut data: &[u8]) -> Result<ModelArtifact, PredictError> {
     need(data, 6, "header")?;
     let mut magic = [0u8; 4];
@@ -194,19 +193,8 @@ pub fn decode(mut data: &[u8]) -> Result<ModelArtifact, PredictError> {
     if &magic != MAGIC {
         return Err(PredictError::Decode("bad magic".into()));
     }
-    let version = data.get_u16_le();
-    match version {
-        1 => {
-            // Legacy booster-only model: validate (the v1 decoder has
-            // the same structural guarantees) and compile the forest.
-            let booster = decode_booster_body(&mut data)?;
-            if data.has_remaining() {
-                return Err(PredictError::Decode(format!("{} trailing bytes", data.remaining())));
-            }
-            let forest = booster.flat_forest();
-            Ok(ModelArtifact { booster, cuts: None, forest })
-        }
-        2 => decode_v2_body(data),
+    match data.get_u16_le() {
+        ARTIFACT_VERSION => decode_v2_body(data),
         other => Err(PredictError::Decode(format!("unsupported version {other}"))),
     }
 }
@@ -429,13 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_input_is_accepted_and_compiled() {
-        let (model, _) = trained(false);
-        let v1 = crate::serialize::encode(&model);
-        let a = decode(&v1).unwrap();
-        assert_eq!(a.booster, model);
-        assert!(a.cuts.is_none());
-        assert_eq!(a.forest.n_nodes(), model.flat_forest().n_nodes());
+    fn v1_input_is_rejected_as_unsupported() {
+        // A version-1 header (the retired booster-only format) is
+        // refused before anything else is parsed.
+        let mut bytes = encode(&artifact(false)).to_vec();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert_eq!(msg, "unsupported version 1");
     }
 
     #[test]

@@ -182,41 +182,27 @@ impl Booster {
         FlatForest::from_booster(self)
     }
 
-    fn check_feature_count(&self, data: &Matrix) -> Result<(), PredictError> {
-        if data.ncols() != self.n_features {
-            return Err(PredictError::FeatureCount {
-                expected: self.n_features,
-                actual: data.ncols(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Transformed predictions for a matrix via the flat engine.
-    /// Returns an error when the feature count disagrees with the
-    /// training data.
+    /// Transformed predictions for a matrix via the flat engine on every
+    /// core. Returns an error when the feature count disagrees with the
+    /// training data (see [`FlatForest::try_predict_batch_on`]).
     pub fn try_predict(&self, data: &Matrix) -> Result<Vec<f64>, PredictError> {
-        self.check_feature_count(data)?;
-        Ok(self.flat_forest().predict_batch(data))
+        self.flat_forest().try_predict_batch_on(msaw_parallel::available_workers(), data)
     }
 
-    /// Transformed predictions; panics on feature-count mismatch.
+    /// Transformed predictions; panics where [`Self::try_predict`]
+    /// returns an error.
     pub fn predict(&self, data: &Matrix) -> Vec<f64> {
-        self.try_predict(data).expect("feature count mismatch")
+        self.try_predict(data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Raw-score predictions for a matrix via the flat engine, with the
-    /// same feature-count check as [`Self::try_predict`].
+    /// same checks as [`Self::try_predict`].
     pub fn try_predict_raw(&self, data: &Matrix) -> Result<Vec<f64>, PredictError> {
-        self.check_feature_count(data)?;
-        Ok(self.flat_forest().predict_raw_batch(data))
-    }
-
-    /// Raw-score predictions; panics on feature-count mismatch (it used
-    /// to be silently accepted in release builds and crash or garbage
-    /// out downstream).
-    pub fn predict_raw(&self, data: &Matrix) -> Vec<f64> {
-        self.try_predict_raw(data).expect("feature count mismatch")
+        self.flat_forest().try_predict_raw_batch_on(
+            msaw_parallel::available_workers(),
+            data,
+            crate::simd::active_level(),
+        )
     }
 
     /// The ensemble's trees.

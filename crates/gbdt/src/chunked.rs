@@ -1148,6 +1148,21 @@ pub(crate) struct ChunkPools {
     prefetch: Vec<Vec<u16>>,
 }
 
+/// Reject a row subset that is not strictly ascending or reaches past
+/// the matrix's `nrows` — the order every chunked row walk (training
+/// positions, per-block prediction ranges) relies on.
+fn check_rows(rows: &[u32], nrows: usize) -> Result<(), ChunkError> {
+    let ascending = rows.windows(2).all(|w| w[0] < w[1]);
+    if !ascending || rows.last().is_some_and(|&r| r as usize >= nrows) {
+        return Err(TrainError::InvalidParam {
+            name: "rows",
+            message: format!("rows must be strictly ascending and below {nrows}"),
+        }
+        .into());
+    }
+    Ok(())
+}
+
 /// An in-progress chunked fit, the out-of-core mirror of
 /// [`crate::FitRun`]: [`ChunkedFitRun::new`] validates and sizes the
 /// scratch, each [`ChunkedFitRun::round`] streams the matrix blocks
@@ -1221,18 +1236,7 @@ impl<'a> ChunkedFitRun<'a> {
             return Err(TrainError::EmptyDataset.into());
         }
         if let Some(rs) = rows {
-            let mut prev = None;
-            for &r in rs {
-                if (r as usize) >= matrix.nrows() || prev.is_some_and(|p: u32| p >= r) {
-                    return Err(TrainError::InvalidParam {
-                        name: "rows",
-                        message: "chunked training rows must be strictly ascending and in range"
-                            .to_string(),
-                    }
-                    .into());
-                }
-                prev = Some(r);
-            }
+            check_rows(rs, matrix.nrows())?;
         }
         if labels.len() != n_positions {
             return Err(TrainError::LabelLength { rows: n_positions, labels: labels.len() }.into());
@@ -1816,7 +1820,9 @@ fn leaf_value_codes(nodes: &[Node], row: &[u16], view: &ChunkedView<'_>) -> f64 
 
 /// Transformed predictions for an ascending row subset of a column
 /// view, walking the booster's trees directly on the stored bin codes
-/// — no feature regeneration pass. Bit-identical to
+/// — no feature regeneration pass. Rows that are not strictly
+/// ascending or not below the matrix's row count are a typed
+/// `TrainError::InvalidParam` for `rows`. Bit-identical to
 /// [`crate::forest::FlatForest::predict_rows_on`] over the raw
 /// feature rows: same tree order, same zero-seeded accumulator, same
 /// `+ base_score` tail (IEEE addition commutes bit-for-bit), same
@@ -1829,6 +1835,7 @@ pub fn predict_rows_chunked(
     bufs: &mut Vec<Vec<u16>>,
 ) -> Result<Vec<f64>, ChunkError> {
     let matrix = view.matrix;
+    check_rows(rows, matrix.nrows())?;
     let (col_start, ncols) = (view.col_start, view.ncols);
     let stride = matrix.ncols();
     let block_rows = matrix.block_rows();
@@ -1845,11 +1852,6 @@ pub fn predict_rows_chunked(
             visit.push(b as u32);
         }
     }
-    assert!(
-        visit.iter().map(|&b| ranges[b as usize]).map(|(lo, hi)| hi - lo).sum::<u32>() as usize
-            == rows.len(),
-        "prediction rows must be strictly ascending and in range"
-    );
     let mut out = Vec::with_capacity(rows.len());
     stream_blocks(matrix, &visit, bufs, |b, codes| {
         let base_row = b * block_rows;

@@ -488,118 +488,21 @@ impl FlatForest {
         }
     }
 
-    /// One block's raw scores.
-    fn raw_block(
-        &self,
-        level: crate::simd::SimdLevel,
-        data: &Matrix,
-        start: usize,
-        end: usize,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; end - start];
-        self.accumulate_block(level, data, RowSel::Contiguous(start), &mut out);
-        for o in &mut out {
-            // IEEE addition commutes bit-for-bit, so this equals `base + acc`.
-            *o += self.base_score;
-        }
-        out
-    }
-
-    /// Raw scores for every row of a matrix, fanned across the default
-    /// worker pool in [`BLOCK_ROWS`]-row blocks. Byte-identical at any
-    /// worker count. A zero-row matrix yields an empty vector — the
-    /// pool's block splitter produces zero blocks, never a panic — so
-    /// batch callers need no empty-input guard.
-    pub fn predict_raw_batch(&self, data: &Matrix) -> Vec<f64> {
-        let n_blocks = data.nrows().div_ceil(BLOCK_ROWS);
-        self.predict_raw_batch_on(msaw_parallel::default_workers(n_blocks), data)
-    }
-
-    /// [`Self::predict_raw_batch`] on exactly `workers` threads.
-    pub fn predict_raw_batch_on(&self, workers: usize, data: &Matrix) -> Vec<f64> {
-        self.predict_raw_batch_on_with(workers, data, crate::simd::active_level())
-    }
-
-    /// [`Self::predict_raw_batch_on`] with an explicit kernel level —
-    /// the bench/test entry point for comparing tiers without touching
-    /// process-global dispatch state.
-    #[doc(hidden)]
-    pub fn predict_raw_batch_on_with(
+    /// The one [`BLOCK_ROWS`]-row block loop behind every batch entry
+    /// point: raw scores of `n` rows at kernel `level` on `workers`
+    /// threads, `select` naming each block's rows. Byte-identical at any
+    /// worker count.
+    fn raw_blocks<'r>(
         &self,
         workers: usize,
         data: &Matrix,
         level: crate::simd::SimdLevel,
-    ) -> Vec<f64> {
-        debug_assert_eq!(data.ncols(), self.n_features);
-        msaw_parallel::run_blocks_on(workers, data.nrows(), BLOCK_ROWS, |range| {
-            self.raw_block(level, data, range.start, range.end)
-        })
-    }
-
-    /// Transformed predictions for every row of a matrix.
-    pub fn predict_batch(&self, data: &Matrix) -> Vec<f64> {
-        let mut out = self.predict_raw_batch(data);
-        for o in &mut out {
-            *o = self.objective.transform(*o);
-        }
-        out
-    }
-
-    /// Panic-safe [`Self::predict_raw_batch_on`]: a row-width mismatch
-    /// is a typed [`PredictError`] and a panicking block comes back as
-    /// `PredictError::Batch` with the lowest failing block index (the
-    /// pool's drain policy) instead of unwinding — the serving layer's
-    /// guarantee that one bad request cannot take down a worker.
-    pub fn try_predict_raw_batch_on(
-        &self,
-        workers: usize,
-        data: &Matrix,
-    ) -> Result<Vec<f64>, crate::error::PredictError> {
-        if data.ncols() != self.n_features {
-            return Err(crate::error::PredictError::FeatureCount {
-                expected: self.n_features,
-                actual: data.ncols(),
-            });
-        }
-        let level = crate::simd::active_level();
-        msaw_parallel::try_run_blocks_on(workers, data.nrows(), BLOCK_ROWS, |range| {
-            self.raw_block(level, data, range.start, range.end)
-        })
-        .map_err(|e| crate::error::PredictError::Batch { block: e.job, message: e.message })
-    }
-
-    /// Panic-safe transformed batch prediction on exactly `workers`
-    /// threads (see [`Self::try_predict_raw_batch_on`]).
-    pub fn try_predict_batch_on(
-        &self,
-        workers: usize,
-        data: &Matrix,
-    ) -> Result<Vec<f64>, crate::error::PredictError> {
-        let mut out = self.try_predict_raw_batch_on(workers, data)?;
-        for o in &mut out {
-            *o = self.objective.transform(*o);
-        }
-        Ok(out)
-    }
-
-    /// Raw scores for a row-index view of a matrix (the OOF/grid shape:
-    /// predict a fold's validation rows without materialising them).
-    /// An empty `rows` slice yields an empty vector, like
-    /// [`Self::predict_raw_batch`] on a zero-row matrix.
-    pub fn predict_raw_rows(&self, data: &Matrix, rows: &[usize]) -> Vec<f64> {
-        let n_blocks = rows.len().div_ceil(BLOCK_ROWS);
-        self.predict_raw_rows_on(msaw_parallel::default_workers(n_blocks), data, rows)
-    }
-
-    /// [`Self::predict_raw_rows`] on exactly `workers` threads — pass 1
-    /// from call sites already running inside a worker pool.
-    pub fn predict_raw_rows_on(&self, workers: usize, data: &Matrix, rows: &[usize]) -> Vec<f64> {
-        debug_assert_eq!(data.ncols(), self.n_features);
-        let level = crate::simd::active_level();
-        msaw_parallel::run_blocks_on(workers, rows.len(), BLOCK_ROWS, |range| {
-            let block = &rows[range];
-            let mut out = vec![0.0; block.len()];
-            self.accumulate_block(level, data, RowSel::Gather(block), &mut out);
+        n: usize,
+        select: impl Fn(std::ops::Range<usize>) -> RowSel<'r> + Sync,
+    ) -> Result<Vec<f64>, msaw_parallel::PoolError> {
+        msaw_parallel::try_run_blocks_on(workers, n, BLOCK_ROWS, |range| {
+            let mut out = vec![0.0; range.len()];
+            self.accumulate_block(level, data, select(range), &mut out);
             for o in &mut out {
                 // IEEE addition commutes bit-for-bit, so this equals `base + acc`.
                 *o += self.base_score;
@@ -608,10 +511,74 @@ impl FlatForest {
         })
     }
 
-    /// Transformed predictions for a row-index view of a matrix.
+    /// Transformed predictions for every row of a matrix, fanned across
+    /// the default worker pool: [`Self::try_predict_batch_on`] on every
+    /// core, panicking where it returns an error.
+    pub fn predict_batch(&self, data: &Matrix) -> Vec<f64> {
+        self.try_predict_batch_on(msaw_parallel::available_workers(), data)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Raw scores for every row of a matrix on exactly `workers` threads
+    /// at kernel `level`, in [`BLOCK_ROWS`]-row blocks, byte-identical
+    /// at any worker count. Panic-safe: a row-width mismatch is a typed
+    /// [`PredictError`] and a panicking block comes back as
+    /// `PredictError::Batch` with the lowest failing block index (the
+    /// pool's drain policy) instead of unwinding — the serving layer's
+    /// guarantee that one bad request cannot take down a worker. A
+    /// zero-row matrix yields an empty vector — the pool's block
+    /// splitter produces zero blocks — so callers need no empty-input
+    /// guard. Pass [`crate::simd::active_level`] unless comparing
+    /// kernel tiers.
+    ///
+    /// [`PredictError`]: crate::error::PredictError
+    pub fn try_predict_raw_batch_on(
+        &self,
+        workers: usize,
+        data: &Matrix,
+        level: crate::simd::SimdLevel,
+    ) -> Result<Vec<f64>, crate::error::PredictError> {
+        if data.ncols() != self.n_features {
+            return Err(crate::error::PredictError::FeatureCount {
+                expected: self.n_features,
+                actual: data.ncols(),
+            });
+        }
+        self.raw_blocks(workers, data, level, data.nrows(), |r| RowSel::Contiguous(r.start))
+            .map_err(|e| crate::error::PredictError::Batch { block: e.job, message: e.message })
+    }
+
+    /// Panic-safe transformed batch prediction on exactly `workers`
+    /// threads at the active kernel level (see
+    /// [`Self::try_predict_raw_batch_on`]).
+    pub fn try_predict_batch_on(
+        &self,
+        workers: usize,
+        data: &Matrix,
+    ) -> Result<Vec<f64>, crate::error::PredictError> {
+        let mut out = self.try_predict_raw_batch_on(workers, data, crate::simd::active_level())?;
+        for o in &mut out {
+            *o = self.objective.transform(*o);
+        }
+        Ok(out)
+    }
+
+    /// Raw scores for a row-index view of a matrix on exactly `workers`
+    /// threads (the OOF/grid shape: predict a fold's validation rows
+    /// without materialising them) — pass 1 from call sites already
+    /// running inside a worker pool. An empty `rows` slice yields an
+    /// empty vector.
+    pub fn predict_raw_rows_on(&self, workers: usize, data: &Matrix, rows: &[usize]) -> Vec<f64> {
+        debug_assert_eq!(data.ncols(), self.n_features);
+        let level = crate::simd::active_level();
+        self.raw_blocks(workers, data, level, rows.len(), |r| RowSel::Gather(&rows[r]))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Transformed predictions for a row-index view of a matrix on every
+    /// core.
     pub fn predict_rows(&self, data: &Matrix, rows: &[usize]) -> Vec<f64> {
-        let n_blocks = rows.len().div_ceil(BLOCK_ROWS);
-        self.predict_rows_on(msaw_parallel::default_workers(n_blocks), data, rows)
+        self.predict_rows_on(msaw_parallel::available_workers(), data, rows)
     }
 
     /// [`Self::predict_rows`] on exactly `workers` threads.

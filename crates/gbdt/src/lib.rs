@@ -18,7 +18,8 @@
 //!   supports both; they form one of our ablation benches);
 //! * early stopping against a held-out evaluation set;
 //! * gain / cover / frequency feature importances;
-//! * binary model (de)serialisation;
+//! * one persisted model format: the checksummed prediction-bundle
+//!   [`ModelArtifact`];
 //! * a shared-preparation engine: [`TrainingContext`] indexes and bins a
 //!   matrix once, then [`Booster::train_on_rows`] trains any number of
 //!   models on row-index views of it — bit-for-bit identical (exact
@@ -53,7 +54,7 @@ pub mod forest;
 pub mod importance;
 pub mod objective;
 pub mod params;
-pub mod serialize;
+mod serialize;
 pub mod simd;
 pub mod split;
 pub mod tree;

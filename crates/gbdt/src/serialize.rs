@@ -1,7 +1,8 @@
-//! Compact binary (de)serialisation of trained boosters.
+//! The booster codec inside the model artifact ([`crate::artifact`]):
+//! the objective, base score, counts and tree records it writes after
+//! its magic and version.
 //!
-//! Format (little endian via `bytes`):
-//! `b"MSGB"` magic · `u16` version · objective tag (+payload) ·
+//! Layout (little endian via `bytes`): objective tag (+payload) ·
 //! `f64` base score · `u32` feature count · `u32` tree count ·
 //! per tree: `u32` node count · tagged nodes.
 
@@ -10,10 +11,10 @@ use crate::error::PredictError;
 use crate::objective::Objective;
 use crate::tree::{Node, Tree};
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
+/// The magic every persisted model starts with.
 pub(crate) const MAGIC: &[u8; 4] = b"MSGB";
-const VERSION: u16 = 1;
 
 const OBJ_SQUARED: u8 = 0;
 const OBJ_LOGISTIC: u8 = 1;
@@ -154,22 +155,7 @@ pub(crate) fn get_tree(
     Ok(tree)
 }
 
-/// Encode a trained model into a byte buffer.
-pub fn encode(model: &Booster) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + model.trees().len() * 256);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    put_objective(&mut buf, model.objective());
-    buf.put_f64_le(model.base_score());
-    buf.put_u32_le(model.n_features() as u32);
-    buf.put_u32_le(model.trees().len() as u32);
-    for tree in model.trees() {
-        put_tree(&mut buf, tree);
-    }
-    buf.freeze()
-}
-
-/// Decode a model previously produced by [`encode`].
+/// Decode the booster payload (objective, base score, counts, trees).
 ///
 /// Every count is checked against the bytes actually remaining before
 /// any allocation, and every tree is structurally validated (child
@@ -177,26 +163,6 @@ pub fn encode(model: &Booster) -> Bytes {
 /// before it is accepted — corrupt input is always a typed
 /// [`PredictError::Decode`], never a panic, OOM abort, or a model that
 /// fails later at predict time.
-pub fn decode(mut data: &[u8]) -> Result<Booster, PredictError> {
-    need(data, 6, "header")?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PredictError::Decode("bad magic".into()));
-    }
-    let version = data.get_u16_le();
-    if version != VERSION {
-        return Err(PredictError::Decode(format!("unsupported version {version}")));
-    }
-    let booster = decode_booster_body(&mut data)?;
-    if data.has_remaining() {
-        return Err(PredictError::Decode(format!("{} trailing bytes", data.remaining())));
-    }
-    Ok(booster)
-}
-
-/// The version-independent booster payload (objective, base score,
-/// counts, trees) shared by the v1 format and the v2 artifact bundle.
 pub(crate) fn decode_booster_body(data: &mut &[u8]) -> Result<Booster, PredictError> {
     let objective = get_objective(data)?;
     need(data, 16, "base score and counts")?;
@@ -211,23 +177,10 @@ pub(crate) fn decode_booster_body(data: &mut &[u8]) -> Result<Booster, PredictEr
     Ok(Booster { trees, base_score, objective, n_features })
 }
 
-impl Booster {
-    /// Persist the model to a file in the binary format.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, encode(self))
-    }
-
-    /// Load a model previously written by [`Booster::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Booster, PredictError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| PredictError::Decode(format!("cannot read model file: {e}")))?;
-        decode(&bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{self, fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
     use crate::params::Params;
     use msaw_tabular::Matrix;
 
@@ -243,42 +196,68 @@ mod tests {
         }
     }
 
+    /// A model's artifact bytes.
+    fn encoded(model: &Booster) -> Vec<u8> {
+        ModelArtifact::from_booster(model.clone(), None).encode().to_vec()
+    }
+
+    /// Append the FNV trailer a valid artifact ends with.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let checksum = fnv1a_64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
+    }
+
+    /// Edit an artifact's body and recompute its trailer, so the
+    /// structural checks — not the checksum — must reject the edit.
+    fn resealed(mut bytes: Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 8);
+        edit(&mut bytes);
+        sealed(bytes)
+    }
+
     #[test]
     fn round_trip_regression_model() {
         let model = trained(false);
-        let decoded = decode(&encode(&model)).unwrap();
-        assert_eq!(model, decoded);
+        let decoded = artifact::decode(&encoded(&model)).unwrap();
+        assert_eq!(model, decoded.booster);
     }
 
     #[test]
     fn round_trip_preserves_predictions() {
         let model = trained(true);
-        let decoded = decode(&encode(&model)).unwrap();
+        let decoded = artifact::decode(&encoded(&model)).unwrap();
         let row = vec![3.0, f64::NAN];
-        assert_eq!(model.predict_row(&row), decoded.predict_row(&row));
+        assert_eq!(model.predict_row(&row), decoded.booster.predict_row(&row));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = encode(&trained(false)).to_vec();
+        let mut bytes = encoded(&trained(false));
         bytes[0] = b'X';
-        assert!(matches!(decode(&bytes), Err(PredictError::Decode(_))));
+        assert!(matches!(artifact::decode(&bytes), Err(PredictError::Decode(_))));
     }
 
     #[test]
     fn truncation_rejected_everywhere() {
-        let bytes = encode(&trained(false)).to_vec();
-        // Chop at several points; every prefix must fail cleanly.
-        for cut in [0, 3, 5, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        let bytes = encoded(&trained(false));
+        // Chop at several points; every prefix must fail cleanly, also
+        // under a recomputed trailer, where the section parsers rather
+        // than the checksum must catch the cut.
+        let body = &bytes[..bytes.len() - 8];
+        for cut in [0, 3, 5, 10, 23, 27, body.len() / 2, body.len() - 1] {
+            assert!(artifact::decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+            let err = artifact::decode(&sealed(body[..cut].to_vec())).unwrap_err();
+            assert!(matches!(err, PredictError::Decode(_)), "resealed prefix of {cut}: {err:?}");
         }
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut bytes = encode(&trained(false)).to_vec();
-        bytes.push(0);
-        assert!(matches!(decode(&bytes), Err(PredictError::Decode(_))));
+        let bytes = resealed(encoded(&trained(false)), |body| body.push(0));
+        let err = artifact::decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("trailing"), "{msg}");
     }
 
     #[test]
@@ -287,23 +266,23 @@ mod tests {
         let dir = std::env::temp_dir().join("msaw_gbdt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.msgb");
-        model.save(&path).unwrap();
-        let loaded = Booster::load(&path).unwrap();
-        assert_eq!(model, loaded);
+        ModelArtifact::from_booster(model.clone(), None).save(&path).unwrap();
+        let loaded = ModelArtifact::load(&path).unwrap();
+        assert_eq!(model, loaded.booster);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn load_missing_file_is_a_decode_error() {
-        let err = Booster::load("/nonexistent/path/model.msgb").unwrap_err();
+        let err = ModelArtifact::load("/nonexistent/path/model.msgb").unwrap_err();
         assert!(matches!(err, PredictError::Decode(_)));
     }
 
     #[test]
     fn unknown_version_rejected() {
-        let mut bytes = encode(&trained(false)).to_vec();
+        let mut bytes = encoded(&trained(false));
         bytes[4] = 99;
-        assert!(matches!(decode(&bytes), Err(PredictError::Decode(_))));
+        assert!(matches!(artifact::decode(&bytes), Err(PredictError::Decode(_))));
     }
 
     /// Byte offset of the `u32` tree count in a regression-model header:
@@ -315,34 +294,40 @@ mod tests {
     fn absurd_tree_count_is_a_typed_error_not_an_allocation() {
         // A corrupt 23-byte header claiming u32::MAX trees used to
         // pre-allocate gigabytes before the first byte was read.
-        let mut bytes = encode(&trained(false)).to_vec();
-        bytes[TREE_COUNT_AT..TREE_COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode(&bytes).unwrap_err();
+        let bytes = resealed(encoded(&trained(false)), |body| {
+            body[TREE_COUNT_AT..TREE_COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = artifact::decode(&bytes).unwrap_err();
         let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
         assert!(msg.contains("count"), "{msg}");
     }
 
     #[test]
     fn absurd_node_count_is_a_typed_error_not_an_allocation() {
-        let mut bytes = encode(&trained(false)).to_vec();
         // First tree's node count sits right after the header.
         let at = TREE_COUNT_AT + 4;
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode(&bytes).unwrap_err();
+        let bytes = resealed(encoded(&trained(false)), |body| {
+            body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = artifact::decode(&bytes).unwrap_err();
         let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
         assert!(msg.contains("count"), "{msg}");
     }
 
-    /// A booster whose single tree is handed in unvalidated — the
-    /// encode path trusts training, so this produces artifacts with the
-    /// defects a corrupted file could carry.
-    fn booster_with_tree(tree: Tree, n_features: usize) -> Booster {
-        Booster {
-            trees: vec![tree],
-            base_score: 0.5,
-            objective: crate::objective::Objective::SquaredError,
-            n_features,
-        }
+    /// Artifact bytes for a booster whose single tree is written
+    /// unvalidated, under a valid checksum — the defects a corrupted
+    /// file could carry. The flat section is left out: the tree
+    /// validators must reject the input before it is read.
+    fn with_tree(tree: Tree, n_features: usize) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(MAGIC);
+        buf.put_u16_le(ARTIFACT_VERSION);
+        put_objective(&mut buf, Objective::SquaredError);
+        buf.put_f64_le(0.5);
+        buf.put_u32_le(n_features as u32);
+        buf.put_u32_le(1);
+        put_tree(&mut buf, &tree);
+        sealed(buf.as_slice().to_vec())
     }
 
     fn split(feature: usize, left: usize, right: usize) -> Node {
@@ -369,8 +354,7 @@ mod tests {
         tree.push(split(7, 1, 2));
         tree.push(leaf());
         tree.push(leaf());
-        let bytes = encode(&booster_with_tree(tree, 2));
-        let err = decode(&bytes).unwrap_err();
+        let err = artifact::decode(&with_tree(tree, 2)).unwrap_err();
         let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
         assert!(
             msg.contains("tree 0") && msg.contains("node 0") && msg.contains("feature 7"),
@@ -384,8 +368,7 @@ mod tests {
         tree.push(split(0, 1, 5));
         tree.push(leaf());
         tree.push(leaf());
-        let bytes = encode(&booster_with_tree(tree, 2));
-        let err = decode(&bytes).unwrap_err();
+        let err = artifact::decode(&with_tree(tree, 2)).unwrap_err();
         let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
         assert!(msg.contains("tree 0") && msg.contains("child index 5"), "{msg}");
     }
@@ -397,8 +380,7 @@ mod tests {
         let mut tree = Tree::new();
         tree.push(split(0, 0, 1));
         tree.push(leaf());
-        let bytes = encode(&booster_with_tree(tree, 2));
-        let err = decode(&bytes).unwrap_err();
+        let err = artifact::decode(&with_tree(tree, 2)).unwrap_err();
         let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
         assert!(msg.contains("tree 0") && msg.contains("more than one parent"), "{msg}");
     }

@@ -5,8 +5,8 @@
 //! rest on.
 
 use msaw_gbdt::{
-    predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkedMatrix,
-    ChunkedMatrixBuilder, CutSketch, Params, TrainingContext, TreeMethod, TreeScratch,
+    predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkError, ChunkedMatrix,
+    ChunkedMatrixBuilder, CutSketch, Params, TrainError, TrainingContext, TreeMethod, TreeScratch,
 };
 use msaw_tabular::Matrix;
 
@@ -301,6 +301,35 @@ fn chunked_predictions_equal_the_flat_forest() {
         assert_preds(&m, &format!("disk prefetch={prefetch}"));
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn unsorted_or_out_of_range_prediction_rows_are_typed_errors() {
+    // 40 rows in 16-row blocks. Each bad input's per-block counts sum
+    // to its length, so only an explicit order check can catch it.
+    let (nrows, ncols) = (40, 3);
+    let rows = synth_rows(nrows, ncols);
+    let labels = synth_labels(&rows, nrows, ncols);
+    let data = Matrix::from_vec(rows.clone(), nrows, ncols);
+    let model = Booster::train(&hist_params(), &data, &labels).unwrap();
+    let m = chunk_matrix(&rows, ncols, 16);
+    let mut bufs = Vec::new();
+    for bad in [&[17u32, 0][..], &[20, 3, 30], &[5, 40]] {
+        match predict_rows_chunked(&model, m.view(), bad, &mut bufs) {
+            Err(ChunkError::Train(TrainError::InvalidParam { name: "rows", .. })) => {}
+            other => panic!("rows {bad:?}: expected a typed rows error, got {other:?}"),
+        }
+    }
+    // An ascending subset still predicts bit-identically to the flat
+    // forest over the raw rows.
+    let subset: Vec<usize> = vec![0, 3, 15, 16, 17, 30, 39];
+    let subset_u32: Vec<u32> = subset.iter().map(|&i| i as u32).collect();
+    let got = predict_rows_chunked(&model, m.view(), &subset_u32, &mut bufs).unwrap();
+    let want = model.flat_forest().predict_rows(&data, &subset);
+    assert_eq!(got.len(), want.len());
+    for (a, b) in got.iter().zip(&want) {
+        assert_eq!(a.to_bits(), b.to_bits(), "prediction bits differ");
+    }
 }
 
 #[test]

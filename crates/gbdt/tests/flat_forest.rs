@@ -3,7 +3,7 @@
 //! same routing at thresholds and NaNs, same tree-order summation from
 //! the same base score — at any worker count.
 
-use msaw_gbdt::{Booster, FlatForest, Node, Objective, Params, Tree};
+use msaw_gbdt::{simd, Booster, FlatForest, Node, Objective, Params, Tree};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 
@@ -56,12 +56,18 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// Raw batch scores on `workers` threads at the active kernel level.
+fn raw_batch(flat: &FlatForest, workers: usize, data: &Matrix) -> Vec<f64> {
+    flat.try_predict_raw_batch_on(workers, data, simd::active_level()).unwrap()
+}
+
 #[test]
 fn flat_batch_equals_node_walk_bitwise() {
     let (data, model) = trained_model(120, 6);
     let flat = model.flat_forest();
     assert_eq!(flat.n_trees(), model.trees().len());
-    assert_bits_eq(&flat.predict_raw_batch(&data), &walk_raw(&model, &data), "raw batch");
+    let workers = msaw_parallel::available_workers();
+    assert_bits_eq(&raw_batch(&flat, workers, &data), &walk_raw(&model, &data), "raw batch");
     let walk_transformed: Vec<f64> = data.rows().map(|r| model.predict_row(r)).collect();
     assert_bits_eq(&flat.predict_batch(&data), &walk_transformed, "transformed batch");
 }
@@ -70,11 +76,11 @@ fn flat_batch_equals_node_walk_bitwise() {
 fn flat_is_invariant_across_worker_counts() {
     let (data, model) = trained_model(300, 5);
     let flat = model.flat_forest();
-    let reference = flat.predict_raw_batch_on(1, &data);
+    let reference = raw_batch(&flat, 1, &data);
     assert_bits_eq(&reference, &walk_raw(&model, &data), "serial flat vs walk");
     for workers in [2, 8] {
         assert_bits_eq(
-            &flat.predict_raw_batch_on(workers, &data),
+            &raw_batch(&flat, workers, &data),
             &reference,
             &format!("workers={workers}"),
         );
@@ -89,12 +95,10 @@ fn zero_row_inputs_yield_empty_outputs_at_any_worker_count() {
     let (data, model) = trained_model(50, 4);
     let flat = model.flat_forest();
     let empty = Matrix::zeros(0, data.ncols());
-    assert!(flat.predict_raw_batch(&empty).is_empty());
     assert!(flat.predict_batch(&empty).is_empty());
-    assert!(flat.predict_raw_rows(&data, &[]).is_empty());
     assert!(flat.predict_rows(&data, &[]).is_empty());
     for workers in [1, 2, 8] {
-        assert!(flat.predict_raw_batch_on(workers, &empty).is_empty());
+        assert!(raw_batch(&flat, workers, &empty).is_empty());
         assert!(flat.predict_raw_rows_on(workers, &data, &[]).is_empty());
     }
 }
@@ -105,7 +109,7 @@ fn row_view_prediction_matches_walk() {
     let flat = model.flat_forest();
     // An unsorted view with repeats.
     let rows: Vec<usize> = vec![7, 3, 99, 0, 3, 42, 17];
-    let raw = flat.predict_raw_rows(&data, &rows);
+    let raw = flat.predict_raw_rows_on(1, &data, &rows);
     let transformed = flat.predict_rows(&data, &rows);
     for (i, &r) in rows.iter().enumerate() {
         assert_eq!(raw[i].to_bits(), model.predict_raw_row(data.row(r)).to_bits());
@@ -187,7 +191,7 @@ fn empty_feature_rows_reach_leaf_only_trees() {
     b.push(Node::Leaf { weight: -0.125, cover: 1.0 });
     let flat = FlatForest::from_trees(&[a, b], 1.0, Objective::SquaredError, 0);
     let data = Matrix::zeros(5, 0);
-    let out = flat.predict_raw_batch(&data);
+    let out = raw_batch(&flat, 1, &data);
     assert_eq!(out, vec![1.0 + 0.25 + -0.125; 5]);
 }
 
@@ -234,7 +238,7 @@ proptest! {
         let flat = model.flat_forest();
         let walk = walk_raw(&model, &data);
         for workers in [1, 2, 8] {
-            let batch = flat.predict_raw_batch_on(workers, &data);
+            let batch = raw_batch(&flat, workers, &data);
             for (a, b) in batch.iter().zip(&walk) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -269,13 +273,6 @@ fn try_predict_raw_rejects_wrong_width() {
         }
         other => panic!("expected FeatureCount error, got {other:?}"),
     }
-}
-
-#[test]
-#[should_panic(expected = "feature count mismatch")]
-fn predict_raw_panics_on_wrong_width() {
-    let (_, model) = trained_model(50, 3);
-    model.predict_raw(&Matrix::zeros(4, 2));
 }
 
 #[test]

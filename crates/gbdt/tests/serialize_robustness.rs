@@ -1,11 +1,11 @@
-//! Adversarial-input contract for the model (de)serialisers: **no byte
-//! sequence may panic a decoder**, and every rejection is a typed
+//! Adversarial-input contract for the model artifact decoder: **no
+//! byte sequence may panic it**, and every rejection is a typed
 //! [`PredictError::Decode`]. Valid models must round-trip canonically —
-//! encode → decode → encode is byte-identical — for both the v1
-//! booster-only format and the v2 prediction-bundle artifact.
+//! encode → decode → encode is byte-identical — with and without cut
+//! points.
 
-use msaw_gbdt::artifact::{self, ModelArtifact};
-use msaw_gbdt::{serialize, Booster, Params, PredictError, TreeMethod};
+use msaw_gbdt::artifact::{self, fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
+use msaw_gbdt::{Booster, Params, PredictError, TreeMethod};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,59 +50,46 @@ fn trained_artifact() -> ModelArtifact {
     ModelArtifact::from_booster(model, Some(binned.clone_cuts()))
 }
 
-/// Run a decoder over bytes inside a panic trap; a panic is a test
-/// failure naming the offending input length.
-fn must_not_panic<T>(what: &str, len: usize, f: impl FnOnce() -> T) -> T {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => v,
-        Err(_) => panic!("{what}: decoder panicked on {len}-byte input"),
-    }
+/// An exact-method model's artifact: trees and flat forest, no cuts.
+fn uncut_artifact() -> ModelArtifact {
+    ModelArtifact::from_booster(trained_model(), None)
 }
 
-#[test]
-fn v1_truncation_at_every_offset_is_a_typed_error() {
-    let bytes = serialize::encode(&trained_model()).to_vec();
-    for cut in 0..bytes.len() {
-        let prefix = &bytes[..cut];
-        let result = must_not_panic("v1 truncation", cut, || serialize::decode(prefix));
-        match result {
-            Err(PredictError::Decode(_)) => {}
-            Ok(_) => panic!("truncated prefix of {cut} bytes decoded successfully"),
-            Err(other) => panic!("prefix of {cut} bytes: unexpected error kind {other:?}"),
-        }
+/// Edit an artifact's body and recompute its FNV trailer, so the
+/// structural checks — not the checksum — must reject the edit.
+fn resealed(mut bytes: Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    bytes.truncate(bytes.len() - 8);
+    edit(&mut bytes);
+    sealed(bytes)
+}
+
+/// Append the FNV trailer a valid artifact ends with.
+fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+    let checksum = fnv1a_64(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
+}
+
+/// Run a decoder over bytes inside a panic trap; a panic is a test
+/// failure naming the offending input (`what` and its offset or length).
+fn must_not_panic<T>(what: &str, at: usize, f: impl FnOnce() -> T) -> T {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(v) => v,
+        Err(_) => panic!("decoder panicked on {what} {at}"),
     }
 }
 
 #[test]
 fn v2_truncation_at_every_offset_is_a_typed_error() {
-    let bytes = artifact::encode(&trained_artifact()).to_vec();
-    for cut in 0..bytes.len() {
-        let prefix = &bytes[..cut];
-        let result = must_not_panic("v2 truncation", cut, || artifact::decode(prefix));
-        match result {
-            Err(PredictError::Decode(_)) => {}
-            Ok(_) => panic!("truncated prefix of {cut} bytes decoded successfully"),
-            Err(other) => panic!("prefix of {cut} bytes: unexpected error kind {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn v1_single_byte_corruption_never_panics() {
-    // v1 has no checksum, so a flip may still decode (e.g. a changed
-    // threshold) — but it must never panic, and any rejection must be
-    // the typed decode error.
-    let bytes = serialize::encode(&trained_model()).to_vec();
-    for at in 0..bytes.len() {
-        for pattern in [0x01u8, 0x80, 0xff] {
-            let mut bad = bytes.clone();
-            bad[at] ^= pattern;
-            let result = must_not_panic("v1 corruption", at, || serialize::decode(&bad));
-            if let Err(e) = result {
-                assert!(
-                    matches!(e, PredictError::Decode(_)),
-                    "byte {at} ^ {pattern:#x}: unexpected error kind {e:?}"
-                );
+    for artifact in [trained_artifact(), uncut_artifact()] {
+        let bytes = artifact::encode(&artifact).to_vec();
+        for cut in 0..bytes.len() {
+            let prefix = &bytes[..cut];
+            let result = must_not_panic("prefix of length", cut, || artifact::decode(prefix));
+            match result {
+                Err(PredictError::Decode(_)) => {}
+                Ok(_) => panic!("truncated prefix of {cut} bytes decoded successfully"),
+                Err(other) => panic!("prefix of {cut} bytes: unexpected error kind {other:?}"),
             }
         }
     }
@@ -112,37 +99,81 @@ fn v1_single_byte_corruption_never_panics() {
 fn v2_single_byte_corruption_is_always_rejected() {
     // The artifact trailer checksums every byte, so any flip must be
     // caught — a corrupt artifact never loads as a subtly wrong model.
-    let bytes = artifact::encode(&trained_artifact()).to_vec();
-    for at in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[at] ^= 0x10;
-        let result = must_not_panic("v2 corruption", at, || artifact::decode(&bad));
-        match result {
-            Err(PredictError::Decode(_)) => {}
-            Ok(_) => panic!("flipped byte {at} went undetected"),
-            Err(other) => panic!("byte {at}: unexpected error kind {other:?}"),
+    for (artifact, pattern) in [(trained_artifact(), 0x10u8), (uncut_artifact(), 0xff)] {
+        let bytes = artifact::encode(&artifact).to_vec();
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= pattern;
+            let result = must_not_panic("flip of byte", at, || artifact::decode(&bad));
+            match result {
+                Err(PredictError::Decode(_)) => {}
+                Ok(_) => panic!("byte {at} ^ {pattern:#x} went undetected"),
+                Err(other) => panic!("byte {at}: unexpected error kind {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn resealed_truncation_at_every_offset_is_a_typed_error() {
+    // Every body prefix under a valid trailer: the checksum passes, so
+    // the section parsers' own length checks must reject each cut.
+    for artifact in [trained_artifact(), uncut_artifact()] {
+        let bytes = artifact::encode(&artifact).to_vec();
+        for cut in 0..bytes.len() - 8 {
+            let bad = sealed(bytes[..cut].to_vec());
+            let result =
+                must_not_panic("resealed prefix of length", cut, || artifact::decode(&bad));
+            match result {
+                Err(PredictError::Decode(_)) => {}
+                Ok(_) => panic!("resealed prefix of {cut} bytes decoded successfully"),
+                Err(other) => panic!("resealed prefix of {cut} bytes: unexpected error {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn resealed_single_byte_corruption_never_panics() {
+    // Every body byte flipped under a recomputed trailer reaches the
+    // structural parser. A flip may still decode (a tree's cover or
+    // gain is not cross-checked against the flat section) — but it must
+    // never panic, and any rejection must be the typed decode error.
+    for artifact in [trained_artifact(), uncut_artifact()] {
+        let bytes = artifact::encode(&artifact).to_vec();
+        for at in 0..bytes.len() - 8 {
+            for pattern in [0x01u8, 0x80, 0xff] {
+                let bad = resealed(bytes.clone(), |b| b[at] ^= pattern);
+                let result = must_not_panic("resealed flip of byte", at, || artifact::decode(&bad));
+                if let Err(e) = result {
+                    assert!(
+                        matches!(e, PredictError::Decode(_)),
+                        "byte {at} ^ {pattern:#x}: unexpected error kind {e:?}"
+                    );
+                }
+            }
         }
     }
 }
 
 #[test]
 fn corrupt_tree_indices_are_rejected_with_located_errors() {
-    // Surgically corrupt the first tree's first split node in a v1
-    // payload (no checksum, so the structural validators must catch
-    // it): the layout after the 19-byte header and the 4-byte node
-    // count is tag(1) feature(4) threshold(8) default(1) left(4)
-    // right(4) cover(8) gain(8).
-    let model = trained_model();
-    let bytes = serialize::encode(&model).to_vec();
+    // Surgically corrupt the first tree's first split node and reseal
+    // the checksum, so the structural validators must catch it: the
+    // layout after the 23-byte header and the 4-byte node count is
+    // tag(1) feature(4) threshold(8) default(1) left(4) right(4)
+    // cover(8) gain(8).
+    let bytes = uncut_artifact().encode().to_vec();
     // Header: magic 4 + version 2 + objective tag 1 + base score 8 +
     // n_features 4 + n_trees 4 = 23 bytes; tree 0's node count follows.
     let first_node = 23 + 4;
     assert_eq!(bytes[first_node], 1, "expected the root of tree 0 to be a split");
 
     // Split feature far beyond n_features.
-    let mut bad = bytes.clone();
-    bad[first_node + 1..first_node + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-    match serialize::decode(&bad) {
+    let bad = resealed(bytes.clone(), |b| {
+        b[first_node + 1..first_node + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    match artifact::decode(&bad) {
         Err(PredictError::Decode(msg)) => {
             assert!(msg.contains("tree 0"), "{msg}");
             assert!(msg.contains("feature"), "{msg}");
@@ -151,9 +182,10 @@ fn corrupt_tree_indices_are_rejected_with_located_errors() {
     }
 
     // Left child index far beyond the node count.
-    let mut bad = bytes.clone();
-    bad[first_node + 14..first_node + 18].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
-    match serialize::decode(&bad) {
+    let bad = resealed(bytes.clone(), |b| {
+        b[first_node + 14..first_node + 18].copy_from_slice(&0x00ff_ffffu32.to_le_bytes());
+    });
+    match artifact::decode(&bad) {
         Err(PredictError::Decode(msg)) => {
             assert!(msg.contains("tree 0"), "{msg}");
             assert!(msg.contains("child"), "{msg}");
@@ -162,9 +194,10 @@ fn corrupt_tree_indices_are_rejected_with_located_errors() {
     }
 
     // Self-referential left child (a cycle, not a tree).
-    let mut bad = bytes.clone();
-    bad[first_node + 14..first_node + 18].copy_from_slice(&0u32.to_le_bytes());
-    match serialize::decode(&bad) {
+    let bad = resealed(bytes, |b| {
+        b[first_node + 14..first_node + 18].copy_from_slice(&0u32.to_le_bytes());
+    });
+    match artifact::decode(&bad) {
         Err(PredictError::Decode(msg)) => assert!(msg.contains("tree 0"), "{msg}"),
         other => panic!("expected a located decode error, got {other:?}"),
     }
@@ -172,23 +205,24 @@ fn corrupt_tree_indices_are_rejected_with_located_errors() {
 
 #[test]
 fn absurd_counts_do_not_allocate() {
-    // A tiny buffer claiming 2^32-1 trees must be rejected up front —
-    // by the count/remaining-bytes cap, not by an OOM or a panic.
-    let model = trained_model();
-    let mut bytes = serialize::encode(&model).to_vec();
+    // A buffer claiming 2^32-1 trees must be rejected up front — by
+    // the count/remaining-bytes cap, not by an OOM or a panic. The
+    // checksum is resealed so it cannot be what rejects the input.
     // The u32 tree count sits at offset 19 (after magic, version,
     // objective tag, base score and n_features).
-    bytes[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
-    match serialize::decode(&bytes) {
+    let bytes = resealed(uncut_artifact().encode().to_vec(), |b| {
+        b[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    match artifact::decode(&bytes) {
         Err(PredictError::Decode(msg)) => assert!(msg.contains("count"), "{msg}"),
         other => panic!("expected a count-cap error, got {other:?}"),
     }
 }
 
 #[test]
-fn random_garbage_never_panics_either_decoder() {
-    // Deterministic pseudo-random byte soup, some with a valid magic
-    // prefix so parsing gets past the header.
+fn random_garbage_never_panics_the_decoder() {
+    // Deterministic pseudo-random byte soup, half of it under a valid
+    // header and trailer so parsing gets past the header and checksum.
     let mut state = 0x243f_6a88_85a3_08d3u64;
     let mut next = move || {
         state ^= state << 13;
@@ -200,12 +234,14 @@ fn random_garbage_never_panics_either_decoder() {
         let len = (next() % 512) as usize;
         let mut bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
         if round % 2 == 0 && bytes.len() >= 6 {
+            // A valid header and a valid trailer over the garbage, so
+            // the body parser itself must reject it.
             bytes[..4].copy_from_slice(b"MSGB");
-            bytes[4] = if round % 4 == 0 { 1 } else { 2 };
-            bytes[5] = 0;
+            bytes[4..6].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+            bytes = sealed(bytes);
         }
-        must_not_panic("v1 garbage", len, || serialize::decode(&bytes)).ok();
-        must_not_panic("v2 garbage", len, || artifact::decode(&bytes)).ok();
+        let len = bytes.len();
+        must_not_panic("garbage of length", len, || artifact::decode(&bytes)).ok();
     }
 }
 
@@ -213,8 +249,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Canonical round-trip for any trained model: encode → decode →
-    /// encode is byte-identical in both formats, and the reloaded
-    /// model predicts bit-identically.
+    /// encode is byte-identical, and the reloaded model predicts
+    /// bit-identically.
     #[test]
     fn round_trip_is_canonical_for_random_models(
         nrows in 20usize..80,
@@ -236,12 +272,7 @@ proptest! {
         };
         let model = Booster::train(&params, &data, &labels).unwrap();
 
-        // v1: booster-only.
-        let v1 = serialize::encode(&model);
-        let model2 = serialize::decode(&v1).unwrap();
-        prop_assert_eq!(&serialize::encode(&model2)[..], &v1[..]);
-
-        // v2: the full bundle, with cuts when the hist method was used.
+        // The full bundle, with cuts when the hist method was used.
         let cuts = hist.then(|| msaw_gbdt::binning::BinnedMatrix::fit(&data, 16).clone_cuts());
         let bundle = ModelArtifact::from_booster(model, cuts);
         let v2 = artifact::encode(&bundle);

@@ -4,13 +4,13 @@
 //! lanes, threshold ties, remainder blocks shorter than a lockstep
 //! group, degenerate single-leaf trees, and any worker count.
 //!
-//! Prediction comparisons go through the explicit-level entry point
-//! (`predict_raw_batch_on_with`), so they need no global state; the
+//! Prediction comparisons pass the kernel level explicitly
+//! (`try_predict_raw_batch_on`), so they need no global state; the
 //! training comparisons force the process-wide dispatch level and are
 //! serialized behind a mutex.
 
 use msaw_gbdt::simd::{self, SimdLevel};
-use msaw_gbdt::{serialize, Booster, Params, TreeMethod};
+use msaw_gbdt::{Booster, ModelArtifact, Params, TreeMethod};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -67,10 +67,10 @@ fn train(data: &Matrix, labels: &[f64], depth: usize) -> Booster {
 /// `query`, at worker counts 1, 2 and 8.
 fn assert_levels_agree(model: &Booster, query: &Matrix, what: &str) {
     let flat = model.flat_forest();
-    let reference = flat.predict_raw_batch_on_with(1, query, SimdLevel::Scalar);
+    let reference = flat.try_predict_raw_batch_on(1, query, SimdLevel::Scalar).unwrap();
     for level in vector_levels() {
         for workers in [1usize, 2, 8] {
-            let got = flat.predict_raw_batch_on_with(workers, query, level);
+            let got = flat.try_predict_raw_batch_on(workers, query, level).unwrap();
             assert_bits_eq(&got, &reference, &format!("{what}: {level:?} workers={workers}"));
         }
     }
@@ -102,12 +102,10 @@ fn threshold_ties_route_right_in_every_lane() {
     assert_levels_agree(&model, &boundary, "tie at threshold");
     // A tie must land on the >= side: identical to querying 2.0.
     let flat = model.flat_forest();
-    let at_tie = flat.predict_raw_batch_on_with(1, &boundary, SimdLevel::Scalar);
-    let above = flat.predict_raw_batch_on_with(
-        1,
-        &Matrix::from_rows(&vec![vec![2.0]; 64]),
-        SimdLevel::Scalar,
-    );
+    let at_tie = flat.try_predict_raw_batch_on(1, &boundary, SimdLevel::Scalar).unwrap();
+    let above = flat
+        .try_predict_raw_batch_on(1, &Matrix::from_rows(&vec![vec![2.0]; 64]), SimdLevel::Scalar)
+        .unwrap();
     assert_bits_eq(&at_tie, &above, "tie routes right");
 }
 
@@ -153,7 +151,7 @@ proptest! {
 }
 
 /// Train the same problem under a forced dispatch level and return the
-/// serialized model bytes — a complete fingerprint of every split,
+/// model artifact bytes — a complete fingerprint of every split,
 /// threshold and leaf weight the histogram kernels produced.
 fn train_bytes_at(level: SimdLevel, exact: bool) -> Vec<u8> {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -168,7 +166,7 @@ fn train_bytes_at(level: SimdLevel, exact: bool) -> Vec<u8> {
     };
     let model = Booster::train(&params, &data, &labels).unwrap();
     simd::force_level(None);
-    serialize::encode(&model).to_vec()
+    ModelArtifact::from_booster(model, None).encode().to_vec()
 }
 
 #[test]
@@ -198,7 +196,7 @@ fn wide_train_bytes_at(level: SimdLevel, ncols: usize) -> Vec<u8> {
     };
     let model = Booster::train(&params, &data, &labels).unwrap();
     simd::force_level(None);
-    serialize::encode(&model).to_vec()
+    ModelArtifact::from_booster(model, None).encode().to_vec()
 }
 
 #[test]

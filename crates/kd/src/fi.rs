@@ -32,7 +32,7 @@ pub fn fi_at_window_start(data: &CohortData, patient: PatientId, window: u8) -> 
 pub fn attach_fi(set: &SampleSet, data: &CohortData) -> SampleSet {
     let fi: Vec<f64> =
         set.meta.iter().map(|m| fi_at_window_start(data, m.patient, m.window)).collect();
-    set.with_extra_feature("fi_baseline", &fi)
+    set.try_with_extra_feature("fi_baseline", &fi).expect("one value per sample required")
 }
 
 #[cfg(test)]

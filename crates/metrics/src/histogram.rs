@@ -60,15 +60,9 @@ impl std::fmt::Display for HistogramError {
 impl std::error::Error for HistogramError {}
 
 /// Bin `values` into `nbins` equal-width bins over `[lo, hi]`. `NaN`s and
-/// values outside the range are ignored. Panics when `nbins == 0` or the
-/// range is empty; use [`try_histogram`] to get those as typed errors
-/// (an *empty value slice* is fine in both: it yields all-zero counts).
-pub fn histogram(values: &[f64], lo: f64, hi: f64, nbins: usize) -> Vec<Bin> {
-    try_histogram(values, lo, hi, nbins).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`histogram`]: degenerate binning requests come
-/// back as a [`HistogramError`] instead of a panic.
+/// values outside the range are ignored. Degenerate binning requests —
+/// `nbins == 0` or an empty range — come back as a [`HistogramError`]
+/// (an *empty value slice* is fine: it yields all-zero counts).
 pub fn try_histogram(
     values: &[f64],
     lo: f64,
@@ -120,7 +114,7 @@ mod tests {
 
     #[test]
     fn equal_width_bins_cover_range() {
-        let bins = histogram(&[0.05, 0.15, 0.15, 0.95], 0.0, 1.0, 10);
+        let bins = try_histogram(&[0.05, 0.15, 0.15, 0.95], 0.0, 1.0, 10).unwrap();
         assert_eq!(bins.len(), 10);
         assert_eq!(bins[0].count, 1);
         assert_eq!(bins[1].count, 2);
@@ -130,19 +124,19 @@ mod tests {
 
     #[test]
     fn max_value_lands_in_last_bin() {
-        let bins = histogram(&[1.0], 0.0, 1.0, 4);
+        let bins = try_histogram(&[1.0], 0.0, 1.0, 4).unwrap();
         assert_eq!(bins[3].count, 1);
     }
 
     #[test]
     fn out_of_range_and_nan_are_ignored() {
-        let bins = histogram(&[-0.1, 1.1, f64::NAN, 0.5], 0.0, 1.0, 2);
+        let bins = try_histogram(&[-0.1, 1.1, f64::NAN, 0.5], 0.0, 1.0, 2).unwrap();
         assert_eq!(bins.iter().map(|b| b.count).sum::<usize>(), 1);
     }
 
     #[test]
     fn labels_trim_trailing_zeros() {
-        let bins = histogram(&[], 0.0, 1.0, 10);
+        let bins = try_histogram(&[], 0.0, 1.0, 10).unwrap();
         assert_eq!(bins[7].label(), "0.7-0.8");
         assert_eq!(bins[0].label(), "0-0.1");
     }
@@ -156,12 +150,6 @@ mod tests {
     #[test]
     fn bool_counts() {
         assert_eq!(value_counts_bool(&[true, false, false, true, false]), (3, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "nbins must be positive")]
-    fn zero_bins_panics() {
-        histogram(&[1.0], 0.0, 1.0, 0);
     }
 
     #[test]

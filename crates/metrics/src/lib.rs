@@ -26,5 +26,5 @@ pub use boxplot::BoxStats;
 pub use calibration::{brier_score, calibration_curve, expected_calibration_error, CalibrationBin};
 pub use classification::{BinaryReport, ConfusionMatrix};
 pub use cv::{group_train_test_split, kfold, stratified_kfold, train_test_split, Fold};
-pub use histogram::{histogram, try_histogram, Bin, HistogramError};
+pub use histogram::{try_histogram, Bin, HistogramError};
 pub use regression::{mae, mape, one_minus_mape, r2, rmse};

@@ -9,26 +9,32 @@
 //! state, no RNG, no time), and reassembly is keyed by job index rather
 //! than by completion order. Under that contract the pool only changes
 //! *when* a job runs, never *what* it computes, so
-//! `run_indexed_on(1, n, f) == run_indexed_on(k, n, f)` for every `k`.
+//! `try_run_scratch_on(1, n, s, f) == try_run_scratch_on(k, n, s, f)`
+//! for every `k`.
+//!
+//! There are three pool shapes, one entry point each, all taking an
+//! explicit worker count: [`try_run_scratch_on`] (indexed jobs, per-worker
+//! scratch), [`try_run_blocks_on`] (item blocks) and [`try_run_waves_on`]
+//! (bounded waves folded in order).
 //!
 //! ## Panic safety
 //!
-//! Every entry point has a `try_` twin (`try_run_indexed_on`,
-//! `try_run_scratch_on`, `try_run_blocks_on`, …) that wraps each job in
-//! [`std::panic::catch_unwind`] and returns `Err(`[`PoolError`]`)`
-//! instead of aborting the run. The failure policy is **drain, don't
-//! short-circuit**: after a job panics the pool keeps claiming and
-//! running the remaining jobs, so the reported failure is always the
-//! *lowest* failing job index — a pure function of the job list, never
-//! of worker count or scheduling. (Short-circuiting was rejected
-//! because a higher-index failure could suppress a lower-index one that
-//! another worker had not reached yet, making the report
+//! Every entry point wraps each job in [`std::panic::catch_unwind`] and
+//! returns `Err(`[`PoolError`]`)` instead of aborting the run. There
+//! are no panicking variants: a caller that cannot recover turns the
+//! error into a panic at its own call site. The failure policy is
+//! **drain, don't short-circuit**: after a job panics the pool keeps
+//! claiming and running the remaining jobs, so the reported failure is
+//! always the *lowest* failing job index — a pure function of the job
+//! list, never of worker count or scheduling. (Short-circuiting was
+//! rejected because a higher-index failure could suppress a lower-index
+//! one that another worker had not reached yet, making the report
 //! scheduling-dependent.) A worker whose job panics rebuilds its
 //! scratch value before the next claim, so surviving jobs never see a
 //! scratch a panic may have left half-written.
 //!
-//! The infallible entry points are thin wrappers that panic with the
-//! failing job's index and payload message.
+//! [`live_workers`] reports how many pool worker threads are alive in
+//! the process — zero whenever no threaded pool run is in flight.
 //!
 //! Extracted from `msaw-core`'s grid runner (which fans ~72 fold/final
 //! fits) so the SHAP engine can fan row batches and conditional passes
@@ -81,87 +87,39 @@ pub fn default_workers(n_jobs: usize) -> usize {
     available_workers().clamp(1, n_jobs.max(1))
 }
 
-/// Run jobs `0..n_jobs` across the default bounded pool and return the
-/// outputs in job-index order.
-pub fn run_indexed<T, F>(n_jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_on(default_workers(n_jobs), n_jobs, job)
-}
+/// Pool worker threads alive in this process.
+static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Run jobs `0..n_jobs` across exactly `workers` threads (clamped to
-/// the job count) and return the outputs in job-index order.
-pub fn run_indexed_on<T, F>(workers: usize, n_jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
-}
-
-/// [`try_run_indexed_on`] with the default bounded pool size.
-pub fn try_run_indexed<T, F>(n_jobs: usize, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_run_indexed_on(default_workers(n_jobs), n_jobs, job)
-}
-
-/// Panic-safe [`run_indexed_on`]: a panicking job yields
-/// `Err(PoolError)` carrying the lowest failing index (see the crate
-/// docs for the drain policy) instead of unwinding through the pool.
-pub fn try_run_indexed_on<T, F>(workers: usize, n_jobs: usize, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
-}
-
-/// [`run_scratch_on`] with the default bounded pool size.
-pub fn run_scratch<S, T, G, F>(n_jobs: usize, scratch: G, job: F) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_scratch_on(default_workers(n_jobs), n_jobs, scratch, job)
-}
-
-/// Like [`run_indexed_on`], but each worker owns a reusable scratch
-/// value built by `scratch()` — the hook that lets e.g. a SHAP worker
-/// keep one traversal arena alive across all the rows it claims.
+/// Number of pool worker threads alive in this process right now.
 ///
-/// The scratch must be a pure buffer: outputs may not depend on which
-/// jobs previously touched it, or determinism across worker counts is
-/// lost.
-pub fn run_scratch_on<S, T, G, F>(workers: usize, n_jobs: usize, scratch: G, job: F) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    match try_run_scratch_on(workers, n_jobs, scratch, job) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
+/// The gauge rises when [`try_run_scratch_on`] spawns a worker and falls
+/// when that worker exits, unwinding included; the serial one-worker
+/// path spawns no thread and never moves it. Every entry point joins
+/// its workers before returning, so the gauge reads zero whenever no
+/// threaded pool run is in flight — a leak check needs no `/proc`.
+pub fn live_workers() -> usize {
+    LIVE_WORKERS.load(Ordering::SeqCst)
+}
+
+/// Uncounts one worker when dropped, however its thread finishes.
+struct LiveWorker;
+
+impl Drop for LiveWorker {
+    fn drop(&mut self) {
+        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// [`try_run_scratch_on`] with the default bounded pool size.
-pub fn try_run_scratch<S, T, G, F>(n_jobs: usize, scratch: G, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    try_run_scratch_on(default_workers(n_jobs), n_jobs, scratch, job)
-}
-
-/// Panic-safe [`run_scratch_on`] — the crate's core primitive; every
-/// other entry point funnels here.
+/// Run jobs `0..n_jobs` across exactly `workers` threads (clamped to
+/// the job count), each worker owning a reusable scratch value built by
+/// `scratch()`, and return the outputs in job-index order — the crate's
+/// core primitive; every other entry point funnels here. Jobs that need
+/// no scratch pass `|| ()`.
+///
+/// The scratch is the hook that lets e.g. a SHAP worker keep one
+/// traversal arena alive across all the rows it claims. It must be a
+/// pure buffer: outputs may not depend on which jobs previously touched
+/// it, or determinism across worker counts is lost.
 ///
 /// Each claimed job runs inside `catch_unwind`. On a panic the worker
 /// records `(index, payload)`, drops its scratch (rebuilt lazily before
@@ -235,7 +193,10 @@ where
                     let cursor = &cursor;
                     let scratch = &scratch;
                     let job = &job;
+                    LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
+                    let live = LiveWorker;
                     scope.spawn(move || {
+                        let _live = live;
                         drain(|| cursor.fetch_add(1, Ordering::Relaxed), n_jobs, scratch, job)
                     })
                 })
@@ -256,48 +217,17 @@ where
     Ok(slots.into_iter().map(|slot| slot.expect("worker pool completed every job")).collect())
 }
 
-/// [`run_blocks_on`] with the default bounded pool size.
-pub fn run_blocks<T, F>(n_items: usize, block_len: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    let n_blocks = n_items.div_ceil(block_len.max(1));
-    run_blocks_on(default_workers(n_blocks), n_items, block_len, job)
-}
-
-/// Fan items `0..n_items` across the pool in contiguous blocks of
-/// `block_len` and flatten the per-block outputs back into item order.
+/// Fan items `0..n_items` across exactly `workers` threads in
+/// contiguous blocks of `block_len` and flatten the per-block outputs
+/// back into item order.
 ///
 /// The blocked shape is for jobs whose per-item cost is too small to
 /// amortise a pool claim — batch prediction being the canonical case:
 /// each block job returns one output per item of its range, and the
 /// index-ordered reassembly keeps the flattened vector byte-identical
-/// at any worker count (the same contract as [`run_indexed_on`]).
-pub fn run_blocks_on<T, F>(workers: usize, n_items: usize, block_len: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    match try_run_blocks_on(workers, n_items, block_len, job) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`try_run_blocks_on`] with the default bounded pool size.
-pub fn try_run_blocks<T, F>(n_items: usize, block_len: usize, job: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    let n_blocks = n_items.div_ceil(block_len.max(1));
-    try_run_blocks_on(default_workers(n_blocks), n_items, block_len, job)
-}
-
-/// Panic-safe [`run_blocks_on`]. `PoolError::job` is the failing
-/// *block* index (blocks are the pool's jobs here). Zero items means
-/// zero jobs: the result is `Ok(vec![])`, never an error.
+/// at any worker count. `PoolError::job` is the failing *block* index
+/// (blocks are the pool's jobs here). Zero items means zero jobs: the
+/// result is `Ok(vec![])`, never an error.
 pub fn try_run_blocks_on<T, F>(
     workers: usize,
     n_items: usize,
@@ -310,10 +240,15 @@ where
 {
     let block_len = block_len.max(1);
     let n_blocks = n_items.div_ceil(block_len);
-    let blocks = try_run_indexed_on(workers, n_blocks, |b| {
-        let start = b * block_len;
-        job(start..(start + block_len).min(n_items))
-    })?;
+    let blocks = try_run_scratch_on(
+        workers,
+        n_blocks,
+        || (),
+        |(), b| {
+            let start = b * block_len;
+            job(start..(start + block_len).min(n_items))
+        },
+    )?;
     let mut out = Vec::with_capacity(n_items);
     for block in blocks {
         out.extend(block);
@@ -375,8 +310,8 @@ where
     let mut start = 0usize;
     while start < n_jobs {
         let end = (start + wave).min(n_jobs);
-        let outs =
-            try_run_indexed_on(workers, end - start, |k| job(start + k)).map_err(|mut e| {
+        let outs = try_run_scratch_on(workers, end - start, || (), |(), k| job(start + k))
+            .map_err(|mut e| {
                 e.job += start;
                 WaveError::Pool(e)
             })?;
@@ -464,25 +399,36 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Scratch-free indexed jobs: the plain fan-out shape.
+    fn indexed<T: Send>(
+        workers: usize,
+        n_jobs: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> Result<Vec<T>, PoolError> {
+        try_run_scratch_on(workers, n_jobs, || (), |(), i| job(i))
+    }
+
     #[test]
     fn outputs_are_in_index_order_at_any_worker_count() {
         let expect: Vec<usize> = (0..97).map(|i| i * i).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let got = run_indexed_on(workers, 97, |i| i * i);
+            let got = indexed(workers, 97, |i| i * i).unwrap();
             assert_eq!(got, expect, "workers={workers}");
         }
     }
 
     #[test]
     fn zero_jobs_yield_empty_output() {
-        let got: Vec<usize> = run_indexed(0, |i| i);
+        let got: Vec<usize> = indexed(default_workers(0), 0, |i| i).unwrap();
         assert!(got.is_empty());
+        let blocks: Vec<usize> = try_run_blocks_on(4, 0, 256, |r| r.collect()).unwrap();
+        assert!(blocks.is_empty());
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let counters: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        run_indexed_on(4, 50, |i| counters[i].fetch_add(1, Ordering::Relaxed));
+        indexed(4, 50, |i| counters[i].fetch_add(1, Ordering::Relaxed)).unwrap();
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}");
         }
@@ -493,7 +439,7 @@ mod tests {
         // Each worker's scratch counts the jobs it claimed; the total
         // must cover every job no matter how they were distributed.
         let claimed = AtomicUsize::new(0);
-        let out = run_scratch_on(
+        let out = try_run_scratch_on(
             3,
             40,
             || 0usize,
@@ -502,7 +448,8 @@ mod tests {
                 claimed.fetch_add(1, Ordering::Relaxed);
                 i
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out, (0..40).collect::<Vec<_>>());
         assert_eq!(claimed.load(Ordering::Relaxed), 40);
     }
@@ -512,8 +459,26 @@ mod tests {
         assert_eq!(default_workers(0), 1);
         assert!(default_workers(1000) >= 1);
         // More workers than jobs must still complete correctly.
-        let got = run_indexed_on(32, 3, |i| i + 1);
+        let got = indexed(32, 3, |i| i + 1).unwrap();
         assert_eq!(got, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn live_workers_counts_spawned_workers_while_they_run() {
+        // The two workers meet inside their jobs before and after
+        // reading the gauge, so neither has exited when the other
+        // reads. (Other tests may run pools concurrently, hence `>=`;
+        // the exact zero-after-join check lives in the serialized
+        // fault suite.)
+        let barrier = std::sync::Barrier::new(2);
+        let seen = indexed(2, 2, |_| {
+            barrier.wait();
+            let live = live_workers();
+            barrier.wait();
+            live
+        })
+        .unwrap();
+        assert!(seen.iter().all(|&n| n >= 2), "{seen:?}");
     }
 
     /// Silence the default panic hook for tests that intentionally
@@ -533,7 +498,7 @@ mod tests {
     fn try_reports_lowest_failing_index_at_any_worker_count() {
         quiet_panics(|| {
             for workers in [1, 2, 3, 8] {
-                let err = try_run_indexed_on(workers, 60, |i| {
+                let err = indexed(workers, 60, |i| {
                     // Jobs 7, 23 and 41 fail; 7 must always win.
                     if i == 7 || i == 23 || i == 41 {
                         panic!("boom at {i}");
@@ -551,7 +516,7 @@ mod tests {
     fn try_drains_every_job_even_after_a_failure() {
         quiet_panics(|| {
             let ran: Vec<AtomicUsize> = (0..30).map(|_| AtomicUsize::new(0)).collect();
-            let err = try_run_indexed_on(2, 30, |i| {
+            let err = indexed(2, 30, |i| {
                 ran[i].fetch_add(1, Ordering::Relaxed);
                 if i == 0 {
                     panic!("first job fails");
@@ -564,22 +529,6 @@ mod tests {
                 assert_eq!(c.load(Ordering::Relaxed), 1, "job {i} must still run (drain policy)");
             }
         });
-    }
-
-    #[test]
-    fn try_succeeds_bit_identically_to_infallible_path() {
-        let expect: Vec<usize> = (0..41).map(|i| i * 3).collect();
-        for workers in [1, 2, 8] {
-            assert_eq!(try_run_indexed_on(workers, 41, |i| i * 3).unwrap(), expect);
-        }
-    }
-
-    #[test]
-    fn try_zero_jobs_is_ok_empty() {
-        let got: Result<Vec<usize>, PoolError> = try_run_indexed(0, |i| i);
-        assert_eq!(got.unwrap(), Vec::<usize>::new());
-        let blocks: Result<Vec<usize>, PoolError> = try_run_blocks(0, 256, |r| r.collect());
-        assert_eq!(blocks.unwrap(), Vec::<usize>::new());
     }
 
     #[test]
@@ -609,7 +558,7 @@ mod tests {
     #[test]
     fn non_string_payloads_are_reported() {
         quiet_panics(|| {
-            let err = try_run_indexed_on(2, 4, |i| {
+            let err = indexed(2, 4, |i| {
                 if i == 2 {
                     std::panic::panic_any(42usize);
                 }
@@ -624,7 +573,7 @@ mod tests {
     #[test]
     fn string_payloads_survive() {
         quiet_panics(|| {
-            let err = try_run_indexed_on(1, 2, |i| {
+            let err = indexed(1, 2, |i| {
                 if i == 1 {
                     std::panic::panic_any(String::from("owned payload"));
                 }
@@ -632,22 +581,6 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(err.message, "owned payload");
-        });
-    }
-
-    #[test]
-    fn infallible_wrapper_panics_with_job_index() {
-        quiet_panics(|| {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_indexed_on(2, 10, |i| {
-                    if i == 4 {
-                        panic!("inner");
-                    }
-                    i
-                })
-            }));
-            let msg = payload_message(caught.unwrap_err());
-            assert!(msg.contains("job 4") && msg.contains("inner"), "{msg}");
         });
     }
 
@@ -743,7 +676,7 @@ mod tests {
             failpoint::hit("site_a", 0); // disarmed: no panic
             failpoint::arm("site_a", 2);
             failpoint::hit("site_a", 1); // wrong job: no panic
-            let err = try_run_indexed_on(2, 4, |i| {
+            let err = indexed(2, 4, |i| {
                 failpoint::hit("site_a", i);
                 i
             })
@@ -752,7 +685,7 @@ mod tests {
             assert!(err.message.contains("failpoint `site_a`"));
             failpoint::disarm_all();
             // Disarmed again: the same run now succeeds.
-            assert!(try_run_indexed_on(2, 4, |i| i).is_ok());
+            assert!(indexed(2, 4, |i| i).is_ok());
         });
     }
 

@@ -274,7 +274,7 @@ mod tests {
     fn fi_augmented_export_round_trips() {
         let (set, _) = exported(OutcomeKind::Qol);
         let fi: Vec<f64> = (0..set.len()).map(|i| (i % 10) as f64 * 0.05).collect();
-        let augmented = set.with_extra_feature("fi_baseline", &fi);
+        let augmented = set.try_with_extra_feature("fi_baseline", &fi).unwrap();
         let mut buf = Vec::new();
         msaw_tabular::csv::write_csv(&augmented.to_frame(), &mut buf).unwrap();
         let got = read_sample_csv(Cursor::new(&buf), IngestMode::Strict).unwrap();

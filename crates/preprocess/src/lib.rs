@@ -22,7 +22,7 @@
 //!    the paper.
 //!
 //! The FI-augmented variants (`Sample^FI_o`) are built by appending the
-//! baseline Frailty Index column via [`SampleSet::with_extra_feature`] —
+//! baseline Frailty Index column via [`SampleSet::try_with_extra_feature`] —
 //! the index itself is computed by `msaw-kd`.
 
 pub mod aggregate;

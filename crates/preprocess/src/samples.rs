@@ -95,13 +95,8 @@ impl SampleSet {
     }
 
     /// Append one extra feature column (e.g. the baseline FI), returning
-    /// a new set. `values` must have one entry per sample.
-    pub fn with_extra_feature(&self, name: &str, values: &[f64]) -> SampleSet {
-        self.try_with_extra_feature(name, values).expect("one value per sample required")
-    }
-
-    /// Fallible [`Self::with_extra_feature`]: a length mismatch is a
-    /// typed [`crate::SampleError`] instead of a panic.
+    /// a new set. `values` must have one entry per sample; a length
+    /// mismatch is a typed [`crate::SampleError`].
     pub fn try_with_extra_feature(
         &self,
         name: &str,
@@ -396,7 +391,7 @@ mod tests {
     fn with_extra_feature_appends_column() {
         let (_, _, set) = built();
         let fi: Vec<f64> = (0..set.len()).map(|i| i as f64 * 0.01).collect();
-        let augmented = set.with_extra_feature("fi_baseline", &fi);
+        let augmented = set.try_with_extra_feature("fi_baseline", &fi).unwrap();
         assert_eq!(augmented.features.ncols(), 60);
         assert_eq!(augmented.feature_names.last().unwrap(), "fi_baseline");
         assert_eq!(augmented.features.get(3, 59), 0.03);

@@ -112,9 +112,10 @@ impl<'m> TreeExplainer<'m> {
     /// equivalence suite uses to pin determinism across pool sizes.
     pub fn shap_values_with_workers(&self, data: &Matrix, workers: usize) -> Matrix {
         let rows =
-            msaw_parallel::run_scratch_on(workers, data.nrows(), PathArena::new, |arena, i| {
+            msaw_parallel::try_run_scratch_on(workers, data.nrows(), PathArena::new, |arena, i| {
                 self.shap_row_values(data.row(i), arena)
-            });
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         let mut out = Matrix::zeros(data.nrows(), data.ncols());
         for (i, values) in rows.iter().enumerate() {
             for (j, v) in values.iter().enumerate() {
@@ -528,7 +529,7 @@ mod tests {
         let explainer = TreeExplainer::new(&model);
         // Squared-error trees trained on the full data have covers equal
         // to row counts, so the expected value equals the mean prediction.
-        let preds = model.predict_raw(&x);
+        let preds = model.try_predict_raw(&x).unwrap();
         let mean = preds.iter().sum::<f64>() / preds.len() as f64;
         assert!(
             (explainer.expected_value() - mean).abs() < 1e-6,

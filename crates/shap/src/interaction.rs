@@ -78,7 +78,7 @@ pub fn shap_interaction_values_with_workers(
     assert_eq!(row.len(), m, "feature count mismatch");
     // Jobs 0..m: feature j's FixedPresent/FixedAbsent pair. Job m: the
     // ordinary (unconditional) pass for the diagonal.
-    let passes = msaw_parallel::run_scratch_on(workers, m + 1, PathArena::new, |arena, j| {
+    let passes = msaw_parallel::try_run_scratch_on(workers, m + 1, PathArena::new, |arena, j| {
         if j == m {
             let mut phi = vec![0.0; m];
             for tree in model.trees() {
@@ -94,7 +94,8 @@ pub fn shap_interaction_values_with_workers(
             }
             Pass::OnOff(on, off)
         }
-    });
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
 
     let mut values = vec![0.0; m * m];
     let mut phi = Vec::new();

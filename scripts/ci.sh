@@ -36,9 +36,18 @@ MSAW_FORCE_SCALAR=1 cargo test --workspace --quiet
 echo "==> serialisation fuzz suite"
 cargo test --quiet -p msaw-gbdt --test serialize_robustness
 
-echo "==> serving robustness suite (deadlines / quotas / reload / supervision)"
-cargo test --quiet --test serve_robustness
-MSAW_FORCE_SCALAR=1 cargo test --quiet --test serve_robustness
+echo "==> fault-injection + serving robustness suites (5 runs at 4 test threads)"
+# libtest defaults to one test thread per core, so on a one-core box
+# these suites never run concurrently. Tests that share the
+# process-global failpoints, panic hook and worker gauge take one lock;
+# at four threads the order in which they take it changes from run to
+# run, so state one test leaves behind meets a different successor in
+# each of the five runs.
+for run in 1 2 3 4 5; do
+    echo "    run $run/5"
+    cargo test --quiet --test fault_injection --test serve_robustness -- --test-threads=4
+done
+MSAW_FORCE_SCALAR=1 cargo test --quiet --test serve_robustness -- --test-threads=4
 
 echo "==> benchmark tests (perfbench: build + tiny-run output checks)"
 # The benchmark is its own Cargo package; a library change that breaks

@@ -27,12 +27,14 @@
 //!
 //! ```no_run
 //! use mysawh_repro::cohort::{generate, CohortConfig};
-//! use mysawh_repro::core::{run_full_grid, ExperimentConfig};
+//! use mysawh_repro::core::{try_run_full_grid_on, ExperimentConfig};
 //!
 //! let data = generate(&CohortConfig::paper(42));
-//! for result in run_full_grid(&data, &ExperimentConfig::default()) {
+//! // Worker count 0: the default bounded pool.
+//! for result in try_run_full_grid_on(0, &data, &ExperimentConfig::default())? {
 //!     println!("{}", result.summary_line());
 //! }
+//! # Ok::<(), mysawh_repro::core::PipelineError>(())
 //! ```
 
 pub use msaw_baselines as baselines;

@@ -3,8 +3,8 @@
 
 use mysawh_repro::cohort::{generate, CohortConfig};
 use mysawh_repro::core::experiment::fit_final_model;
-use mysawh_repro::core::interpret::{explain_row, global_ranking};
-use mysawh_repro::core::{run_variant, Approach, ExperimentConfig};
+use mysawh_repro::core::interpret::{explain_row, ShapReport};
+use mysawh_repro::core::{try_run_variant, Approach, ExperimentConfig};
 use mysawh_repro::kd::attach_fi;
 use mysawh_repro::preprocess::{build_samples, FeaturePanel, OutcomeKind};
 use mysawh_repro::shap::TreeExplainer;
@@ -22,7 +22,7 @@ fn pipeline_runs_for_every_outcome() {
     for outcome in OutcomeKind::ALL {
         let set = build_samples(&data, &panel, outcome, &cfg.pipeline);
         assert!(set.len() > 100, "{}: only {} samples", outcome.name(), set.len());
-        let result = run_variant(&set, Approach::DataDriven, false, &cfg);
+        let result = try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap();
         let metric = result.primary_metric();
         assert!((0.0..=1.0).contains(&metric), "{}: metric {metric} out of range", outcome.name());
     }
@@ -56,7 +56,7 @@ fn explanations_name_real_features() {
     for attribution in &report.top {
         assert!(set.feature_names.contains(&attribution.feature));
     }
-    let ranking = global_ranking(&model, &set, 10);
+    let ranking = ShapReport::try_new(&model, &set).unwrap().global_ranking(10);
     assert_eq!(ranking.len(), 10);
 }
 
@@ -67,7 +67,7 @@ fn whole_run_is_reproducible() {
         let cfg = ExperimentConfig::fast();
         let panel = FeaturePanel::build(&data, &cfg.pipeline);
         let set = build_samples(&data, &panel, OutcomeKind::Qol, &cfg.pipeline);
-        run_variant(&set, Approach::DataDriven, false, &cfg).primary_metric()
+        try_run_variant(&set, Approach::DataDriven, false, &cfg).unwrap().primary_metric()
     };
     assert_eq!(run(), run());
 }

@@ -13,8 +13,10 @@
 //!   row, lenient mode quarantines exactly the corrupted rows and the
 //!   grid completes on the clean remainder.
 //!
-//! Failpoints are process-global, so every test that arms one runs
-//! under a single mutex with the default panic hook silenced.
+//! Failpoints and the pool's live-worker gauge are process-global, so
+//! every test that arms a failpoint or spawns pool workers runs under
+//! one mutex. A panic hook installed once for the whole suite drops the
+//! injected failpoint panics and reports every other panic as usual.
 
 use msaw_cohort::validate::ViolationReason;
 use msaw_cohort::{generate, CohortConfig, CohortData};
@@ -25,21 +27,39 @@ use msaw_preprocess::{
     SampleError, SampleSet,
 };
 use std::io::Cursor;
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Serialize failpoint-armed tests and silence the default panic hook
-/// while injected panics fly (they are caught by the pool, but the
-/// hook would still spam stderr).
+/// Install, once for the whole suite, a panic hook that drops injected
+/// failpoint panics (the pool catches them, but the default hook would
+/// still print each one) and forwards every other panic to the default
+/// hook, so real failures keep their message.
+fn quiet_failpoints() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            if !message.is_some_and(|m| m.starts_with("failpoint `")) {
+                default(info);
+            }
+        }));
+    });
+}
+
+/// Serialize the tests that arm failpoints or spawn pool workers, with
+/// every failpoint disarmed on entry and on exit.
 fn with_faults<R>(f: impl FnOnce() -> R) -> R {
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
+    quiet_failpoints();
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     failpoint::disarm_all();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let out = f();
-    std::panic::set_hook(prev);
     failpoint::disarm_all();
     out
 }
@@ -52,20 +72,6 @@ fn qol_set(data: &CohortData) -> SampleSet {
     let cfg = PipelineConfig::default();
     let panel = FeaturePanel::build(data, &cfg);
     build_samples(data, &panel, OutcomeKind::Qol, &cfg)
-}
-
-/// This process's live thread count (the suite only runs on Linux CI,
-/// where /proc is authoritative).
-fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1).map(str::to_string))
-        })
-        .and_then(|v| v.parse().ok())
-        .expect("readable /proc/self/status")
 }
 
 #[test]
@@ -103,7 +109,7 @@ fn pool_survives_faults_with_no_thread_leaks_and_clean_reruns() {
     with_faults(|| {
         let data = cohort();
         let cfg = ExperimentConfig::fast();
-        let threads_before = thread_count();
+        assert_eq!(msaw_parallel::live_workers(), 0, "pool workers alive before the faults");
         for round in 0..3 {
             failpoint::disarm_all();
             failpoint::arm("grid_fit", round);
@@ -111,8 +117,9 @@ fn pool_survives_faults_with_no_thread_leaks_and_clean_reruns() {
             assert!(matches!(err, PipelineError::Pool(_)));
         }
         failpoint::disarm_all();
-        // Scoped workers all joined: nothing left running.
-        assert_eq!(thread_count(), threads_before, "worker threads leaked");
+        // Every spawned worker exited, including those whose jobs
+        // panicked: nothing left running.
+        assert_eq!(msaw_parallel::live_workers(), 0, "worker threads leaked");
         // And the pool is not poisoned: clean runs complete and agree
         // bit-for-bit at every worker count.
         let baseline = grid::try_run_full_grid_on(1, &data, &cfg).unwrap();

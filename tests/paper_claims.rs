@@ -3,13 +3,13 @@
 //! be robust to scale).
 
 use mysawh_repro::cohort::{generate, CohortConfig};
-use mysawh_repro::core::grid::{find, run_full_grid};
+use mysawh_repro::core::grid::{find, try_run_full_grid_on};
 use mysawh_repro::core::{Approach, ExperimentConfig};
 use mysawh_repro::preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
 fn grid() -> Vec<mysawh_repro::core::VariantResult> {
     let data = generate(&CohortConfig::small(42));
-    run_full_grid(&data, &ExperimentConfig::fast())
+    try_run_full_grid_on(0, &data, &ExperimentConfig::fast()).unwrap()
 }
 
 #[test]

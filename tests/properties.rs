@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! learners, the interpreter, the metrics and the data pipeline.
 
-use mysawh_repro::gbdt::{Booster, Params, TreeMethod};
+use mysawh_repro::gbdt::{Booster, ModelArtifact, Params, TreeMethod};
 use mysawh_repro::metrics::{
     kfold, mae, one_minus_mape, rmse, stratified_kfold, BoxStats, ConfusionMatrix,
 };
@@ -80,10 +80,9 @@ proptest! {
             ..Params::regression()
         };
         let model = Booster::train(&params, &x, &y).unwrap();
-        let decoded = mysawh_repro::gbdt::serialize::decode(
-            &mysawh_repro::gbdt::serialize::encode(&model),
-        ).unwrap();
-        prop_assert_eq!(model, decoded);
+        let bytes = ModelArtifact::from_booster(model.clone(), None).encode();
+        let decoded = mysawh_repro::gbdt::artifact::decode(&bytes).unwrap();
+        prop_assert_eq!(model, decoded.booster);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! action at `serve::batch` wedges the batcher so tests can pile queue
 //! pressure deterministically; a *panic* action at either site
 //! detonates exactly the dequeue cycle it is armed for. Failpoints are
-//! process-global, so armed tests serialize under one mutex with the
-//! panic hook silenced.
+//! process-global and every batcher passes both sites, so every test
+//! that spawns a service serializes under one mutex. A panic hook
+//! installed once for the whole suite drops the injected failpoint
+//! panics and reports every other panic as usual.
 
 use msaw_core::{Approach, ModelKey, ModelRegistry};
 use msaw_gbdt::{Booster, ModelArtifact, Params};
@@ -24,22 +26,41 @@ use msaw_serve::{
 use msaw_tabular::Matrix;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Serialize failpoint-armed tests and silence the default panic hook
-/// while injected panics fly (they are caught by the supervisor, but
-/// the hook would still spam stderr).
+/// Install, once for the whole suite, a panic hook that drops injected
+/// failpoint panics (the supervisor catches them, but the default hook
+/// would still print each one) and forwards every other panic to the
+/// default hook, so real failures keep their message.
+fn quiet_failpoints() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            if !message.is_some_and(|m| m.starts_with("failpoint `")) {
+                default(info);
+            }
+        }));
+    });
+}
+
+/// Serialize every test that spawns a service — its batcher hits the
+/// process-global `serve::batch` and `serve::predict` sites — with
+/// every failpoint disarmed on entry and on exit.
 fn with_faults<R>(f: impl FnOnce() -> R) -> R {
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
+    quiet_failpoints();
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     failpoint::disarm_all();
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let out = f();
-    std::panic::set_hook(prev);
     failpoint::disarm_all();
     out
 }
@@ -97,34 +118,37 @@ fn assert_bits_equal(got: &[f64], want: &[f64], context: &str) {
 
 #[test]
 fn expired_deadline_is_shed_typed_at_every_worker_count() {
-    let a = artifact(8);
-    let expected = a.forest.predict_batch(&query_rows(12));
-    for workers in WORKER_COUNTS {
-        let config = ServeConfig { workers, ..ServeConfig::default() };
-        let service = PredictionService::spawn(artifact(8), config).unwrap();
-        let handle = service.handle();
-        // A zero deadline is already expired when the batcher dequeues
-        // it: shed, never predicted.
-        let stale = RequestOptions { deadline: Some(Duration::ZERO), ..RequestOptions::default() };
-        let err = handle.submit(&query_rows(12), stale).unwrap().wait().unwrap_err();
-        assert_eq!(err, ServeError::DeadlineExceeded, "workers={workers}");
-        // A generous deadline never fires; the answer is exact, and
-        // wait_timeout bounds the caller side without triggering.
-        let fresh = RequestOptions {
-            deadline: Some(Duration::from_secs(3600)),
-            ..RequestOptions::default()
-        };
-        let out = handle
-            .submit(&query_rows(12), fresh)
-            .unwrap()
-            .wait_timeout(Duration::from_secs(30))
-            .unwrap();
-        assert_bits_equal(&out.predictions, &expected, &format!("workers={workers}"));
-        let stats = service.stats();
-        assert_eq!(stats.shed_deadline, 1, "workers={workers}");
-        assert_eq!(stats.answered, 1, "workers={workers}");
-        service.shutdown();
-    }
+    with_faults(|| {
+        let a = artifact(8);
+        let expected = a.forest.predict_batch(&query_rows(12));
+        for workers in WORKER_COUNTS {
+            let config = ServeConfig { workers, ..ServeConfig::default() };
+            let service = PredictionService::spawn(artifact(8), config).unwrap();
+            let handle = service.handle();
+            // A zero deadline is already expired when the batcher dequeues
+            // it: shed, never predicted.
+            let stale =
+                RequestOptions { deadline: Some(Duration::ZERO), ..RequestOptions::default() };
+            let err = handle.submit(&query_rows(12), stale).unwrap().wait().unwrap_err();
+            assert_eq!(err, ServeError::DeadlineExceeded, "workers={workers}");
+            // A generous deadline never fires; the answer is exact, and
+            // wait_timeout bounds the caller side without triggering.
+            let fresh = RequestOptions {
+                deadline: Some(Duration::from_secs(3600)),
+                ..RequestOptions::default()
+            };
+            let out = handle
+                .submit(&query_rows(12), fresh)
+                .unwrap()
+                .wait_timeout(Duration::from_secs(30))
+                .unwrap();
+            assert_bits_equal(&out.predictions, &expected, &format!("workers={workers}"));
+            let stats = service.stats();
+            assert_eq!(stats.shed_deadline, 1, "workers={workers}");
+            assert_eq!(stats.answered, 1, "workers={workers}");
+            service.shutdown();
+        }
+    });
 }
 
 #[test]
@@ -219,116 +243,121 @@ fn degradation_sheds_shap_first_and_recovers_when_pressure_drops() {
 
 #[test]
 fn republished_identical_artifact_swaps_with_bit_identical_outputs_under_load() {
-    let registry = temp_registry("bitident");
-    let key = model_key();
-    let a = artifact(8);
-    registry.store(&key, &a).unwrap();
-    let expected = Arc::new(a.forest.predict_batch(&query_rows(20)));
+    with_faults(|| {
+        let registry = temp_registry("bitident");
+        let key = model_key();
+        let a = artifact(8);
+        registry.store(&key, &a).unwrap();
+        let expected = Arc::new(a.forest.predict_batch(&query_rows(20)));
 
-    for workers in WORKER_COUNTS {
-        let config = ServeConfig { workers, ..ServeConfig::default() };
-        let service = PredictionService::spawn(registry.load(&key).unwrap(), config).unwrap();
-        let watcher = service
-            .watch_registry(registry.clone(), key.group_name(), Duration::from_millis(10))
-            .unwrap();
+        for workers in WORKER_COUNTS {
+            let config = ServeConfig { workers, ..ServeConfig::default() };
+            let service = PredictionService::spawn(registry.load(&key).unwrap(), config).unwrap();
+            let watcher = service
+                .watch_registry(registry.clone(), key.group_name(), Duration::from_millis(10))
+                .unwrap();
 
-        // Sustained multi-client load across the swap: every single
-        // request must be answered, bit-identical to the offline path —
-        // a republished identical artifact is invisible to clients.
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut clients = Vec::new();
-        for c in 0..4u64 {
-            let handle = service.handle();
-            let stop = stop.clone();
-            let expected = expected.clone();
-            clients.push(std::thread::spawn(move || {
-                let rows = query_rows(20);
-                let options = RequestOptions { client: ClientId(c), ..RequestOptions::default() };
-                let mut answered = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let out = handle
-                        .submit(&rows, options)
-                        .expect("admission under default limits")
-                        .wait_timeout(Duration::from_secs(30))
-                        .expect("every in-flight request is answered across the swap");
-                    assert_bits_equal(&out.predictions, &expected, "across republish");
-                    answered += 1;
-                }
-                answered
-            }));
+            // Sustained multi-client load across the swap: every single
+            // request must be answered, bit-identical to the offline path —
+            // a republished identical artifact is invisible to clients.
+            let stop = Arc::new(AtomicBool::new(false));
+            let mut clients = Vec::new();
+            for c in 0..4u64 {
+                let handle = service.handle();
+                let stop = stop.clone();
+                let expected = expected.clone();
+                clients.push(std::thread::spawn(move || {
+                    let rows = query_rows(20);
+                    let options =
+                        RequestOptions { client: ClientId(c), ..RequestOptions::default() };
+                    let mut answered = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let out = handle
+                            .submit(&rows, options)
+                            .expect("admission under default limits")
+                            .wait_timeout(Duration::from_secs(30))
+                            .expect("every in-flight request is answered across the swap");
+                        assert_bits_equal(&out.predictions, &expected, "across republish");
+                        answered += 1;
+                    }
+                    answered
+                }));
+            }
+
+            std::thread::sleep(Duration::from_millis(30));
+            registry.store(&key, &a).unwrap(); // identical bytes, new generation
+            eventually(Duration::from_secs(10), "the watcher to install the republish", || {
+                service.stats().reloads >= 1
+            });
+            stop.store(true, Ordering::Relaxed);
+            let answered: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+            assert!(answered > 0, "workers={workers}: load ran across the swap");
+
+            let stats = service.stats();
+            assert_eq!(stats.reload_failures, 0, "workers={workers}");
+            assert_eq!(
+                stats.shed_total(),
+                0,
+                "workers={workers}: zero dropped requests across republish"
+            );
+            watcher.stop();
+            service.shutdown();
         }
-
-        std::thread::sleep(Duration::from_millis(30));
-        registry.store(&key, &a).unwrap(); // identical bytes, new generation
-        eventually(Duration::from_secs(10), "the watcher to install the republish", || {
-            service.stats().reloads >= 1
-        });
-        stop.store(true, Ordering::Relaxed);
-        let answered: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
-        assert!(answered > 0, "workers={workers}: load ran across the swap");
-
-        let stats = service.stats();
-        assert_eq!(stats.reload_failures, 0, "workers={workers}");
-        assert_eq!(
-            stats.shed_total(),
-            0,
-            "workers={workers}: zero dropped requests across republish"
-        );
-        watcher.stop();
-        service.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(registry.root());
+        let _ = std::fs::remove_dir_all(registry.root());
+    });
 }
 
 #[test]
 fn corrupt_republish_keeps_the_old_model_then_a_good_retrain_swaps_in() {
-    let registry = temp_registry("corrupt");
-    let key = model_key();
-    let old = artifact(8);
-    let retrained = artifact(4);
-    let rows = query_rows(15);
-    let expected_old = old.forest.predict_batch(&rows);
-    let expected_new = retrained.forest.predict_batch(&rows);
-    assert_ne!(
-        expected_old.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        expected_new.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        "the retrained model must be observably different"
-    );
+    with_faults(|| {
+        let registry = temp_registry("corrupt");
+        let key = model_key();
+        let old = artifact(8);
+        let retrained = artifact(4);
+        let rows = query_rows(15);
+        let expected_old = old.forest.predict_batch(&rows);
+        let expected_new = retrained.forest.predict_batch(&rows);
+        assert_ne!(
+            expected_old.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            expected_new.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "the retrained model must be observably different"
+        );
 
-    registry.store(&key, &old).unwrap();
-    let config = ServeConfig { workers: 2, ..ServeConfig::default() };
-    let service = PredictionService::spawn(registry.load(&key).unwrap(), config).unwrap();
-    let watcher = service
-        .watch_registry(registry.clone(), key.group_name(), Duration::from_millis(10))
-        .unwrap();
-    let handle = service.handle();
+        registry.store(&key, &old).unwrap();
+        let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+        let service = PredictionService::spawn(registry.load(&key).unwrap(), config).unwrap();
+        let watcher = service
+            .watch_registry(registry.clone(), key.group_name(), Duration::from_millis(10))
+            .unwrap();
+        let handle = service.handle();
 
-    // A corrupt republish — the torn-write case the registry's atomic
-    // rename cannot rule out when an operator copies files by hand —
-    // must never interrupt serving: the failure is counted and the old
-    // model keeps answering, bit-identical.
-    std::fs::write(registry.path_for(&key), b"not a model artifact").unwrap();
-    eventually(Duration::from_secs(10), "the watcher to reject the corrupt artifact", || {
-        service.stats().reload_failures >= 1
+        // A corrupt republish — the torn-write case the registry's atomic
+        // rename cannot rule out when an operator copies files by hand —
+        // must never interrupt serving: the failure is counted and the old
+        // model keeps answering, bit-identical.
+        std::fs::write(registry.path_for(&key), b"not a model artifact").unwrap();
+        eventually(Duration::from_secs(10), "the watcher to reject the corrupt artifact", || {
+            service.stats().reload_failures >= 1
+        });
+        let out = handle.submit(&rows, RequestOptions::default()).unwrap().wait().unwrap();
+        assert_bits_equal(&out.predictions, &expected_old, "old model serves through corruption");
+
+        // A good retrained artifact then swaps in without a restart.
+        registry.store(&key, &retrained).unwrap();
+        eventually(Duration::from_secs(10), "the watcher to install the retrain", || {
+            service.stats().reloads >= 1
+        });
+        let out = handle.submit(&rows, RequestOptions::default()).unwrap().wait().unwrap();
+        assert_bits_equal(&out.predictions, &expected_new, "retrained model serves after swap");
+
+        let stats = service.stats();
+        assert!(stats.reload_failures >= 1);
+        assert!(stats.reloads >= 1);
+        assert_eq!(stats.shed_total(), 0, "no request was dropped across failure and swap");
+        watcher.stop();
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(registry.root());
     });
-    let out = handle.submit(&rows, RequestOptions::default()).unwrap().wait().unwrap();
-    assert_bits_equal(&out.predictions, &expected_old, "old model serves through corruption");
-
-    // A good retrained artifact then swaps in without a restart.
-    registry.store(&key, &retrained).unwrap();
-    eventually(Duration::from_secs(10), "the watcher to install the retrain", || {
-        service.stats().reloads >= 1
-    });
-    let out = handle.submit(&rows, RequestOptions::default()).unwrap().wait().unwrap();
-    assert_bits_equal(&out.predictions, &expected_new, "retrained model serves after swap");
-
-    let stats = service.stats();
-    assert!(stats.reload_failures >= 1);
-    assert!(stats.reloads >= 1);
-    assert_eq!(stats.shed_total(), 0, "no request was dropped across failure and swap");
-    watcher.stop();
-    service.shutdown();
-    let _ = std::fs::remove_dir_all(registry.root());
 }
 
 #[test]
@@ -422,24 +451,27 @@ fn exhausted_restart_budget_drains_the_queue_typed() {
 
 #[test]
 fn stats_snapshot_reports_every_shed_reason() {
-    // One service, one of each shed, all visible in the snapshot — the
-    // observability contract bench_serve builds on.
-    let config = ServeConfig { workers: 1, max_in_flight_per_client: 1, ..ServeConfig::default() };
-    let service = PredictionService::spawn(artifact(8), config).unwrap();
-    let handle = service.handle();
-    let rows = query_rows(2);
-    let stale = RequestOptions { deadline: Some(Duration::ZERO), ..RequestOptions::default() };
-    let shed = handle.submit(&rows, stale).unwrap();
-    assert_eq!(shed.wait().unwrap_err(), ServeError::DeadlineExceeded);
-    let ok = handle.submit(&rows, RequestOptions::default()).unwrap();
-    assert_eq!(ok.wait().unwrap().predictions.len(), 2);
-    let stats = service.stats();
-    assert_eq!(
-        (stats.shed_deadline, stats.answered, stats.queue_depth),
-        (1, 1, 0),
-        "sheds and answers are attributed: {stats:?}"
-    );
-    assert_eq!(stats.shed_total(), 1);
-    assert_eq!(ServiceStats::default().shed_total(), 0);
-    service.shutdown();
+    with_faults(|| {
+        // One service, one of each shed, all visible in the snapshot — the
+        // observability contract bench_serve builds on.
+        let config =
+            ServeConfig { workers: 1, max_in_flight_per_client: 1, ..ServeConfig::default() };
+        let service = PredictionService::spawn(artifact(8), config).unwrap();
+        let handle = service.handle();
+        let rows = query_rows(2);
+        let stale = RequestOptions { deadline: Some(Duration::ZERO), ..RequestOptions::default() };
+        let shed = handle.submit(&rows, stale).unwrap();
+        assert_eq!(shed.wait().unwrap_err(), ServeError::DeadlineExceeded);
+        let ok = handle.submit(&rows, RequestOptions::default()).unwrap();
+        assert_eq!(ok.wait().unwrap().predictions.len(), 2);
+        let stats = service.stats();
+        assert_eq!(
+            (stats.shed_deadline, stats.answered, stats.queue_depth),
+            (1, 1, 0),
+            "sheds and answers are attributed: {stats:?}"
+        );
+        assert_eq!(stats.shed_total(), 1);
+        assert_eq!(ServiceStats::default().shed_total(), 0);
+        service.shutdown();
+    });
 }
