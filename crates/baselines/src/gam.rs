@@ -7,8 +7,7 @@
 //! of the GA²M / EBM family. The model stays fully glass-box: every
 //! prediction decomposes exactly into per-feature contributions.
 
-use msaw_gbdt::binning::BinnedMatrix;
-use msaw_gbdt::{Objective, TrainError};
+use msaw_gbdt::{ChunkedMatrix, Objective, TrainError};
 use msaw_tabular::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -97,7 +96,7 @@ impl AdditiveModel {
         }
 
         let n = data.nrows();
-        let binned = BinnedMatrix::fit(data, params.max_bins);
+        let binned = ChunkedMatrix::fit(data, params.max_bins);
         // Pre-resolve each row's bin per feature (missing = last bin).
         let n_bins_of = |f: usize| binned.cuts(f).len() + 2; // value bins + missing
         let mut shapes: Vec<ShapeFunction> = (0..data.ncols())

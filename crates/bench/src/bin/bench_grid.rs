@@ -152,7 +152,7 @@ fn run() -> Result<(), BenchError> {
     // scalar. Checksums must match exactly — the SIMD path is
     // bit-identical by contract.
     let sets = build_variant_sets(&data, &panel, OutcomeKind::Qol, &cfg);
-    let binned = msaw_gbdt::binning::BinnedMatrix::fit(&sets.dd.features, 64);
+    let binned = msaw_gbdt::ChunkedMatrix::fit(&sets.dd.features, 64);
     let nrows = binned.nrows();
     let grad: Vec<f64> = (0..nrows).map(|i| ((i * 37 + 11) % 101) as f64 / 50.5 - 1.0).collect();
     let hess: Vec<f64> = (0..nrows).map(|i| ((i * 53 + 7) % 89) as f64 / 89.0 + 0.25).collect();

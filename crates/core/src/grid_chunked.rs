@@ -23,12 +23,17 @@
 //!    worker pool, each training via [`train_chunked_on`] on its
 //!    ascending row subset and scoring via [`predict_rows_chunked`],
 //!    through the same split/fold/scoring code paths as the in-memory
-//!    experiment layer.
+//!    experiment layer. Fits run the protocol's own row and column
+//!    subsampling.
 //!
 //! Under `canonical_row_order` (which this path requires) and an exact
 //! cut sketch, the twelve [`VariantResult`]s are bit-identical to
-//! [`crate::grid::try_run_full_grid_on`] on the materialised cohort —
-//! pinned by the tests below.
+//! [`crate::grid::try_run_full_grid_on`] on the materialised cohort
+//! when the protocol does not subsample rows, or when one block holds
+//! every row. A subsampled grid over several blocks adds each
+//! histogram cell block-major: deterministic at every worker count and
+//! store kind, but not the in-memory bits. The tests below pin all
+//! three.
 
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
@@ -54,8 +59,8 @@ use std::path::PathBuf;
 #[derive(Debug, Clone)]
 pub struct ChunkedGridConfig {
     /// The experiment protocol. Must be stream-compatible: histogram
-    /// tree method (same `max_bins` for both parameter sets), no
-    /// row/column subsampling, and `canonical_row_order` set.
+    /// tree method (same `max_bins` for both parameter sets) and
+    /// `canonical_row_order` set.
     pub experiment: ExperimentConfig,
     /// Patients generated/featurized per work unit.
     pub chunk_patients: usize,
@@ -192,17 +197,15 @@ fn validate_config(cfg: &ChunkedGridConfig) -> Result<u16, PipelineError> {
             }
         }
         bins = Some(max_bins);
-        if params.subsample < 1.0 || params.colsample_bytree < 1.0 {
-            return Err(invalid("the chunked grid requires subsample and colsample == 1.0".into()));
-        }
     }
     Ok(bins.expect("two parameter sets were checked"))
 }
 
 /// Run the full 12-model grid out of core over a streamed cohort. See
-/// the module docs for the pass structure; results are bit-identical
-/// to [`crate::grid::try_run_full_grid_on`] on the materialised cohort
-/// while the cut sketches stay exact.
+/// the module docs for the pass structure; while the cut sketches stay
+/// exact, results are bit-identical to
+/// [`crate::grid::try_run_full_grid_on`] on the materialised cohort
+/// without row subsampling or on one block.
 pub fn try_run_full_grid_chunked(
     cohort: &CohortConfig,
     cfg: &ChunkedGridConfig,
@@ -551,11 +554,58 @@ mod tests {
         exp.classification_params.tree_method = TreeMethod::Hist { max_bins: 32 };
         let err = try_run_full_grid_chunked(&cohort, &ChunkedGridConfig::new(exp)).unwrap_err();
         assert!(err.to_string().contains("max_bins"), "{err}");
-        // Row subsampling.
-        let mut exp = stream_cfg();
-        exp.regression_params.subsample = 0.9;
-        let err = try_run_full_grid_chunked(&cohort, &ChunkedGridConfig::new(exp)).unwrap_err();
-        assert!(err.to_string().contains("subsample"), "{err}");
+    }
+
+    /// The paper's own protocol: `fast()`'s subsample 0.9 and colsample
+    /// 0.8 on the histogram method, canonical row order.
+    fn subsampled_cfg() -> ExperimentConfig {
+        let mut cfg = stream_cfg();
+        for params in [&mut cfg.regression_params, &mut cfg.classification_params] {
+            params.n_estimators = 12;
+            params.subsample = 0.9;
+            params.colsample_bytree = 0.8;
+        }
+        cfg
+    }
+
+    #[test]
+    fn one_block_subsampled_grid_matches_in_memory_grid_bit_for_bit() {
+        // One block holds every row, so each fit visits its row sample
+        // in draw order, exactly as the in-memory fit does.
+        let cohort = CohortConfig::small(42);
+        let exp = subsampled_cfg();
+        let reference = try_run_full_grid_on(1, &generate(&cohort), &exp).unwrap();
+        let mut cfg = ChunkedGridConfig::new(exp);
+        cfg.chunk_patients = 7;
+        cfg.block_rows = data_rows(&cohort, &cfg.experiment);
+        let report = try_run_full_grid_chunked(&cohort, &cfg).unwrap();
+        assert!(report.sketch_exact);
+        assert_results_identical(&report.results, &reference);
+    }
+
+    #[test]
+    fn multi_block_subsampled_grid_is_identical_at_every_worker_count_and_store() {
+        let cohort = CohortConfig::small(7);
+        let mut cfg = ChunkedGridConfig::new(subsampled_cfg());
+        cfg.chunk_patients = 5;
+        cfg.block_rows = 64;
+        cfg.workers = 1;
+        let reference = try_run_full_grid_chunked(&cohort, &cfg).unwrap();
+        assert!(reference.n_rows > 2 * cfg.block_rows, "the grid must span several blocks");
+
+        let dir = std::env::temp_dir().join(format!("msaw_grid_sub_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for workers in [1usize, 2, 8] {
+            for spill in [false, true] {
+                let mut run_cfg = cfg.clone();
+                run_cfg.workers = workers;
+                run_cfg.spill_dir = spill.then(|| dir.clone());
+                let report = try_run_full_grid_chunked(&cohort, &run_cfg).unwrap();
+                assert_eq!(report.spilled, spill);
+                assert_results_identical(&report.results, &reference.results);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl ModelArtifact {
     /// Bundle a trained model (compiling its flat forest once).
     ///
     /// `cuts`, when given, must hold one cut set per feature — the
-    /// contract [`crate::binning::BinnedMatrix::clone_cuts`] satisfies.
+    /// tables [`crate::ChunkedMatrix::cuts`] gives, feature by feature.
     pub fn from_booster(booster: Booster, cuts: Option<Vec<Vec<f64>>>) -> Self {
         if let Some(c) = &cuts {
             assert_eq!(c.len(), booster.n_features(), "one cut set per feature required");
@@ -372,13 +372,14 @@ mod tests {
         let y: Vec<f64> = rows.iter().map(|r| r[0] * 2.0 + r[1].max(0.0)).collect();
         let x = Matrix::from_rows(&rows);
         if hist {
-            let binned = crate::binning::BinnedMatrix::fit(&x, 16);
+            let binned = crate::ChunkedMatrix::fit(&x, 16);
             let params = Params {
                 n_estimators: 6,
                 tree_method: TreeMethod::Hist { max_bins: 16 },
                 ..Params::regression()
             };
-            (Booster::train(&params, &x, &y).unwrap(), Some(binned.clone_cuts()))
+            let cuts = (0..x.ncols()).map(|j| binned.cuts(j).to_vec()).collect();
+            (Booster::train(&params, &x, &y).unwrap(), Some(cuts))
         } else {
             let params = Params { n_estimators: 6, ..Params::regression() };
             (Booster::train(&params, &x, &y).unwrap(), None)

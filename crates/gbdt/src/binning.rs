@@ -1,11 +1,13 @@
 //! Quantile binning for the histogram split finder (XGBoost's
 //! approximate/hist method).
 //!
-//! `BinnedMatrix::fit` builds, per feature, a set of *cut points* —
+//! Per feature, `cuts_from_distinct` picks a set of *cut points* —
 //! midpoints between adjacent distinct values at (approximately) equal
-//! quantile ranks — and pre-computes each row's bin index once. Node
-//! histogram accumulation then touches each row exactly once per feature
-//! regardless of how many distinct values exist.
+//! quantile ranks — and `encode_value` maps each value to its bin
+//! once, so node histogram accumulation touches each row exactly once
+//! per feature regardless of how many distinct values exist. The codes
+//! live in a [`crate::ChunkedMatrix`] ([`crate::ChunkedMatrix::fit`]
+//! quantises a whole in-memory matrix).
 //!
 //! ## Code layout
 //!
@@ -14,14 +16,15 @@
 //! `0..=c` for present values and `c + 1` for missing. A node histogram
 //! with `c + 2` slots can therefore be accumulated straight off a row's
 //! code slice — `hist[code]` — with no per-cell `Option` branch; the
-//! missing mass simply lands in the last slot. [`BinnedMatrix::bin`]
-//! still presents the `Option<u16>` view for callers that want it.
+//! missing mass simply lands in the last slot.
+//! [`crate::ChunkedMatrix::bin`] still presents the `Option<u16>` view
+//! for callers that want it.
 
-use msaw_tabular::Matrix;
 use std::cell::Cell;
 
 thread_local! {
-    /// Number of [`BinnedMatrix::fit`] calls on this thread. Tests use
+    /// Number of whole-matrix fits ([`crate::ChunkedMatrix::fit`]) on
+    /// this thread. Tests use
     /// the delta across a grid run to prove each variant's matrix is
     /// quantised exactly once. Thread-local (not atomic) so a test's
     /// count cannot be polluted by other tests running in parallel;
@@ -30,15 +33,20 @@ thread_local! {
     static FIT_COUNT: Cell<usize> = const { Cell::new(0) };
 
     /// Number of per-*column* quantisations (cut fitting + encoding) on
-    /// this thread. `BinnedMatrix::fit` bumps it once per column; the
+    /// this thread. A whole-matrix fit bumps it once per column; the
     /// cross-variant `ContextCache` bumps it only on cache misses, so
     /// grid tests can pin the number of **distinct** columns quantised.
     static COLUMN_FIT_COUNT: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Total `BinnedMatrix::fit` calls made by the current thread.
+/// Total whole-matrix fits ([`crate::ChunkedMatrix::fit`]) made by the
+/// current thread.
 pub fn fit_count() -> usize {
     FIT_COUNT.with(|c| c.get())
+}
+
+pub(crate) fn bump_fit_count() {
+    FIT_COUNT.with(|c| c.set(c.get() + 1));
 }
 
 /// Total per-column quantisations performed by the current thread
@@ -49,132 +57,6 @@ pub fn column_fit_count() -> usize {
 
 pub(crate) fn bump_column_fit_count(by: usize) {
     COLUMN_FIT_COUNT.with(|c| c.set(c.get() + by));
-}
-
-/// A matrix pre-quantised into per-feature quantile bins.
-#[derive(Debug, Clone)]
-pub struct BinnedMatrix {
-    /// Row-major bin codes; per feature `j`, code `cuts[j].len() + 1`
-    /// encodes missing (in-band, see module docs).
-    codes: Vec<u16>,
-    nrows: usize,
-    ncols: usize,
-    /// Per-feature ascending cut points; bin `i` is
-    /// `[cuts[i-1], cuts[i])`, matching the tree's `v < threshold` rule.
-    cuts: Vec<Vec<f64>>,
-}
-
-impl BinnedMatrix {
-    /// Quantise `data` into at most `max_bins` bins per feature.
-    ///
-    /// Every call recomputes cut points from scratch; the shared
-    /// `TrainingContext` calls this exactly once per sample set (the
-    /// [`fit_count`] counter is how tests verify that invariant).
-    pub fn fit(data: &Matrix, max_bins: u16) -> BinnedMatrix {
-        assert!(max_bins >= 2, "need at least 2 bins");
-        FIT_COUNT.with(|c| c.set(c.get() + 1));
-        let ncols = data.ncols();
-        bump_column_fit_count(ncols);
-        let mut cuts = Vec::with_capacity(ncols);
-        for j in 0..ncols {
-            cuts.push(feature_cuts(&data.column(j), max_bins));
-        }
-        Self::with_cuts(data, cuts)
-    }
-
-    /// Encode `data` against an already-computed cut set (pure
-    /// re-quantisation, no cut fitting). `cuts` must have one entry per
-    /// feature column.
-    pub fn with_cuts(data: &Matrix, cuts: Vec<Vec<f64>>) -> BinnedMatrix {
-        let nrows = data.nrows();
-        let ncols = data.ncols();
-        assert_eq!(cuts.len(), ncols, "one cut set per feature required");
-        let mut codes = vec![0u16; nrows * ncols];
-        for i in 0..nrows {
-            for j in 0..ncols {
-                codes[i * ncols + j] = encode_value(data.get(i, j), &cuts[j]);
-            }
-        }
-        BinnedMatrix { codes, nrows, ncols, cuts }
-    }
-
-    /// Assemble a binned matrix from pre-computed parts — the
-    /// `ContextCache` path, where each column's cuts and codes were
-    /// computed (or recalled) independently and scattered into the
-    /// row-major `codes` buffer by the caller.
-    pub(crate) fn from_parts(nrows: usize, cuts: Vec<Vec<f64>>, codes: Vec<u16>) -> BinnedMatrix {
-        let ncols = cuts.len();
-        assert_eq!(codes.len(), nrows * ncols, "row-major code buffer size mismatch");
-        BinnedMatrix { codes, nrows, ncols, cuts }
-    }
-
-    /// Row count.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Feature count.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Cut points (split thresholds) for a feature.
-    pub fn cuts(&self, feature: usize) -> &[f64] {
-        &self.cuts[feature]
-    }
-
-    /// All per-feature cut sets, cloned (e.g. to re-encode another
-    /// matrix against the same quantisation via [`Self::with_cuts`]).
-    pub fn clone_cuts(&self) -> Vec<Vec<f64>> {
-        self.cuts.clone()
-    }
-
-    /// The in-band code encoding "missing" for a feature: one past the
-    /// last present bin.
-    #[inline]
-    pub(crate) fn missing_code(&self, feature: usize) -> u16 {
-        self.cuts[feature].len() as u16 + 1
-    }
-
-    /// Histogram slots a node needs for a feature: bins `0..=cuts`
-    /// plus the missing slot.
-    #[inline]
-    pub(crate) fn slots(&self, feature: usize) -> usize {
-        self.cuts[feature].len() + 2
-    }
-
-    /// Sum of [`Self::slots`] over every feature — the flat histogram
-    /// buffer bound scratch preparation reserves against.
-    pub(crate) fn total_slots(&self) -> usize {
-        self.cuts.iter().map(|c| c.len() + 2).sum()
-    }
-
-    /// One row's codes, contiguous over all features — the branch-free
-    /// accumulation path of `build_hists`.
-    #[inline]
-    pub(crate) fn row_codes(&self, row: usize) -> &[u16] {
-        &self.codes[row * self.ncols..(row + 1) * self.ncols]
-    }
-
-    /// Raw in-band code of `(row, feature)` — bins `0..=cuts` for
-    /// present values, [`Self::missing_code`] for missing. The
-    /// branch-free accumulation paths index histograms with this
-    /// directly, letting the missing mass land in the trailing slot.
-    #[inline]
-    pub(crate) fn code(&self, row: usize, feature: usize) -> u16 {
-        self.codes[row * self.ncols + feature]
-    }
-
-    /// Bin code of `(row, feature)`; `None` = missing.
-    #[inline]
-    pub fn bin(&self, row: usize, feature: usize) -> Option<u16> {
-        let code = self.codes[row * self.ncols + feature];
-        if code == self.missing_code(feature) {
-            None
-        } else {
-            Some(code)
-        }
-    }
 }
 
 /// In-band code of one value against one feature's cuts.
@@ -204,15 +86,10 @@ pub(crate) fn distinct_values(col: &[f64]) -> Vec<f64> {
     present
 }
 
-/// Compute cut points for one feature from its present values.
-fn feature_cuts(values: &[f64], max_bins: u16) -> Vec<f64> {
-    cuts_from_distinct(&distinct_values(values), max_bins)
-}
-
-/// Cut points from a column's sorted distinct present values. Split out
-/// of [`feature_cuts`] so the `ContextCache` can derive cuts from the
-/// distinct set it already holds for the exact index — byte-identical,
-/// since `feature_cuts` fed the same sorted deduped values here.
+/// Cut points from a column's sorted distinct present values — the
+/// shared cut rule of a whole-matrix fit, the `ContextCache` (which
+/// already holds the distinct set for the exact index) and the
+/// streaming `CutSketch`.
 pub(crate) fn cuts_from_distinct(present: &[f64], max_bins: u16) -> Vec<f64> {
     if present.len() < 2 {
         return Vec::new();
@@ -238,11 +115,13 @@ pub(crate) fn cuts_from_distinct(present: &[f64], max_bins: u16) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChunkedMatrix;
+    use msaw_tabular::Matrix;
 
     #[test]
     fn few_distinct_values_get_exact_cuts() {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![4.0], vec![2.0]]);
-        let b = BinnedMatrix::fit(&x, 256);
+        let b = ChunkedMatrix::fit(&x, 256);
         assert_eq!(b.cuts(0), &[1.5, 3.0]);
         assert_eq!(b.bin(0, 0), Some(0));
         assert_eq!(b.bin(1, 0), Some(1));
@@ -253,28 +132,28 @@ mod tests {
     #[test]
     fn missing_values_get_sentinel() {
         let x = Matrix::from_rows(&[vec![1.0], vec![f64::NAN]]);
-        let b = BinnedMatrix::fit(&x, 4);
+        let b = ChunkedMatrix::fit(&x, 4);
         assert_eq!(b.bin(1, 0), None);
         // The in-band code is one past the last present bin.
-        assert_eq!(b.row_codes(1)[0], b.missing_code(0));
+        assert_eq!(encode_value(f64::NAN, b.cuts(0)), b.cuts(0).len() as u16 + 1);
     }
 
     #[test]
     fn constant_feature_has_no_cuts() {
         let x = Matrix::from_rows(&[vec![3.0], vec![3.0], vec![3.0]]);
-        let b = BinnedMatrix::fit(&x, 8);
+        let b = ChunkedMatrix::fit(&x, 8);
         assert!(b.cuts(0).is_empty());
-        // Constant features still get a present/missing slot pair so the
+        // Constant features still get a present/missing code pair so the
         // branch-free accumulator can index them.
-        assert_eq!(b.slots(0), 2);
         assert_eq!(b.bin(0, 0), Some(0));
+        assert_eq!(encode_value(f64::NAN, b.cuts(0)), 1);
     }
 
     #[test]
     fn bin_count_respects_max_bins() {
         let rows: Vec<Vec<f64>> = (0..1000).map(|i| vec![i as f64]).collect();
         let x = Matrix::from_rows(&rows);
-        let b = BinnedMatrix::fit(&x, 16);
+        let b = ChunkedMatrix::fit(&x, 16);
         assert!(b.cuts(0).len() <= 15);
         assert!(b.cuts(0).len() >= 8, "should use most of the budget");
     }
@@ -283,7 +162,7 @@ mod tests {
     fn cuts_are_strictly_ascending() {
         let rows: Vec<Vec<f64>> = (0..500).map(|i| vec![(i % 37) as f64]).collect();
         let x = Matrix::from_rows(&rows);
-        let b = BinnedMatrix::fit(&x, 8);
+        let b = ChunkedMatrix::fit(&x, 8);
         let cuts = b.cuts(0);
         for w in cuts.windows(2) {
             assert!(w[0] < w[1]);
@@ -295,7 +174,7 @@ mod tests {
         // If v1 < cut <= v2 then bin(v1) < bin(v2).
         let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![(i as f64).sqrt()]).collect();
         let x = Matrix::from_rows(&rows);
-        let b = BinnedMatrix::fit(&x, 10);
+        let b = ChunkedMatrix::fit(&x, 10);
         for i in 1..100 {
             let b0 = b.bin(i - 1, 0).unwrap();
             let b1 = b.bin(i, 0).unwrap();
@@ -307,7 +186,7 @@ mod tests {
     fn values_respect_their_bin_boundaries() {
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![((i * 7) % 101) as f64]).collect();
         let x = Matrix::from_rows(&rows);
-        let b = BinnedMatrix::fit(&x, 8);
+        let b = ChunkedMatrix::fit(&x, 8);
         let cuts = b.cuts(0);
         for i in 0..256 {
             let v = x.get(i, 0);
@@ -322,26 +201,25 @@ mod tests {
     }
 
     #[test]
-    fn column_assembly_matches_with_cuts() {
+    fn column_assembly_matches_a_whole_matrix_fit() {
         let x = Matrix::from_rows(&[
             vec![1.0, f64::NAN],
             vec![2.0, 5.0],
             vec![4.0, 2.0],
             vec![2.0, 5.0],
         ]);
-        let direct = BinnedMatrix::fit(&x, 256);
-        let cuts = direct.clone_cuts();
+        let direct = ChunkedMatrix::fit(&x, 256);
+        let cuts: Vec<Vec<f64>> = (0..2).map(|j| direct.cuts(j).to_vec()).collect();
         let mut codes = vec![0u16; x.nrows() * 2];
         for j in 0..2 {
             for (i, code) in encode_column(&x.column(j), &cuts[j]).into_iter().enumerate() {
                 codes[i * 2 + j] = code;
             }
         }
-        let assembled = BinnedMatrix::from_parts(x.nrows(), cuts, codes);
+        let assembled = ChunkedMatrix::from_codes(cuts, x.nrows(), codes);
         for i in 0..x.nrows() {
             for j in 0..2 {
                 assert_eq!(direct.bin(i, j), assembled.bin(i, j));
-                assert_eq!(direct.row_codes(i)[j], assembled.row_codes(i)[j]);
             }
         }
     }
@@ -350,7 +228,7 @@ mod tests {
     fn fit_bumps_the_column_counter_per_column() {
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let before = column_fit_count();
-        BinnedMatrix::fit(&x, 8);
+        ChunkedMatrix::fit(&x, 8);
         assert_eq!(column_fit_count() - before, 3);
     }
 }

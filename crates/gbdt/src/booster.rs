@@ -1,9 +1,9 @@
 //! Tree growing and the boosting loop.
 
-use crate::binning::BinnedMatrix;
+use crate::chunked::{ChunkedMatrix, ChunkedView};
 use crate::context::{ExactIndex, TrainingContext};
-use crate::engine::{grow_tree, Backend, RoundCtx, TreeScratch};
-use crate::error::{PredictError, TrainError};
+use crate::engine::{grow_tree, split_workers, RoundCtx, TreeScratch};
+use crate::error::{ChunkError, PredictError, TrainError};
 use crate::forest::FlatForest;
 use crate::objective::Objective;
 use crate::params::{Params, TreeMethod};
@@ -85,32 +85,20 @@ impl Booster {
         }
         params.objective.validate_labels(labels)?;
 
-        let map: Vec<usize> = (0..nrows).collect();
         let mut scratch = TreeScratch::new();
         match params.tree_method {
             TreeMethod::Hist { max_bins } => {
-                let binned = BinnedMatrix::fit(data, max_bins);
-                Ok(train_core(
-                    params,
-                    data,
-                    &map,
-                    labels,
-                    Backend::Hist(&binned),
-                    eval,
-                    &mut scratch,
-                ))
+                let binned = ChunkedMatrix::fit(data, max_bins);
+                scratch.hist.prepare(params, binned.view(), 0..nrows)?;
+                let grower =
+                    Grower::Hist { view: binned.view(), workers: split_workers(params, nrows) };
+                in_memory(FitRun::from_parts(params, grower, labels, eval, &mut scratch).run())
             }
             TreeMethod::Exact => {
                 let index = ExactIndex::fit(data);
-                Ok(train_core(
-                    params,
-                    data,
-                    &map,
-                    labels,
-                    Backend::Exact(&index),
-                    eval,
-                    &mut scratch,
-                ))
+                let map: Vec<usize> = (0..nrows).collect();
+                let grower = Grower::Exact { data, index: &index, map: &map };
+                in_memory(FitRun::from_parts(params, grower, labels, eval, &mut scratch).run())
             }
         }
     }
@@ -146,23 +134,8 @@ impl Booster {
         labels: &[f64],
         scratch: &mut TreeScratch,
     ) -> Result<Booster, TrainError> {
-        params.validate()?;
-        if rows.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        if labels.len() != rows.len() {
-            return Err(TrainError::LabelLength { rows: rows.len(), labels: labels.len() });
-        }
-        debug_assert!(rows.iter().all(|&r| r < ctx.nrows()), "row index out of bounds");
-        params.objective.validate_labels(labels)?;
-
-        let backend = match params.tree_method {
-            TreeMethod::Hist { .. } => Backend::Hist(ctx.binned()),
-            TreeMethod::Exact => Backend::Exact(ctx.exact()),
-        };
-        Ok(train_core(params, ctx.data(), rows, labels, backend, None, scratch).booster)
+        Ok(in_memory(FitRun::new(params, ctx, rows, labels, scratch)?.run())?.booster)
     }
-
     /// Raw (untransformed) score for one row.
     pub fn predict_raw_row(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_features);
@@ -226,31 +199,44 @@ impl Booster {
     }
 }
 
-/// An in-flight boosting fit that can be stepped one round at a time.
+/// Which grower a [`FitRun`] drives, and what it reads.
+enum Grower<'a> {
+    /// The recursive exact grower over a matrix's rank index; position
+    /// `p` trains on row `map[p]`.
+    Exact { data: &'a Matrix, index: &'a ExactIndex, map: &'a [usize] },
+    /// The level-wise histogram grower over a chunked matrix view; the
+    /// position → row map lives in the scratch's histogram arena.
+    Hist { view: ChunkedView<'a>, workers: usize },
+}
+
+/// An in-flight boosting fit that can be stepped one round at a time:
+/// the one boosting loop behind every `train*` entry point, for both
+/// tree methods and both stores.
 ///
-/// `FitRun` is the boosting loop of [`Booster::train`] with the loop
-/// inside-out: [`FitRun::round`] executes exactly one round, and
-/// [`FitRun::finish`] materialises the `TrainReport`. Splitting the
-/// loop open exists for one consumer — the allocation-regression test,
-/// which needs to meter the heap between individual rounds to prove the
-/// steady state allocates nothing. Normal callers should use the
-/// `train*` entry points, which drive a `FitRun` to completion.
+/// [`FitRun::round`] executes exactly one round — gradients, the row
+/// and column subsample draws, one tree from the exact grower or the
+/// level-wise histogram grower, the score update, losses and early
+/// stopping — and [`FitRun::finish`] materialises the `TrainReport`.
+/// Splitting the loop open exists for one consumer — the
+/// allocation-regression test, which meters the heap between
+/// individual rounds to prove the steady state allocates nothing.
+/// Normal callers should use the `train*` entry points, which drive a
+/// `FitRun` to completion.
 ///
 /// Works in *position space*: position `p` of the training view maps to
-/// full-matrix row `map[p]`; `labels`, gradients and raw scores are
+/// one matrix row; `labels`, gradients and raw scores are
 /// position-indexed, and the RNG subsamples positions — exactly the
 /// index space the old copy-then-train path used on a materialised
 /// subset, which is what keeps the exact path bit-identical to it.
 ///
 /// All per-round buffers live in the borrowed [`TreeScratch`]; after
-/// the setup in [`FitRun::new`] (which sizes every pool to its fit-wide
-/// worst case), steady-state rounds perform zero heap allocations.
+/// the setup in the constructors (which size every pool to its
+/// fit-wide worst case), steady-state rounds perform zero heap
+/// allocations.
 pub struct FitRun<'a> {
     params: &'a Params,
-    data: &'a Matrix,
-    map: &'a [usize],
+    grower: Grower<'a>,
     labels: &'a [f64],
-    backend: Backend<'a>,
     eval: Option<(&'a Matrix, &'a [f64])>,
     scratch: &'a mut TreeScratch,
     rng: StdRng,
@@ -264,7 +250,10 @@ pub struct FitRun<'a> {
 
 impl<'a> FitRun<'a> {
     /// Start a fit over a row-index view of a shared context, with the
-    /// same validation as [`Booster::train_on_rows`].
+    /// same validation as [`Booster::train_on_rows`]. Exact fits grow
+    /// on the context's rank index, histogram fits on its one-block
+    /// code matrix with [`Params::parallel_split_threshold`] deciding
+    /// the worker count.
     pub fn new(
         params: &'a Params,
         ctx: &'a TrainingContext<'a>,
@@ -279,29 +268,90 @@ impl<'a> FitRun<'a> {
         if labels.len() != rows.len() {
             return Err(TrainError::LabelLength { rows: rows.len(), labels: labels.len() });
         }
-        debug_assert!(rows.iter().all(|&r| r < ctx.nrows()), "row index out of bounds");
         params.objective.validate_labels(labels)?;
-        let backend = match params.tree_method {
-            TreeMethod::Hist { .. } => Backend::Hist(ctx.binned()),
-            TreeMethod::Exact => Backend::Exact(ctx.exact()),
+        let grower = match params.tree_method {
+            TreeMethod::Hist { .. } => {
+                let view = ctx.binned().view();
+                scratch.hist.prepare(params, view, rows.iter().copied())?;
+                Grower::Hist { view, workers: split_workers(params, rows.len()) }
+            }
+            TreeMethod::Exact => {
+                debug_assert!(rows.iter().all(|&r| r < ctx.nrows()), "row index out of bounds");
+                Grower::Exact { data: ctx.data(), index: ctx.exact(), map: rows }
+            }
         };
-        Ok(Self::from_parts(params, ctx.data(), rows, labels, backend, None, scratch))
+        Ok(Self::from_parts(params, grower, labels, None, scratch))
     }
 
-    /// Internal constructor shared by every `train*` entry point;
-    /// callers have already validated their inputs.
+    /// Start a histogram fit over a (column view of a) chunked matrix,
+    /// on every matrix row (`rows == None`) or on a row list — rows in
+    /// range, block indices non-decreasing (the sharded grid trains its
+    /// ascending fold rows this way). `labels` has one entry per
+    /// training position; `workers` threads share each accumulation
+    /// pass.
+    pub fn over_chunks(
+        params: &'a Params,
+        view: ChunkedView<'a>,
+        rows: Option<&'a [u32]>,
+        labels: &'a [f64],
+        workers: usize,
+        scratch: &'a mut TreeScratch,
+    ) -> Result<FitRun<'a>, ChunkError> {
+        params.validate()?;
+        if !matches!(params.tree_method, TreeMethod::Hist { .. }) {
+            return Err(TrainError::InvalidParam {
+                name: "tree_method",
+                message: "chunked training requires the histogram method".to_string(),
+            }
+            .into());
+        }
+        let n_positions = rows.map_or(view.nrows(), <[u32]>::len);
+        if n_positions == 0 {
+            return Err(TrainError::EmptyDataset.into());
+        }
+        if labels.len() != n_positions {
+            return Err(TrainError::LabelLength { rows: n_positions, labels: labels.len() }.into());
+        }
+        params.objective.validate_labels(labels)?;
+        match rows {
+            None => scratch.hist.prepare(params, view, 0..view.nrows())?,
+            Some(rs) => scratch.hist.prepare(params, view, rs.iter().map(|&r| r as usize))?,
+        }
+        let grower = Grower::Hist { view, workers: workers.max(1) };
+        Ok(Self::from_parts(params, grower, labels, None, scratch))
+    }
+
+    /// Shared setup behind every constructor; callers have already
+    /// validated their inputs (and prepared the histogram arena).
     fn from_parts(
         params: &'a Params,
-        data: &'a Matrix,
-        map: &'a [usize],
+        grower: Grower<'a>,
         labels: &'a [f64],
-        backend: Backend<'a>,
         eval: Option<(&'a Matrix, &'a [f64])>,
         scratch: &'a mut TreeScratch,
     ) -> FitRun<'a> {
-        let nrows = map.len();
+        let nrows = labels.len();
         let base_score = params.objective.base_score(labels);
-        scratch.prepare(params, nrows, &backend);
+        let ncols = match &grower {
+            Grower::Exact { data, index, .. } => {
+                scratch.prepare(params, nrows, Some(index));
+                // Leaf cache: `grow_tree` records the leaf weight each
+                // routed position landed in, so the ensemble update adds
+                // cached weights instead of re-walking the tree
+                // (bit-identical — training partitions rows with exactly
+                // `predict_row`'s routing).
+                scratch.leaf_of.clear();
+                scratch.leaf_of.resize(nrows, 0.0);
+                scratch.routed.clear();
+                scratch.routed.resize(nrows, false);
+                data.ncols()
+            }
+            Grower::Hist { view, .. } => {
+                debug_assert_eq!(scratch.hist.n_positions(), nrows, "arena prepared for this fit");
+                scratch.prepare(params, nrows, None);
+                view.ncols()
+            }
+        };
         scratch.raw.clear();
         scratch.raw.resize(nrows, base_score);
         scratch.eval_raw.clear();
@@ -312,28 +362,18 @@ impl<'a> FitRun<'a> {
         scratch.grad.resize(nrows, 0.0);
         scratch.hess.clear();
         scratch.hess.resize(nrows, 0.0);
-        // Leaf cache: `grow_tree` records the leaf weight each routed
-        // position landed in, so the ensemble update adds cached weights
-        // instead of re-walking the tree (bit-identical — training
-        // partitions rows with exactly `predict_row`'s routing).
-        scratch.leaf_of.clear();
-        scratch.leaf_of.resize(nrows, 0.0);
-        scratch.routed.clear();
-        scratch.routed.resize(nrows, false);
         scratch.all_rows.clear();
         scratch.all_rows.extend(0..nrows);
         scratch.all_cols.clear();
-        scratch.all_cols.extend(0..data.ncols());
+        scratch.all_cols.extend(0..ncols);
         scratch.sample_cols.clear();
-        if scratch.sample_cols.capacity() < data.ncols() {
-            scratch.sample_cols.reserve(data.ncols());
+        if scratch.sample_cols.capacity() < ncols {
+            scratch.sample_cols.reserve(ncols);
         }
         FitRun {
             params,
-            data,
-            map,
+            grower,
             labels,
-            backend,
             eval,
             scratch,
             rng: StdRng::seed_from_u64(params.seed),
@@ -346,15 +386,25 @@ impl<'a> FitRun<'a> {
         }
     }
 
-    /// Execute one boosting round. Returns `false` (without doing any
-    /// work) once the fit is complete — all rounds run or early stopping
-    /// fired — so `while run.round() {}` drives a fit to completion.
-    pub fn round(&mut self) -> bool {
+    /// Feature count of the training view.
+    fn ncols(&self) -> usize {
+        match &self.grower {
+            Grower::Exact { data, .. } => data.ncols(),
+            Grower::Hist { view, .. } => view.ncols(),
+        }
+    }
+
+    /// Execute one boosting round. Returns `Ok(false)` (without doing
+    /// any work) once the fit is complete — all rounds run or early
+    /// stopping fired — so `while run.round()? {}` drives a fit to
+    /// completion. Only a spilled block that fails to load is an error.
+    pub fn round(&mut self) -> Result<bool, ChunkError> {
         if self.stopped || self.round >= self.params.n_estimators {
-            return false;
+            return Ok(false);
         }
         let params = self.params;
-        let nrows = self.map.len();
+        let nrows = self.labels.len();
+        let ncols = self.ncols();
         let scratch = &mut *self.scratch;
         params.objective.grad_hess(self.labels, &scratch.raw, &mut scratch.grad, &mut scratch.hess);
 
@@ -369,8 +419,7 @@ impl<'a> FitRun<'a> {
 
         // Column subsampling per tree.
         let cols: &[usize] = if params.colsample_bytree < 1.0 {
-            let n_keep =
-                ((self.data.ncols() as f64 * params.colsample_bytree).round() as usize).max(1);
+            let n_keep = ((ncols as f64 * params.colsample_bytree).round() as usize).max(1);
             scratch.sample_cols.clear();
             scratch.sample_cols.extend_from_slice(&scratch.all_cols);
             scratch.sample_cols.shuffle(&mut self.rng);
@@ -381,57 +430,76 @@ impl<'a> FitRun<'a> {
         };
 
         let subsampled = rows.len() < nrows;
-        if subsampled {
-            scratch.routed.fill(false);
-            for &p in &rows {
-                scratch.routed[p] = true;
-            }
-        }
-
-        let rctx = RoundCtx {
-            map: self.map,
-            grad: &scratch.grad,
-            hess: &scratch.hess,
-            features: cols,
-            params,
-        };
         let tree_start = scratch.nodes.len();
-        let depth = grow_tree(
-            &self.backend,
-            &rctx,
-            rows,
-            &mut scratch.leaf_of,
-            &mut scratch.pools,
-            &mut scratch.nodes,
-        );
+        let depth = match &self.grower {
+            Grower::Exact { index, map, .. } => {
+                if subsampled {
+                    scratch.routed.fill(false);
+                    for &p in &rows {
+                        scratch.routed[p] = true;
+                    }
+                }
+                let rctx = RoundCtx {
+                    map,
+                    grad: &scratch.grad,
+                    hess: &scratch.hess,
+                    features: cols,
+                    params,
+                };
+                grow_tree(
+                    index,
+                    &rctx,
+                    rows,
+                    &mut scratch.leaf_of,
+                    &mut scratch.pools,
+                    &mut scratch.nodes,
+                )
+            }
+            Grower::Hist { view, workers } => {
+                let depth = scratch.hist.grow_tree(
+                    *view,
+                    params,
+                    &rows,
+                    cols,
+                    &scratch.grad,
+                    &scratch.hess,
+                    *workers,
+                    &mut scratch.nodes,
+                )?;
+                scratch.pools.put_rows(rows);
+                depth
+            }
+        };
         scratch.tree_starts.push(tree_start);
         scratch.tree_depths.push(depth);
 
-        // Single-tree flat compile for the rows training didn't route
-        // (subsample remainder) and the eval set.
+        // Single-tree flat compile for the eval set and the rows exact
+        // training didn't route (subsample remainder).
         scratch.single.recompile_single(
             &scratch.nodes[tree_start..],
             depth,
             0.0,
             params.objective,
-            self.data.ncols(),
+            ncols,
         );
 
         // Update raw predictions on every training row (standard GBM:
-        // subsampling affects fitting, not the ensemble update) — from
-        // the leaf cache where available, the flat engine otherwise.
-        if subsampled {
-            for (p, r) in scratch.raw.iter_mut().enumerate() {
-                *r += if scratch.routed[p] {
-                    scratch.leaf_of[p]
-                } else {
-                    scratch.single.sum_row(self.data.row(self.map[p]))
-                };
+        // subsampling affects fitting, not the ensemble update).
+        match &self.grower {
+            // From the leaf cache where available, the flat engine
+            // otherwise.
+            Grower::Exact { data, map, .. } => {
+                for (p, r) in scratch.raw.iter_mut().enumerate() {
+                    *r += if !subsampled || scratch.routed[p] {
+                        scratch.leaf_of[p]
+                    } else {
+                        scratch.single.sum_row(data.row(map[p]))
+                    };
+                }
             }
-        } else {
-            for (p, r) in scratch.raw.iter_mut().enumerate() {
-                *r += scratch.leaf_of[p];
-            }
+            // Every position's leaf, routed by code in the partition
+            // passes.
+            Grower::Hist { .. } => scratch.hist.add_leaf_weights(&mut scratch.raw),
         }
         let train_loss = params.objective.loss(self.labels, &scratch.raw);
 
@@ -459,12 +527,19 @@ impl<'a> FitRun<'a> {
             self.best_round = self.round + 1;
         }
         self.round += 1;
-        true
+        Ok(true)
+    }
+
+    /// Drive the remaining rounds and materialise the report.
+    pub(crate) fn run(mut self) -> Result<TrainReport, ChunkError> {
+        while self.round()? {}
+        Ok(self.finish())
     }
 
     /// Materialise the trained model and loss history. Trees are copied
     /// out of the scratch arena here, once per fit.
     pub fn finish(self) -> TrainReport {
+        let n_features = self.ncols();
         let mut n_trees = self.scratch.tree_starts.len();
         // With early stopping, keep only the trees up to the best round.
         if self.eval.is_some() && self.params.early_stopping_rounds > 0 {
@@ -483,7 +558,7 @@ impl<'a> FitRun<'a> {
                 trees,
                 base_score: self.base_score,
                 objective: self.params.objective,
-                n_features: self.data.ncols(),
+                n_features,
             },
             history: self.history,
             best_round: kept,
@@ -491,20 +566,13 @@ impl<'a> FitRun<'a> {
     }
 }
 
-/// The boosting loop, shared by the standalone and shared-context entry
-/// points: drive a [`FitRun`] to completion against the given scratch.
-fn train_core(
-    params: &Params,
-    data: &Matrix,
-    map: &[usize],
-    labels: &[f64],
-    backend: Backend,
-    eval: Option<(&Matrix, &[f64])>,
-    scratch: &mut TreeScratch,
-) -> TrainReport {
-    let mut run = FitRun::from_parts(params, data, map, labels, backend, eval, scratch);
-    while run.round() {}
-    run.finish()
+/// Unwrap the result of a fit over in-memory blocks, whose loads never
+/// fail: its only errors are the validation failures every store shares.
+fn in_memory(result: Result<TrainReport, ChunkError>) -> Result<TrainReport, TrainError> {
+    result.map_err(|e| match e {
+        ChunkError::Train(e) => e,
+        other => unreachable!("an in-memory block failed to load: {other}"),
+    })
 }
 
 #[cfg(test)]

@@ -1,52 +1,72 @@
-//! Out-of-core histogram training over a chunked binned matrix.
+//! Histogram training over a chunked binned matrix — the crate's one
+//! histogram grower.
 //!
-//! The in-memory hist path ([`crate::Booster::train`] with
-//! [`TreeMethod::Hist`]) holds the whole row-major `u16` code buffer at
-//! once. This module cuts that buffer into fixed-size row blocks — kept
-//! in memory or spilled to a checksummed on-disk file — and grows each
-//! tree level by level, streaming the blocks through the partition and
-//! histogram-accumulation passes. Peak working memory is one block of
-//! codes plus the per-row scalar state boosting needs anyway
-//! (`raw`/`grad`/`hess`/`node_of`), independent of how many blocks the
-//! dataset spans.
+//! A [`ChunkedMatrix`] holds row-major `u16` bin codes cut into
+//! fixed-size row blocks, kept in memory or spilled to a checksummed
+//! on-disk file. In-memory fits ([`crate::Booster::train`] with
+//! [`crate::TreeMethod::Hist`], [`crate::Booster::train_on_rows`]) bin
+//! through a one-block matrix ([`ChunkedMatrix::fit`]); out-of-core fits
+//! ([`train_chunked`]) stream many. Either way [`crate::FitRun`] drives
+//! the boosting loop and grows each tree level by level here, streaming
+//! the blocks through the root, partition and histogram-accumulation
+//! passes. Peak working memory is one block of codes plus the
+//! per-position state boosting needs anyway (`raw`/`grad`/`hess`/
+//! `node_of`), independent of how many blocks the dataset spans.
 //!
-//! # Bit-identity to the in-memory path
+//! # Accumulation order and bit identity
 //!
-//! [`train_chunked`] is bitwise-equal to the in-memory hist trainer
-//! (pinned by `tests/chunked_equivalence.rs`) because every float is
-//! produced by the same operations in the same order:
+//! Each round draws its row and column samples in `FitRun`'s RNG order.
+//! The passes then visit each block's sampled positions in sample order,
+//! blocks ascending; at `subsample == 1` that is ascending position
+//! order. Every `(node, feature, bin)` cell therefore receives its IEEE
+//! additions in visit order whatever the worker count or store kind:
+//! workers own disjoint nodes or disjoint feature ranges, never a share
+//! of one cell, and the AVX2/AVX-512 kernels only widen slot-index
+//! arithmetic. The models follow:
+//!
+//! * **One block** (every in-memory fit): the visit order *is* the
+//!   sample order, the order in which a recursive grower walking each
+//!   node's sampled row list adds. A one-block fit keeps the bits of
+//!   the recursive histogram grower this module replaced at any
+//!   `subsample` and `colsample_bytree` — pinned by
+//!   `tests/hist_fingerprint.rs` and the hist grid snapshot.
+//! * **Many blocks, `subsample == 1`**: ascending in both, so any block
+//!   size trains the one-block model (`tests/chunked_equivalence.rs`).
+//! * **Many blocks, `subsample < 1`**: the per-cell order is block-major
+//!   — deterministic at any worker count and store kind, but not the
+//!   one-block order.
+//!
+//! The remaining invariants:
 //!
 //! * **Cuts** — [`CutSketch`] merges per-chunk sorted distinct values;
 //!   below its capacity the merged set *is* the column's distinct set,
-//!   so [`cuts_from_distinct`] sees identical input.
-//! * **Histograms** — blocks are streamed in ascending row order and
-//!   rows within a block are ascending, so every `(node, feature, bin)`
-//!   cell receives the same IEEE additions in the same order as the
-//!   recursive grower, whose node row lists stay ascending when
-//!   `subsample == 1.0`. The subtraction trick is the same two
-//!   subtractions per cell.
-//! * **Splits** — each node's scan calls the engine's own
-//!   [`scan_hist`] over features in index order with the same
-//!   [`BestTracker`], so candidate offers and tie-breaks are identical.
-//! * **Tree shape** — the recursion emits nodes in DFS pre-order
-//!   (parent, left subtree, right subtree); the level-order grower here
-//!   re-emits its arena in exactly that order once the tree is grown.
-//!
-//! Worker parallelism fans the accumulation pass across *nodes* (each
-//! worker owns disjoint histograms and scans each block in row order),
-//! so any worker count produces the same bytes.
+//!   so `cuts_from_distinct` sees the input [`ChunkedMatrix::fit`]
+//!   does.
+//! * **Splits** — each node scans the round's features in draw order
+//!   with `scan_hist` and one `BestTracker`; leaves and the smaller
+//!   child are decided on sampled-position counts.
+//! * **Unsampled positions** — the partition pass routes them by code
+//!   too (`code <= boundary` is exactly `v < threshold` for a cut-valued
+//!   threshold), and they add `0.0 + w`, what a flat-forest walk of
+//!   their raw values adds.
+//! * **Tree shape** — the arena is emitted in DFS pre-order (parent,
+//!   left subtree, right subtree).
 
-use crate::binning::{cuts_from_distinct, encode_value};
-use crate::booster::{Booster, EvalRecord, TrainReport};
-
+use crate::binning::{
+    bump_column_fit_count, bump_fit_count, cuts_from_distinct, distinct_values, encode_value,
+};
+use crate::booster::{Booster, FitRun, TrainReport};
 use crate::engine::TreeScratch;
 use crate::error::{ChunkError, TrainError};
 use crate::fnv1a_64;
-use crate::params::{Params, TreeMethod};
+use crate::params::Params;
+use crate::simd::SimdLevel;
 use crate::split::{scan_hist, BestTracker, SplitCandidate, SplitConfig};
-use crate::tree::{Node, Tree};
+use crate::tree::Node;
+use msaw_tabular::Matrix;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -57,17 +77,17 @@ pub const DEFAULT_BLOCK_ROWS: usize = 16 * 1024;
 
 /// Default per-feature capacity of the [`CutSketch`]: below this many
 /// distinct values the sketch is exact and the resulting cuts are
-/// byte-identical to [`crate::binning::BinnedMatrix::fit`] on the
-/// materialised matrix.
+/// byte-identical to [`ChunkedMatrix::fit`] on the materialised matrix.
 pub const DEFAULT_SKETCH_DISTINCT: usize = 1 << 16;
 
 /// Magic tag of the spilled chunk file format.
 const MAGIC: &[u8; 4] = b"MSCB";
 /// Spill format version.
 const VERSION: u16 = 1;
-/// Upper bound on per-feature cut counts accepted from a spill header
-/// (cuts are bounded by `max_bins − 1 < u16::MAX` at fit time).
-const MAX_CUTS_PER_FEATURE: usize = u16::MAX as usize;
+/// Upper bound on per-feature cut counts accepted from a spill header:
+/// a feature's missing code is `cuts + 1`, which must fit in a `u16`.
+/// `max_bins − 1` cuts never exceed it.
+const MAX_CUTS_PER_FEATURE: usize = u16::MAX as usize - 1;
 
 // ---------------------------------------------------------------------
 // Cut sketch
@@ -326,7 +346,6 @@ impl ChunkedMatrixBuilder {
             nrows: self.nrows,
             block_rows: self.block_rows,
             store,
-            prefetch: true,
         })
     }
 }
@@ -480,11 +499,14 @@ enum Store {
     Disk(DiskStore),
 }
 
-/// A binned matrix cut into fixed-size row blocks — the out-of-core
-/// counterpart of [`crate::binning::BinnedMatrix`]. Blocks live in
-/// memory or in a checksummed spill file; either way
-/// [`train_chunked`] streams them in ascending order and never holds
-/// more than one at a time (disk) or a borrowed slice (memory).
+/// A binned matrix cut into fixed-size row blocks: row-major in-band
+/// codes (per feature `j`, codes `0..=cuts[j].len()` for present values
+/// and `cuts[j].len() + 1` for missing). Blocks live in memory or in a
+/// checksummed spill file; either way the histogram grower streams them
+/// in ascending order and never holds more than one at a time (disk)
+/// or a borrowed slice (memory). [`ChunkedMatrix::fit`] quantises a
+/// whole in-memory matrix into a single block — the store behind every
+/// [`crate::TrainingContext`] and standalone histogram fit.
 #[derive(Debug)]
 pub struct ChunkedMatrix {
     cuts: Vec<Vec<f64>>,
@@ -492,12 +514,59 @@ pub struct ChunkedMatrix {
     nrows: usize,
     block_rows: usize,
     store: Store,
-    /// Overlap spilled block reads with compute (on by default; the
-    /// equivalence tests toggle it off to pin the non-overlapped path).
-    prefetch: bool,
 }
 
 impl ChunkedMatrix {
+    /// Quantise `data` into at most `max_bins` bins per feature and
+    /// encode it as one in-memory block. Cuts are the column's quantile
+    /// midpoints ([`crate::binning`]), recomputed from scratch on every
+    /// call; the shared `TrainingContext` calls this once per sample
+    /// set (the [`crate::binning::fit_count`] counter is how tests
+    /// verify that).
+    pub fn fit(data: &Matrix, max_bins: u16) -> ChunkedMatrix {
+        assert!(max_bins >= 2, "need at least 2 bins");
+        bump_fit_count();
+        bump_column_fit_count(data.ncols());
+        let cuts: Vec<Vec<f64>> = (0..data.ncols())
+            .map(|j| cuts_from_distinct(&distinct_values(&data.column(j)), max_bins))
+            .collect();
+        let mut codes = Vec::with_capacity(data.nrows() * data.ncols());
+        for row in data.rows() {
+            codes.extend(row.iter().zip(&cuts).map(|(&v, c)| encode_value(v, c)));
+        }
+        ChunkedMatrix::from_codes(cuts, data.nrows(), codes)
+    }
+
+    /// A one-block in-memory matrix from row-major codes already
+    /// encoded against `cuts` (the `ContextCache` path).
+    pub(crate) fn from_codes(cuts: Vec<Vec<f64>>, nrows: usize, codes: Vec<u16>) -> ChunkedMatrix {
+        let ncols = cuts.len();
+        assert_eq!(codes.len(), nrows * ncols, "row-major code buffer size mismatch");
+        assert!(nrows <= u32::MAX as usize, "row indices must fit in u32");
+        let blocks = if nrows == 0 { Vec::new() } else { vec![codes] };
+        ChunkedMatrix {
+            cuts,
+            ncols,
+            nrows,
+            block_rows: nrows.max(1),
+            store: Store::Memory { blocks },
+        }
+    }
+
+    /// Bin code of `(row, feature)`; `None` = missing.
+    ///
+    /// # Panics
+    ///
+    /// On a spilled matrix — its blocks are read only by the streaming
+    /// passes, which checksum-verify them — and on out-of-range indices.
+    pub fn bin(&self, row: usize, feature: usize) -> Option<u16> {
+        let Store::Memory { blocks } = &self.store else {
+            panic!("ChunkedMatrix::bin reads in-memory blocks only")
+        };
+        let code = blocks[row / self.block_rows][(row % self.block_rows) * self.ncols + feature];
+        (code != self.cuts[feature].len() as u16 + 1).then_some(code)
+    }
+
     /// Row count.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -576,7 +645,10 @@ impl ChunkedMatrix {
             pos += 4;
             let n_cuts = u32::from_le_bytes(cnt) as usize;
             if n_cuts > MAX_CUTS_PER_FEATURE {
-                return Err(corrupt("cut count", format!("feature {j} claims {n_cuts} cuts")));
+                return Err(corrupt(
+                    "cut count",
+                    format!("feature {j} claims {n_cuts} cuts (at most {MAX_CUTS_PER_FEATURE})"),
+                ));
             }
             if pos + (n_cuts as u64) * 8 > file_len {
                 return Err(corrupt(
@@ -601,6 +673,18 @@ impl ChunkedMatrix {
                 "header checksum",
                 format!("stored {stored:#018x}, computed {computed:#018x}"),
             ));
+        }
+        // Routing bins a threshold with `partition_point`, which needs a
+        // sorted table; a correctly sealed file can still carry one that
+        // is not.
+        for (j, c) in cuts.iter().enumerate() {
+            let sorted = c.iter().all(|v| v.is_finite()) && c.windows(2).all(|w| w[0] < w[1]);
+            if !sorted {
+                return Err(corrupt(
+                    "cut table",
+                    format!("feature {j} cuts are not finite and strictly ascending"),
+                ));
+            }
         }
         let header_len = pos + 8;
         // Blocks are laid out contiguously with computable sizes; the
@@ -632,7 +716,6 @@ impl ChunkedMatrix {
                 rows,
                 verified: (0..n_blocks).map(|_| AtomicBool::new(false)).collect(),
             }),
-            prefetch: true,
         })
     }
 
@@ -642,18 +725,6 @@ impl ChunkedMatrix {
             Store::Disk(d) => Some(&d.path),
             Store::Memory { .. } => None,
         }
-    }
-
-    /// Turn off (or back on) prefetching of spilled blocks. Purely a
-    /// scheduling knob: trained models are bitwise identical either way
-    /// (pinned by `tests/chunked_equivalence.rs`).
-    pub fn set_prefetch(&mut self, on: bool) {
-        self.prefetch = on;
-    }
-
-    /// Whether block streaming should overlap reads with compute.
-    fn prefetch_on(&self) -> bool {
-        self.prefetch && self.is_spilled()
     }
 
     /// A full-width training view of this matrix.
@@ -699,7 +770,7 @@ impl ChunkedMatrix {
 }
 
 /// A borrowed view of a [`ChunkedMatrix`] restricted to a contiguous
-/// column range — what [`ChunkedFitRun`] trains on. The full-width view
+/// column range — what a histogram [`crate::FitRun`] trains on. The full-width view
 /// is [`ChunkedMatrix::view`]; the sharded grid trains e.g. its DD
 /// variant on the first 59 columns of the DD+FI matrix via
 /// [`ChunkedMatrix::col_view`], sharing one encode pass and one spill
@@ -717,7 +788,7 @@ impl ChunkedView<'_> {
         self.ncols
     }
 
-    /// Row count (views never restrict rows; [`ChunkedFitRun`] does).
+    /// Row count (views never restrict rows; a fit's row list does).
     pub fn nrows(&self) -> usize {
         self.matrix.nrows()
     }
@@ -825,12 +896,13 @@ fn pread_exact(_file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> Result
 }
 
 /// Stream the listed blocks of `matrix` through `f` in order. Spilled
-/// matrices with prefetching on overlap I/O with compute: a reader
+/// passes over two or more blocks overlap I/O with compute: a reader
 /// thread loads (and first-time-verifies) block *k+1* while `f` works
 /// on block *k*, rotating two persistent code buffers through a pair of
-/// channels — steady state moves buffers, never allocates. The call
-/// order of `f` is identical on every path, so training is bitwise
-/// unaffected by the store kind or the prefetch toggle.
+/// channels — steady state moves buffers, never allocates. A spilled
+/// pass over fewer blocks loads serially. The call order of `f` is
+/// identical on every path, so training is bitwise unaffected by the
+/// store kind or the loading path.
 fn stream_blocks<F>(
     matrix: &ChunkedMatrix,
     block_list: &[u32],
@@ -849,7 +921,7 @@ where
         }
         Store::Disk(d) => d,
     };
-    if !matrix.prefetch_on() || block_list.len() < 2 {
+    if block_list.len() < 2 {
         let mut buf = bufs.pop().unwrap_or_default();
         let mut result = Ok(());
         for &b in block_list {
@@ -951,7 +1023,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Out-of-core training
+// Level-wise histogram grower
 // ---------------------------------------------------------------------
 
 /// What a grown arena node has become.
@@ -970,6 +1042,8 @@ enum Fate {
 struct BuildNode {
     g: f64,
     h: f64,
+    /// Sampled positions that reached the node; decides leaves and
+    /// which child is the smaller one.
     n_rows: usize,
     fate: Fate,
     /// Flattened histogram (`bounds` layout) while the node is open.
@@ -987,114 +1061,6 @@ struct Route {
     right: u32,
 }
 
-/// Resolve position `pos` of the training view to its matrix row.
-/// `None` trains on every row (position == row); `Some` trains on a
-/// strictly ascending row subset.
-#[inline(always)]
-fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
-    match rows {
-        None => pos,
-        Some(rs) => rs[pos] as usize,
-    }
-}
-
-/// Accumulate one block's positions into the histograms of the
-/// `my_targets` nodes owned by this worker. `owner_of[node] == target
-/// index` (or `u32::MAX`); positions are visited in ascending order so
-/// each cell sees the same IEEE additions as the in-memory grower.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_targets(
-    codes: &[u16],
-    stride: usize,
-    col_start: usize,
-    ncols: usize,
-    base_row: usize,
-    lo: usize,
-    hi: usize,
-    rows: Option<&[u32]>,
-    bounds: &[usize],
-    node_of: &[u32],
-    owner_of: &[u32],
-    grad: &[f64],
-    hess: &[f64],
-    my_targets: std::ops::Range<usize>,
-    hists: &mut [Vec<[f64; 2]>],
-) {
-    for pos in lo..hi {
-        let t = owner_of[node_of[pos] as usize];
-        if t == u32::MAX || !my_targets.contains(&(t as usize)) {
-            continue;
-        }
-        let hist = &mut hists[t as usize - my_targets.start];
-        let local = row_at(rows, pos) - base_row;
-        let row = &codes[local * stride + col_start..local * stride + col_start + ncols];
-        let (g, h) = (grad[pos], hess[pos]);
-        for (j, &code) in row.iter().enumerate() {
-            let cell = &mut hist[bounds[j] + code as usize];
-            cell[0] += g;
-            cell[1] += h;
-        }
-    }
-}
-
-/// Feature-parallel twin of [`accumulate_targets`] for the
-/// single-target case (the root pass every round, and levels that left
-/// only one small child): workers own disjoint *feature ranges* of one
-/// histogram instead of disjoint nodes. Every cell still receives the
-/// same additions in ascending position order — the split is across
-/// cells, never within one — so the result is bitwise identical to the
-/// serial pass for any worker count.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_features_parallel(
-    codes: &[u16],
-    stride: usize,
-    col_start: usize,
-    base_row: usize,
-    lo: usize,
-    hi: usize,
-    rows: Option<&[u32]>,
-    owner: Option<(&[u32], &[u32])>,
-    bounds: &[usize],
-    grad: &[f64],
-    hess: &[f64],
-    workers: usize,
-    hist: &mut [[f64; 2]],
-) {
-    let ncols = bounds.len() - 1;
-    let per = ncols.div_ceil(workers.min(ncols));
-    std::thread::scope(|s| {
-        let mut rest = hist;
-        let mut consumed = 0usize;
-        let mut j0 = 0usize;
-        while j0 < ncols {
-            let j1 = (j0 + per).min(ncols);
-            let (part, tail) = rest.split_at_mut(bounds[j1] - consumed);
-            rest = tail;
-            consumed = bounds[j1];
-            let range = j0..j1;
-            s.spawn(move || {
-                let offset = bounds[range.start];
-                for pos in lo..hi {
-                    if let Some((node_of, owner_of)) = owner {
-                        if owner_of[node_of[pos] as usize] != 0 {
-                            continue;
-                        }
-                    }
-                    let local = row_at(rows, pos) - base_row;
-                    let row = &codes[local * stride + col_start..];
-                    let (g, h) = (grad[pos], hess[pos]);
-                    for j in range.clone() {
-                        let cell = &mut part[bounds[j] - offset + row[j] as usize];
-                        cell[0] += g;
-                        cell[1] += h;
-                    }
-                }
-            });
-            j0 = j1;
-        }
-    });
-}
-
 /// Cell-update threshold below which the feature-parallel fan-out is
 /// not worth its thread spawns and the serial pass runs instead.
 const FEATURE_PAR_MIN_CELLS: usize = 1 << 15;
@@ -1108,196 +1074,460 @@ fn take_hist(pool: &mut Vec<Vec<[f64; 2]>>, total_slots: usize) -> Vec<[f64; 2]>
     h
 }
 
-/// Per-fit buffer arena for the chunked trainer — the out-of-core
-/// counterpart of the engine pools inside [`TreeScratch`], where it
-/// lives as the `chunk` field. [`ChunkedFitRun::new`] sizes every
-/// buffer to the fit's worst case (tree arena, routing maps, histogram
-/// pool, per-position scalars, prefetch code buffers), so steady-state
-/// rounds perform zero heap allocations, pinned by
-/// `tests/alloc_regression.rs`.
+/// One streamed block's rows as seen through a column view.
+#[derive(Clone, Copy)]
+struct BlockRows<'c> {
+    codes: &'c [u16],
+    stride: usize,
+    col_start: usize,
+    ncols: usize,
+    base_row: usize,
+    row_of: &'c [u32],
+}
+
+impl BlockRows<'_> {
+    /// Position `pos`'s view codes, contiguous over the view's features.
+    #[inline(always)]
+    fn row(&self, pos: u32) -> &[u16] {
+        let local = self.row_of[pos as usize] as usize - self.base_row;
+        let start = local * self.stride + self.col_start;
+        &self.codes[start..start + self.ncols]
+    }
+}
+
+/// The per-round operands of every accumulation: position-indexed
+/// gradients and hessians, the round's feature sample (view features,
+/// in draw order) and its histogram layout (`features[fi]` owns slots
+/// `bounds[fi]..bounds[fi + 1]`: bins `0..=cuts` plus the missing slot
+/// the in-band missing code indexes directly).
+#[derive(Clone, Copy)]
+struct Gh<'a> {
+    grad: &'a [f64],
+    hess: &'a [f64],
+    features: &'a [usize],
+    bounds: &'a [usize],
+}
+
+/// Accumulate `(grad, hess)` of `positions` (in the given order) into
+/// the features `fi_range` of one histogram — `data` covers exactly
+/// those features' slots — dispatching on the kernel `level`. Per
+/// `(feature, slot)` cell the additions happen in position order on
+/// every level (the AVX2/AVX-512 kernels only vectorize slot-index
+/// computation and use pair-adds, never per-lane sub-histograms), so
+/// feature-chunked parallel accumulation stays bit-identical to the
+/// serial pass and every SIMD pass bit-identical to the scalar one.
+fn accumulate(
+    level: SimdLevel,
+    rows: BlockRows<'_>,
+    positions: &[u32],
+    gh: Gh<'_>,
+    fi_range: Range<usize>,
+    data: &mut [[f64; 2]],
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if level >= SimdLevel::Avx512 {
+            // SAFETY: `active_level` never reports Avx512 without
+            // AVX-512F CPU support.
+            unsafe { accumulate_avx512(rows, positions, gh, fi_range, data) };
+            return;
+        }
+        if level >= SimdLevel::Avx2 {
+            // SAFETY: `active_level` never reports Avx2-or-above without
+            // AVX2 CPU support.
+            unsafe { accumulate_avx2(rows, positions, gh, fi_range, data) };
+            return;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    accumulate_scalar(rows, positions, gh, fi_range, data);
+}
+
+/// The scalar accumulation pass (the always-compiled fallback).
+/// Row-major: each position's contiguous code slice is read once, and
+/// the in-band missing code lands the missing mass in the trailing slot
+/// with no branch.
+fn accumulate_scalar(
+    rows: BlockRows<'_>,
+    positions: &[u32],
+    gh: Gh<'_>,
+    fi_range: Range<usize>,
+    data: &mut [[f64; 2]],
+) {
+    let base = gh.bounds[fi_range.start];
+    for &p in positions {
+        let codes = rows.row(p);
+        let g = gh.grad[p as usize];
+        let h = gh.hess[p as usize];
+        for fi in fi_range.clone() {
+            let slot = gh.bounds[fi] - base + codes[gh.features[fi]] as usize;
+            let cell = &mut data[slot];
+            cell[0] += g;
+            cell[1] += h;
+        }
+    }
+}
+
+/// The AVX2 accumulation pass. Features are processed in stack-array
+/// chunks of up to 64; a chunk whose features are the identity mapping
+/// (`features[fi] == fi`, the default `colsample_bytree = 1.0` case)
+/// loads 8 codes at a time, widens them, adds the precomputed slot
+/// offsets in one vector op, and applies the 8 `(g, h)` pair-adds to
+/// their (always distinct) cells in feature order. Non-identity chunks
+/// fall back to the scalar pass over just that chunk. No heap
+/// allocation on any path — the training hot path must stay
+/// allocation-free.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn accumulate_avx2(
+    rows: BlockRows<'_>,
+    positions: &[u32],
+    gh: Gh<'_>,
+    fi_range: Range<usize>,
+    data: &mut [[f64; 2]],
+) {
+    use crate::simd::x86::{pack_gh, pair_add};
+    use std::arch::x86_64::*;
+    const CHUNK: usize = 64;
+    let bounds = gh.bounds;
+    let base = bounds[fi_range.start];
+    let mut fi = fi_range.start;
+    while fi < fi_range.end {
+        let end = (fi + CHUNK).min(fi_range.end);
+        let identity =
+            (fi..end).all(|k| gh.features[k] == k) && bounds[end] - base <= i32::MAX as usize;
+        if !identity {
+            let (lo, hi) = (bounds[fi] - base, bounds[end] - base);
+            accumulate_scalar(rows, positions, gh, fi..end, &mut data[lo..hi]);
+            fi = end;
+            continue;
+        }
+        let nf_chunk = end - fi;
+        let mut off = [0i32; CHUNK];
+        for (c, o) in off[..nf_chunk].iter_mut().enumerate() {
+            *o = (bounds[fi + c] - base) as i32;
+        }
+        let full = nf_chunk / 8 * 8;
+        for &p in positions {
+            let codes = rows.row(p);
+            let g_h = pack_gh(gh.grad[p as usize], gh.hess[p as usize]);
+            let cp = codes.as_ptr().add(fi);
+            let mut c = 0usize;
+            while c < full {
+                let raw = _mm_loadu_si128(cp.add(c) as *const __m128i);
+                let slots = _mm256_add_epi32(
+                    _mm256_cvtepu16_epi32(raw),
+                    _mm256_loadu_si256(off.as_ptr().add(c) as *const __m256i),
+                );
+                let mut s = [0i32; 8];
+                _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, slots);
+                for &si in &s {
+                    pair_add(data.get_unchecked_mut(si as usize), g_h);
+                }
+                c += 8;
+            }
+            while c < nf_chunk {
+                let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
+                pair_add(data.get_unchecked_mut(slot), g_h);
+                c += 1;
+            }
+        }
+        fi = end;
+    }
+}
+
+/// The AVX-512 accumulation pass: the same identity-chunk structure as
+/// [`accumulate_avx2`] but widening 16 codes per step (`vpmovzxwd zmm`)
+/// and adding 16 slot offsets in one 512-bit op. Only the slot-index
+/// arithmetic widens — the `(g, h)` sums remain 16 sequential pair-adds
+/// in feature order, so every `(feature, slot)` cell sees the same IEEE
+/// add order as the scalar and AVX2 passes and the result stays
+/// bit-identical across levels. Non-identity chunks fall back to the
+/// scalar pass; nothing allocates.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn accumulate_avx512(
+    rows: BlockRows<'_>,
+    positions: &[u32],
+    gh: Gh<'_>,
+    fi_range: Range<usize>,
+    data: &mut [[f64; 2]],
+) {
+    use crate::simd::x86::{pack_gh, pair_add};
+    use std::arch::x86_64::*;
+    const CHUNK: usize = 64;
+    let bounds = gh.bounds;
+    let base = bounds[fi_range.start];
+    let mut fi = fi_range.start;
+    while fi < fi_range.end {
+        let end = (fi + CHUNK).min(fi_range.end);
+        let identity =
+            (fi..end).all(|k| gh.features[k] == k) && bounds[end] - base <= i32::MAX as usize;
+        if !identity {
+            let (lo, hi) = (bounds[fi] - base, bounds[end] - base);
+            accumulate_scalar(rows, positions, gh, fi..end, &mut data[lo..hi]);
+            fi = end;
+            continue;
+        }
+        let nf_chunk = end - fi;
+        let mut off = [0i32; CHUNK];
+        for (c, o) in off[..nf_chunk].iter_mut().enumerate() {
+            *o = (bounds[fi + c] - base) as i32;
+        }
+        let full = nf_chunk / 16 * 16;
+        for &p in positions {
+            let codes = rows.row(p);
+            let g_h = pack_gh(gh.grad[p as usize], gh.hess[p as usize]);
+            let cp = codes.as_ptr().add(fi);
+            let mut c = 0usize;
+            while c < full {
+                let raw = _mm256_loadu_si256(cp.add(c) as *const __m256i);
+                let slots = _mm512_add_epi32(
+                    _mm512_cvtepu16_epi32(raw),
+                    _mm512_loadu_si512(off.as_ptr().add(c) as *const _),
+                );
+                let mut s = [0i32; 16];
+                _mm512_storeu_si512(s.as_mut_ptr() as *mut _, slots);
+                for &si in &s {
+                    pair_add(data.get_unchecked_mut(si as usize), g_h);
+                }
+                c += 16;
+            }
+            while c < nf_chunk {
+                let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
+                pair_add(data.get_unchecked_mut(slot), g_h);
+                c += 1;
+            }
+        }
+        fi = end;
+    }
+}
+
+/// Accumulate one block into the target histograms: target `t`'s
+/// positions are `positions[starts[t]..starts[t + 1]]`, in visit order.
+/// Workers own disjoint targets — or, when one target is big enough,
+/// disjoint feature ranges of its histogram — never a share of one
+/// cell, so any worker count adds the same floats in the same order.
+#[allow(clippy::too_many_arguments)]
+fn accumulate_block(
+    level: SimdLevel,
+    rows: BlockRows<'_>,
+    positions: &[u32],
+    starts: &[u32],
+    gh: Gh<'_>,
+    workers: usize,
+    hists: &mut [Vec<[f64; 2]>],
+) {
+    let nf = gh.features.len();
+    let group = |t: usize| &positions[starts[t] as usize..starts[t + 1] as usize];
+    if hists.len() == 1 && workers > 1 && nf >= 2 && group(0).len() * nf >= FEATURE_PAR_MIN_CELLS {
+        let per = nf.div_ceil(workers.min(nf));
+        let bounds = gh.bounds;
+        std::thread::scope(|s| {
+            let mut rest: &mut [[f64; 2]] = &mut hists[0];
+            let mut start = 0usize;
+            while start < nf {
+                let end = (start + per).min(nf);
+                let (head, tail) = rest.split_at_mut(bounds[end] - bounds[start]);
+                rest = tail;
+                s.spawn(move || accumulate(level, rows, group(0), gh, start..end, head));
+                start = end;
+            }
+        });
+    } else if workers <= 1 || hists.len() < 2 {
+        for (t, hist) in hists.iter_mut().enumerate() {
+            accumulate(level, rows, group(t), gh, 0..nf, hist);
+        }
+    } else {
+        let chunk = hists.len().div_ceil(workers.min(hists.len()));
+        std::thread::scope(|s| {
+            for (w, part) in hists.chunks_mut(chunk).enumerate() {
+                s.spawn(move || {
+                    for (k, hist) in part.iter_mut().enumerate() {
+                        accumulate(level, rows, group(w * chunk + k), gh, 0..nf, hist);
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// Stable counting sort of a block's visited positions by accumulation
+/// target (`owner_of[node_of[pos]]`, `u32::MAX` = none): afterwards
+/// target `t`'s positions are `out[starts[t]..starts[t + 1]]`, still
+/// in visit order.
+fn group_by_target(
+    visited: &[u32],
+    node_of: &[u32],
+    owner_of: &[u32],
+    n_targets: usize,
+    out: &mut Vec<u32>,
+    starts: &mut Vec<u32>,
+) {
+    starts.clear();
+    starts.resize(n_targets + 1, 0);
+    for &p in visited {
+        let t = owner_of[node_of[p as usize] as usize];
+        if t != u32::MAX {
+            starts[t as usize + 1] += 1;
+        }
+    }
+    for t in 0..n_targets {
+        starts[t + 1] += starts[t];
+    }
+    out.clear();
+    out.resize(starts[n_targets] as usize, 0);
+    // Scatter with `starts[t]` as target t's cursor, then shift the
+    // cursors (now each target's end) back into starts.
+    for &p in visited {
+        let t = owner_of[node_of[p as usize] as usize];
+        if t != u32::MAX {
+            out[starts[t as usize] as usize] = p;
+            starts[t as usize] += 1;
+        }
+    }
+    for t in (1..=n_targets).rev() {
+        starts[t] = starts[t - 1];
+    }
+    starts[0] = 0;
+}
+
+/// The subtraction trick: `parent − child` slot-wise gives the sibling's
+/// histogram without touching its rows. The AVX2 path subtracts four
+/// f64 lanes at a time over the flattened cells — still one IEEE
+/// subtraction per cell component, bit-identical to the scalar loop.
+fn subtract_hist(level: SimdLevel, parent: &mut [[f64; 2]], child: &[[f64; 2]]) {
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx2 {
+        // SAFETY: `active_level` never reports Avx2-or-above without
+        // AVX2 CPU support (Avx512 implies it).
+        unsafe { crate::simd::x86::sub_f64_avx2(parent.as_flattened_mut(), child.as_flattened()) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    for (ps, cs) in parent.iter_mut().zip(child) {
+        ps[0] -= cs[0];
+        ps[1] -= cs[1];
+    }
+}
+
+/// Reject a row list that reaches past the matrix or steps back to an
+/// earlier block: every chunked row walk (training positions,
+/// per-block prediction ranges) visits blocks in ascending order and
+/// finds each block's positions as one contiguous range. Within a
+/// block, rows may come in any order and repeat.
+fn check_rows(rows: impl Iterator<Item = usize>, matrix: &ChunkedMatrix) -> Result<(), TrainError> {
+    let mut block = 0;
+    for r in rows {
+        if r >= matrix.nrows() || r / matrix.block_rows() < block {
+            return Err(TrainError::InvalidParam {
+                name: "rows",
+                message: format!(
+                    "rows must lie below {} with non-decreasing {}-row block indices",
+                    matrix.nrows(),
+                    matrix.block_rows()
+                ),
+            });
+        }
+        block = r / matrix.block_rows();
+    }
+    Ok(())
+}
+
+/// Per-fit buffer arena of the level-wise grower, living in
+/// [`TreeScratch`] as its `hist` field. [`HistPools::prepare`] sizes
+/// every buffer to the fit's worst case (tree arena, routing maps,
+/// histogram pool, per-position state, visit and grouping lists,
+/// prefetch code buffers), so steady-state rounds perform zero heap
+/// allocations, pinned by `tests/alloc_regression.rs`.
 #[derive(Debug, Default)]
-pub(crate) struct ChunkPools {
-    /// Position-indexed raw scores / gradients / hessians / node ids.
-    raw: Vec<f64>,
-    grad: Vec<f64>,
-    hess: Vec<f64>,
+pub(crate) struct HistPools {
+    /// Position → matrix row.
+    row_of: Vec<u32>,
+    /// Position → arena node of the tree being grown.
     node_of: Vec<u32>,
-    /// Histogram layout: view feature `j` owns `bounds[j]..bounds[j+1]`.
-    bounds: Vec<usize>,
-    /// Blocks with at least one training position, ascending.
-    visit_blocks: Vec<u32>,
+    /// Position → drawn into this round's row sample.
+    sampled: Vec<bool>,
+    /// Blocks holding at least one training position, ascending.
+    blocks: Vec<u32>,
     /// Per-block position ranges (`block_lo[b]..block_hi[b]`).
     block_lo: Vec<u32>,
     block_hi: Vec<u32>,
+    /// The round's visit list: block `b`'s sampled positions, in
+    /// sample order, are `visit[visit_lo[b]..visit_hi[b]]`.
+    visit: Vec<u32>,
+    visit_lo: Vec<u32>,
+    visit_hi: Vec<u32>,
+    /// Histogram layout over the round's feature sample.
+    bounds: Vec<usize>,
     /// Level-order build arena of the current tree.
     arena: Vec<BuildNode>,
     frontier: Vec<u32>,
     splitting: Vec<u32>,
     confirmed: Vec<u32>,
     route_of: Vec<Option<Route>>,
+    /// Arena node → index of the accumulation target it is, if any.
     owner_of: Vec<u32>,
+    /// Accumulation targets of the current pass: `(node, parent)`.
     targets: Vec<(u32, u32)>,
-    small_hists: Vec<Vec<[f64; 2]>>,
+    target_hists: Vec<Vec<[f64; 2]>>,
+    /// One block's visited positions grouped by target.
+    target_pos: Vec<u32>,
+    target_start: Vec<u32>,
     hist_pool: Vec<Vec<[f64; 2]>>,
     leaf_weight: Vec<f64>,
-    /// Flat node arena across rounds; tree `t` occupies
-    /// `nodes[tree_starts[t]..tree_starts[t + 1]]`.
-    nodes: Vec<Node>,
-    tree_starts: Vec<usize>,
     /// Rotating code buffers for the spilled-block prefetcher.
     prefetch: Vec<Vec<u16>>,
 }
 
-/// Reject a row subset that is not strictly ascending or reaches past
-/// the matrix's `nrows` — the order every chunked row walk (training
-/// positions, per-block prediction ranges) relies on.
-fn check_rows(rows: &[u32], nrows: usize) -> Result<(), ChunkError> {
-    let ascending = rows.windows(2).all(|w| w[0] < w[1]);
-    if !ascending || rows.last().is_some_and(|&r| r as usize >= nrows) {
-        return Err(TrainError::InvalidParam {
-            name: "rows",
-            message: format!("rows must be strictly ascending and below {nrows}"),
-        }
-        .into());
-    }
-    Ok(())
-}
-
-/// An in-progress chunked fit, the out-of-core mirror of
-/// [`crate::FitRun`]: [`ChunkedFitRun::new`] validates and sizes the
-/// scratch, each [`ChunkedFitRun::round`] streams the matrix blocks
-/// through the root, partition and accumulation passes of one boosting
-/// round, and [`ChunkedFitRun::finish`] materialises the model. All
-/// per-round buffers live in the borrowed [`TreeScratch`]'s chunk
-/// arena, so driving many fits through one (per-worker) scratch keeps
-/// steady-state rounds allocation-free.
-///
-/// `rows` optionally restricts training to a strictly ascending row
-/// subset (the sharded grid trains fold fits this way); positions —
-/// labels, gradients, raw scores — then index the subset, exactly like
-/// the in-memory engine's position space.
-pub struct ChunkedFitRun<'a> {
-    params: &'a Params,
-    matrix: &'a ChunkedMatrix,
-    col_start: usize,
-    ncols: usize,
-    rows: Option<&'a [u32]>,
-    labels: &'a [f64],
-    workers: usize,
-    pools: &'a mut ChunkPools,
-    cfg: SplitConfig,
-    base_score: f64,
-    total_slots: usize,
-    history: Vec<EvalRecord>,
-    round: usize,
-}
-
-impl<'a> ChunkedFitRun<'a> {
-    /// Start a chunked fit over (a column view of) a chunked matrix,
-    /// with the same validation as [`train_chunked`]. `labels` has one
-    /// entry per training position (`rows.len()`, or every matrix row
-    /// when `rows` is `None`).
-    pub fn new(
-        params: &'a Params,
-        view: ChunkedView<'a>,
-        rows: Option<&'a [u32]>,
-        labels: &'a [f64],
-        workers: usize,
-        scratch: &'a mut TreeScratch,
-    ) -> Result<ChunkedFitRun<'a>, ChunkError> {
-        params.validate().map_err(ChunkError::Train)?;
-        if !matches!(params.tree_method, TreeMethod::Hist { .. }) {
-            return Err(TrainError::InvalidParam {
-                name: "tree_method",
-                message: "chunked training requires the histogram method".to_string(),
-            }
-            .into());
-        }
-        if params.subsample < 1.0 {
-            return Err(TrainError::InvalidParam {
-                name: "subsample",
-                message: "chunked training requires subsample == 1.0".to_string(),
-            }
-            .into());
-        }
-        if params.colsample_bytree < 1.0 {
-            return Err(TrainError::InvalidParam {
-                name: "colsample_bytree",
-                message: "chunked training requires colsample_bytree == 1.0".to_string(),
-            }
-            .into());
-        }
+impl HistPools {
+    /// Start a fit over `view`: position `p` trains on matrix row
+    /// `rows[p]` (rows checked by [`check_rows`]). Sizes every buffer
+    /// to the fit's worst case.
+    pub(crate) fn prepare(
+        &mut self,
+        params: &Params,
+        view: ChunkedView<'_>,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) -> Result<(), TrainError> {
         let matrix = view.matrix;
-        let n_positions = match rows {
-            None => matrix.nrows(),
-            Some(rs) => rs.len(),
-        };
-        if n_positions == 0 {
-            return Err(TrainError::EmptyDataset.into());
-        }
-        if let Some(rs) = rows {
-            check_rows(rs, matrix.nrows())?;
-        }
-        if labels.len() != n_positions {
-            return Err(TrainError::LabelLength { rows: n_positions, labels: labels.len() }.into());
-        }
-        params.objective.validate_labels(labels).map_err(ChunkError::Train)?;
-        let workers = workers.max(1);
-        let pools = &mut scratch.chunk;
-
-        // Histogram layout shared by every node: view feature `j` owns
-        // slots `bounds[j]..bounds[j + 1]` — bins `0..=cuts` plus the
-        // missing slot, exactly the in-memory `NodeHists` layout.
-        pools.bounds.clear();
-        pools.bounds.reserve(view.ncols + 1);
-        pools.bounds.push(0);
-        for j in 0..view.ncols {
-            let prev = pools.bounds[j];
-            pools.bounds.push(prev + view.cuts(j).len() + 2);
-        }
-        let total_slots = pools.bounds[view.ncols];
-        let cfg = SplitConfig {
-            lambda: params.lambda,
-            gamma: params.gamma,
-            min_child_weight: params.min_child_weight,
-        };
+        check_rows(rows.clone(), matrix)?;
+        self.row_of.clear();
+        self.row_of.extend(rows.map(|r| r as u32));
+        let n = self.row_of.len();
 
         // Which blocks hold training positions, and which position
-        // range each covers (`rows` is ascending, so positions within a
-        // block are contiguous).
+        // range each covers (block indices never decrease along the
+        // positions, so each block's positions are contiguous).
         let n_blocks = matrix.n_blocks();
-        pools.visit_blocks.clear();
-        pools.visit_blocks.reserve(n_blocks);
-        pools.block_lo.clear();
-        pools.block_lo.resize(n_blocks, 0);
-        pools.block_hi.clear();
-        pools.block_hi.resize(n_blocks, 0);
+        let block_rows = matrix.block_rows();
+        self.blocks.clear();
+        self.blocks.reserve(n_blocks);
+        for v in [&mut self.block_lo, &mut self.block_hi, &mut self.visit_lo, &mut self.visit_hi] {
+            v.clear();
+            v.resize(n_blocks, 0);
+        }
         for b in 0..n_blocks {
-            let start = b * matrix.block_rows();
-            let end = start + matrix.rows_in_block(b);
-            let (lo, hi) = match rows {
-                None => (start, end),
-                Some(rs) => (
-                    rs.partition_point(|&r| (r as usize) < start),
-                    rs.partition_point(|&r| (r as usize) < end),
-                ),
-            };
-            pools.block_lo[b] = lo as u32;
-            pools.block_hi[b] = hi as u32;
+            let lo = self.row_of.partition_point(|&r| (r as usize) < b * block_rows);
+            let hi = self.row_of.partition_point(|&r| (r as usize) < (b + 1) * block_rows);
+            self.block_lo[b] = lo as u32;
+            self.block_hi[b] = hi as u32;
             if hi > lo {
-                pools.visit_blocks.push(b as u32);
+                self.blocks.push(b as u32);
             }
         }
-
-        let base_score = params.objective.base_score(labels);
-        pools.raw.clear();
-        pools.raw.resize(n_positions, base_score);
-        pools.grad.clear();
-        pools.grad.resize(n_positions, 0.0);
-        pools.hess.clear();
-        pools.hess.resize(n_positions, 0.0);
-        pools.node_of.clear();
-        pools.node_of.resize(n_positions, 0);
+        // Without row subsampling every round visits all positions in
+        // ascending order; subsampled rounds overwrite this.
+        self.visit.clear();
+        self.visit.extend(0..n as u32);
+        self.visit_lo.copy_from_slice(&self.block_lo);
+        self.visit_hi.copy_from_slice(&self.block_hi);
+        self.sampled.clear();
+        self.sampled.resize(n, true);
+        self.node_of.clear();
+        self.node_of.resize(n, 0);
 
         // Worst-case arena sizing: a full binary tree of the allowed
         // depth, capped by the leaves-need-a-row bound.
@@ -1306,181 +1536,251 @@ impl<'a> ChunkedFitRun<'a> {
         } else {
             (1usize << (params.max_depth + 1)) - 1
         };
-        let per_tree = depth_cap.min(2 * n_positions - 1);
-        pools.arena.reserve(per_tree);
-        pools.route_of.reserve(per_tree);
-        pools.owner_of.reserve(per_tree);
-        pools.leaf_weight.reserve(per_tree);
-        pools.frontier.reserve(per_tree);
-        pools.splitting.reserve(per_tree);
-        pools.confirmed.reserve(per_tree);
-        pools.targets.reserve(per_tree);
-        pools.small_hists.reserve(per_tree);
-        pools.nodes.clear();
-        pools.nodes.reserve(per_tree * params.n_estimators);
-        pools.tree_starts.clear();
-        pools.tree_starts.reserve(params.n_estimators);
+        let per_tree = depth_cap.min(2 * n - 1);
+        self.arena.reserve(per_tree);
+        self.route_of.reserve(per_tree);
+        self.owner_of.reserve(per_tree);
+        self.leaf_weight.reserve(per_tree);
+        self.frontier.reserve(per_tree);
+        self.splitting.reserve(per_tree);
+        self.confirmed.reserve(per_tree);
+        self.targets.reserve(per_tree);
+        self.target_hists.reserve(per_tree);
+        self.target_start.reserve(per_tree + 1);
+        self.target_pos.reserve(n);
+        self.bounds.reserve(view.ncols() + 1);
         // Pre-fill the histogram pool to the level-order worst case
-        // (every node of the widest two levels holding a buffer), so no
-        // later round has to mint one whatever shape its tree takes.
-        let want_hists = per_tree.min(depth_cap);
-        for h in &mut pools.hist_pool {
+        // (every node of the widest two levels holding a buffer), each
+        // buffer big enough for the full feature set, so no later round
+        // has to mint one whatever shape its tree takes.
+        let total_slots: usize = (0..view.ncols()).map(|j| view.cuts(j).len() + 2).sum();
+        for h in &mut self.hist_pool {
             h.clear();
             h.reserve(total_slots);
         }
-        while pools.hist_pool.len() < want_hists {
-            pools.hist_pool.push(Vec::with_capacity(total_slots));
+        while self.hist_pool.len() < per_tree {
+            self.hist_pool.push(Vec::with_capacity(total_slots));
         }
+        Ok(())
+    }
 
-        Ok(ChunkedFitRun {
-            params,
-            matrix,
-            col_start: view.col_start,
-            ncols: view.ncols,
-            rows,
-            labels,
-            workers,
-            pools,
-            cfg,
-            base_score,
-            total_slots,
-            history: Vec::with_capacity(params.n_estimators),
-            round: 0,
+    /// Training positions of the fit.
+    pub(crate) fn n_positions(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Regroup this round's sample by block: block `b`'s sampled
+    /// positions, in sample order, land in `visit[visit_lo[b]..visit_hi[b]]`.
+    fn group_by_block(&mut self, sample: &[usize], block_rows: usize) {
+        let block_of = |p: usize| self.row_of[p] as usize / block_rows;
+        self.sampled.fill(false);
+        for &b in &self.blocks {
+            self.visit_hi[b as usize] = 0;
+        }
+        for &p in sample {
+            self.sampled[p] = true;
+            self.visit_hi[block_of(p)] += 1;
+        }
+        let mut next = 0;
+        for &b in &self.blocks {
+            let b = b as usize;
+            self.visit_lo[b] = next;
+            next += self.visit_hi[b];
+            self.visit_hi[b] = self.visit_lo[b];
+        }
+        self.visit.clear();
+        self.visit.resize(sample.len(), 0);
+        for &p in sample {
+            let b = block_of(p);
+            self.visit[self.visit_hi[b] as usize] = p as u32;
+            self.visit_hi[b] += 1;
+        }
+    }
+
+    /// Stream the fit's blocks and add every visited position of each
+    /// target node into `target_hists` (target `t` = `targets[t]`).
+    /// `root` marks the root pass, whose one target is every visited
+    /// position.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_pass(
+        &mut self,
+        view: ChunkedView<'_>,
+        level: SimdLevel,
+        workers: usize,
+        grad: &[f64],
+        hess: &[f64],
+        features: &[usize],
+        root: bool,
+    ) -> Result<(), ChunkError> {
+        let matrix = view.matrix;
+        let HistPools {
+            row_of,
+            node_of,
+            blocks,
+            visit,
+            visit_lo,
+            visit_hi,
+            bounds,
+            owner_of,
+            target_hists,
+            target_pos,
+            target_start,
+            prefetch,
+            ..
+        } = self;
+        let (row_of, node_of, owner_of): (&[u32], &[u32], &[u32]) = (row_of, node_of, owner_of);
+        let (visit, visit_lo, visit_hi): (&[u32], &[u32], &[u32]) = (visit, visit_lo, visit_hi);
+        let gh = Gh { grad, hess, features, bounds };
+        let n_targets = target_hists.len();
+        stream_blocks(matrix, blocks, prefetch, |b, codes| {
+            let rows = BlockRows {
+                codes,
+                stride: matrix.ncols(),
+                col_start: view.col_start,
+                ncols: view.ncols,
+                base_row: b * matrix.block_rows(),
+                row_of,
+            };
+            let visited = &visit[visit_lo[b] as usize..visit_hi[b] as usize];
+            if root {
+                let all = [0, visited.len() as u32];
+                accumulate_block(level, rows, visited, &all, gh, workers, target_hists);
+            } else {
+                group_by_target(visited, node_of, owner_of, n_targets, target_pos, target_start);
+                accumulate_block(level, rows, target_pos, target_start, gh, workers, target_hists);
+            }
         })
     }
 
-    /// Execute one boosting round, streaming every pass over the
-    /// matrix blocks. Returns `Ok(false)` (without doing any work) once
-    /// all rounds have run, so `while run.round()? {}` drives a fit to
-    /// completion.
-    pub fn round(&mut self) -> Result<bool, ChunkError> {
-        if self.round >= self.params.n_estimators {
-            return Ok(false);
+    /// Grow one tree level by level over this round's row `sample`
+    /// (positions, in draw order) and `features` (view features, in
+    /// draw order), appending it to `nodes` in DFS pre-order with
+    /// tree-relative links, and leave every position's leaf in
+    /// `node_of` for [`HistPools::add_leaf_weights`]. Returns the
+    /// tree's depth.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn grow_tree(
+        &mut self,
+        view: ChunkedView<'_>,
+        params: &Params,
+        sample: &[usize],
+        features: &[usize],
+        grad: &[f64],
+        hess: &[f64],
+        workers: usize,
+        nodes: &mut Vec<Node>,
+    ) -> Result<u16, ChunkError> {
+        let matrix = view.matrix;
+        let (stride, col_start, block_rows) = (matrix.ncols(), view.col_start, matrix.block_rows());
+        // Read the dispatch level once per tree so a concurrent override
+        // cannot change kernels between one tree's passes.
+        let level = crate::simd::active_level();
+        let cfg = SplitConfig {
+            lambda: params.lambda,
+            gamma: params.gamma,
+            min_child_weight: params.min_child_weight,
+        };
+        if params.subsample < 1.0 {
+            self.group_by_block(sample, block_rows);
         }
-        let params = self.params;
-        let matrix = self.matrix;
-        let (col_start, ncols) = (self.col_start, self.ncols);
-        let stride = matrix.ncols();
-        let block_rows = matrix.block_rows();
-        let (workers, rows_idx, total_slots) = (self.workers, self.rows, self.total_slots);
-        let pools = &mut *self.pools;
-        params.objective.grad_hess(self.labels, &pools.raw, &mut pools.grad, &mut pools.hess);
+        self.bounds.clear();
+        self.bounds.push(0);
+        for &f in features {
+            let last = self.bounds[self.bounds.len() - 1];
+            self.bounds.push(last + view.cuts(f).len() + 2);
+        }
+        let total_slots = self.bounds[features.len()];
 
-        // --- Grow one tree, level by level -------------------------
-        pools.node_of.fill(0);
-        pools.arena.clear();
-        let root_g: f64 = pools.grad.iter().sum();
-        let root_h: f64 = pools.hess.iter().sum();
-        let mut root_hist = take_hist(&mut pools.hist_pool, total_slots);
-        {
-            let ChunkPools {
-                visit_blocks, block_lo, block_hi, bounds, grad, hess, prefetch, ..
-            } = pools;
-            let root_hist = &mut root_hist;
-            stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
-                let base_row = b * block_rows;
-                let (lo, hi) = (block_lo[b] as usize, block_hi[b] as usize);
-                if workers > 1 && ncols >= 2 && (hi - lo) * ncols >= FEATURE_PAR_MIN_CELLS {
-                    accumulate_features_parallel(
-                        codes, stride, col_start, base_row, lo, hi, rows_idx, None, bounds, grad,
-                        hess, workers, root_hist,
-                    );
-                } else {
-                    for pos in lo..hi {
-                        let local = row_at(rows_idx, pos) - base_row;
-                        let row =
-                            &codes[local * stride + col_start..local * stride + col_start + ncols];
-                        let (g, h) = (grad[pos], hess[pos]);
-                        for (j, &code) in row.iter().enumerate() {
-                            let cell = &mut root_hist[bounds[j] + code as usize];
-                            cell[0] += g;
-                            cell[1] += h;
-                        }
-                    }
-                }
-            })?;
-        }
-        let n_positions = pools.raw.len();
-        pools.arena.push(BuildNode {
+        // --- Root: sums and histogram over the visit order ----------
+        self.node_of.fill(0);
+        self.arena.clear();
+        let (root_g, root_h): (f64, f64) = {
+            let HistPools { blocks, visit, visit_lo, visit_hi, .. } = &*self;
+            let visit_order = || {
+                blocks.iter().flat_map(|&b| {
+                    &visit[visit_lo[b as usize] as usize..visit_hi[b as usize] as usize]
+                })
+            };
+            (
+                visit_order().map(|&p| grad[p as usize]).sum(),
+                visit_order().map(|&p| hess[p as usize]).sum(),
+            )
+        };
+        self.target_hists.clear();
+        self.target_hists.push(take_hist(&mut self.hist_pool, total_slots));
+        self.accumulate_pass(view, level, workers, grad, hess, features, true)?;
+        let root_hist = self.target_hists.pop().expect("the root pass has one target");
+        self.arena.push(BuildNode {
             g: root_g,
             h: root_h,
-            n_rows: n_positions,
+            n_rows: sample.len(),
             fate: Fate::Open,
             hist: root_hist,
         });
 
-        pools.frontier.clear();
-        pools.frontier.push(0);
+        self.frontier.clear();
+        self.frontier.push(0);
         let mut depth = 0usize;
-        while !pools.frontier.is_empty() {
+        while !self.frontier.is_empty() {
             // Decide every frontier node: leaf out, or pick a split
-            // with the engine's own scanner (same offers, same
-            // tie-breaks as the recursive grower).
-            pools.splitting.clear();
-            for i in 0..pools.frontier.len() {
-                let id = pools.frontier[i];
-                let node = &pools.arena[id as usize];
+            // scanning the round's features in draw order.
+            self.splitting.clear();
+            for i in 0..self.frontier.len() {
+                let id = self.frontier[i];
+                let node = &self.arena[id as usize];
                 let (g, h) = (node.g, node.h);
                 let cand = if depth >= params.max_depth || node.n_rows < 2 {
                     None
                 } else {
-                    let mut tracker = BestTracker::new(self.cfg, g, h);
-                    for j in 0..ncols {
-                        scan_hist(
-                            j,
-                            matrix.cuts(col_start + j),
-                            &node.hist[pools.bounds[j]..pools.bounds[j + 1]],
-                            g,
-                            h,
-                            &mut tracker,
-                        );
+                    let mut tracker = BestTracker::new(cfg, g, h);
+                    for (fi, &f) in features.iter().enumerate() {
+                        let hist = &node.hist[self.bounds[fi]..self.bounds[fi + 1]];
+                        scan_hist(f, view.cuts(f), hist, g, h, &mut tracker);
                     }
                     tracker.best
                 };
                 match cand {
                     None => {
                         let weight = -g / (h + params.lambda) * params.learning_rate;
-                        let node = &mut pools.arena[id as usize];
+                        let node = &mut self.arena[id as usize];
                         node.fate = Fate::Leaf { weight };
-                        pools.hist_pool.push(std::mem::take(&mut node.hist));
+                        self.hist_pool.push(std::mem::take(&mut node.hist));
                     }
                     Some(cand) => {
-                        let left = pools.arena.len() as u32;
+                        let left = self.arena.len() as u32;
                         let right = left + 1;
-                        pools.arena.push(BuildNode {
-                            g: cand.left_grad,
-                            h: cand.left_hess,
-                            n_rows: 0,
-                            fate: Fate::Open,
-                            hist: Vec::new(),
-                        });
-                        pools.arena.push(BuildNode {
-                            g: cand.right_grad,
-                            h: cand.right_hess,
-                            n_rows: 0,
-                            fate: Fate::Open,
-                            hist: Vec::new(),
-                        });
-                        pools.arena[id as usize].fate = Fate::Split { cand, left, right };
-                        pools.splitting.push(id);
+                        for (g, h) in
+                            [(cand.left_grad, cand.left_hess), (cand.right_grad, cand.right_hess)]
+                        {
+                            self.arena.push(BuildNode {
+                                g,
+                                h,
+                                n_rows: 0,
+                                fate: Fate::Open,
+                                hist: Vec::new(),
+                            });
+                        }
+                        self.arena[id as usize].fate = Fate::Split { cand, left, right };
+                        self.splitting.push(id);
                     }
                 }
             }
-            if pools.splitting.is_empty() {
+            if self.splitting.is_empty() {
                 break;
             }
 
-            // Partition pass: stream blocks in ascending position
-            // order and route each position of a splitting node to its
-            // child — the same in-band-code routing as the recursive
-            // grower.
-            pools.route_of.clear();
-            pools.route_of.resize(pools.arena.len(), None);
-            for i in 0..pools.splitting.len() {
-                let id = pools.splitting[i] as usize;
-                if let Fate::Split { cand, left, right } = &pools.arena[id].fate {
-                    let cuts = matrix.cuts(col_start + cand.feature);
-                    pools.route_of[id] = Some(Route {
+            // Partition pass: route every position of a splitting node
+            // — sampled or not, so unsampled positions end in the leaf
+            // their codes reach — counting only sampled ones. Hist
+            // thresholds are cut values, so `code <= boundary` is
+            // exactly the raw-value rule `v < threshold`.
+            self.route_of.clear();
+            self.route_of.resize(self.arena.len(), None);
+            for i in 0..self.splitting.len() {
+                let id = self.splitting[i] as usize;
+                if let Fate::Split { cand, left, right } = &self.arena[id].fate {
+                    let cuts = view.cuts(cand.feature);
+                    self.route_of[id] = Some(Route {
                         feature: cand.feature,
                         missing_code: cuts.len() as u16 + 1,
                         boundary: cuts.partition_point(|&c| c < cand.threshold),
@@ -1491,21 +1791,23 @@ impl<'a> ChunkedFitRun<'a> {
                 }
             }
             {
-                let ChunkPools {
-                    visit_blocks,
+                let HistPools {
+                    row_of,
+                    node_of,
+                    sampled,
+                    blocks,
                     block_lo,
                     block_hi,
-                    node_of,
                     arena,
                     route_of,
                     prefetch,
                     ..
-                } = pools;
-                stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
+                } = &mut *self;
+                stream_blocks(matrix, blocks, prefetch, |b, codes| {
                     let base_row = b * block_rows;
                     for pos in block_lo[b] as usize..block_hi[b] as usize {
                         let Some(route) = route_of[node_of[pos] as usize] else { continue };
-                        let local = row_at(rows_idx, pos) - base_row;
+                        let local = row_of[pos] as usize - base_row;
                         let code = codes[local * stride + col_start + route.feature];
                         let goes_left = if code == route.missing_code {
                             route.default_left
@@ -1514,256 +1816,125 @@ impl<'a> ChunkedFitRun<'a> {
                         };
                         let child = if goes_left { route.left } else { route.right };
                         node_of[pos] = child;
-                        arena[child as usize].n_rows += 1;
+                        arena[child as usize].n_rows += sampled[pos] as usize;
                     }
                 })?;
             }
 
-            // Empty-side fallback (numerical pathology, same as the
-            // recursive grower): demote the split back to a leaf with
-            // the node's own mass. All its rows sit in the one
-            // non-empty child, which becomes a ghost carrying the same
-            // weight so the score update needs no re-routing.
-            pools.confirmed.clear();
-            for i in 0..pools.splitting.len() {
-                let id = pools.splitting[i];
-                let Fate::Split { left, right, .. } = pools.arena[id as usize].fate.clone() else {
+            // Empty-side fallback (numerical pathology): demote the
+            // split back to a leaf with the node's own mass. Its
+            // positions sit in the children, which become ghosts
+            // carrying the same weight so the score update needs no
+            // re-routing.
+            self.confirmed.clear();
+            for i in 0..self.splitting.len() {
+                let id = self.splitting[i];
+                let Fate::Split { left, right, .. } = self.arena[id as usize].fate.clone() else {
                     unreachable!("splitting nodes keep their split fate until here")
                 };
-                let empty_side = pools.arena[left as usize].n_rows == 0
-                    || pools.arena[right as usize].n_rows == 0;
+                let empty_side =
+                    self.arena[left as usize].n_rows == 0 || self.arena[right as usize].n_rows == 0;
                 if empty_side {
-                    let node = &mut pools.arena[id as usize];
+                    let node = &mut self.arena[id as usize];
                     let weight = -node.g / (node.h + params.lambda) * params.learning_rate;
                     node.fate = Fate::Leaf { weight };
-                    pools.hist_pool.push(std::mem::take(&mut node.hist));
-                    pools.arena[left as usize].fate = Fate::Leaf { weight };
-                    pools.arena[right as usize].fate = Fate::Leaf { weight };
+                    self.hist_pool.push(std::mem::take(&mut node.hist));
+                    self.arena[left as usize].fate = Fate::Leaf { weight };
+                    self.arena[right as usize].fate = Fate::Leaf { weight };
                 } else {
-                    pools.confirmed.push(id);
+                    self.confirmed.push(id);
                 }
             }
-            if pools.confirmed.is_empty() {
+            if self.confirmed.is_empty() {
                 break;
             }
 
             // Accumulation pass: build each smaller child's histogram
-            // by streaming blocks (position-ascending adds), then
-            // derive the larger child by the subtraction trick from the
-            // parent's buffer. Workers own disjoint nodes — or, when
-            // only one node needs building, disjoint feature ranges —
-            // so any worker count adds the same floats in the same
-            // order per cell.
-            pools.owner_of.clear();
-            pools.owner_of.resize(pools.arena.len(), u32::MAX);
-            pools.targets.clear();
-            for i in 0..pools.confirmed.len() {
-                let id = pools.confirmed[i];
-                let Fate::Split { left, right, .. } = pools.arena[id as usize].fate.clone() else {
+            // (ties go left), then derive the larger child by the
+            // subtraction trick from the parent's buffer.
+            self.owner_of.clear();
+            self.owner_of.resize(self.arena.len(), u32::MAX);
+            self.targets.clear();
+            self.target_hists.clear();
+            for i in 0..self.confirmed.len() {
+                let id = self.confirmed[i];
+                let Fate::Split { left, right, .. } = self.arena[id as usize].fate.clone() else {
                     unreachable!("confirmed splits keep their split fate")
                 };
-                let small =
-                    if pools.arena[left as usize].n_rows <= pools.arena[right as usize].n_rows {
-                        left
-                    } else {
-                        right
-                    };
-                pools.owner_of[small as usize] = pools.targets.len() as u32;
-                pools.targets.push((small, id));
+                let small = if self.arena[left as usize].n_rows <= self.arena[right as usize].n_rows
+                {
+                    left
+                } else {
+                    right
+                };
+                self.owner_of[small as usize] = self.targets.len() as u32;
+                self.targets.push((small, id));
+                self.target_hists.push(take_hist(&mut self.hist_pool, total_slots));
             }
-            pools.small_hists.clear();
-            for _ in 0..pools.targets.len() {
-                let h = take_hist(&mut pools.hist_pool, total_slots);
-                pools.small_hists.push(h);
-            }
-            {
-                let ChunkPools {
-                    visit_blocks,
-                    block_lo,
-                    block_hi,
-                    bounds,
-                    node_of,
-                    owner_of,
-                    grad,
-                    hess,
-                    targets,
-                    small_hists,
-                    prefetch,
-                    ..
-                } = pools;
-                let n_targets = targets.len();
-                let bounds: &[usize] = bounds;
-                let node_of: &[u32] = node_of;
-                let owner_of: &[u32] = owner_of;
-                let grad: &[f64] = grad;
-                let hess: &[f64] = hess;
-                stream_blocks(matrix, visit_blocks, prefetch, |b, codes| {
-                    let base_row = b * block_rows;
-                    let (lo, hi) = (block_lo[b] as usize, block_hi[b] as usize);
-                    if n_targets == 1
-                        && workers > 1
-                        && ncols >= 2
-                        && (hi - lo) * ncols >= FEATURE_PAR_MIN_CELLS
-                    {
-                        accumulate_features_parallel(
-                            codes,
-                            stride,
-                            col_start,
-                            base_row,
-                            lo,
-                            hi,
-                            rows_idx,
-                            Some((node_of, owner_of)),
-                            bounds,
-                            grad,
-                            hess,
-                            workers,
-                            &mut small_hists[0],
-                        );
-                    } else if workers <= 1 || n_targets < 2 {
-                        accumulate_targets(
-                            codes,
-                            stride,
-                            col_start,
-                            ncols,
-                            base_row,
-                            lo,
-                            hi,
-                            rows_idx,
-                            bounds,
-                            node_of,
-                            owner_of,
-                            grad,
-                            hess,
-                            0..n_targets,
-                            small_hists,
-                        );
-                    } else {
-                        let n_workers = workers.min(n_targets);
-                        let chunk = n_targets.div_ceil(n_workers);
-                        std::thread::scope(|s| {
-                            for (w, hists) in small_hists.chunks_mut(chunk).enumerate() {
-                                let start = w * chunk;
-                                let end = start + hists.len();
-                                s.spawn(move || {
-                                    accumulate_targets(
-                                        codes,
-                                        stride,
-                                        col_start,
-                                        ncols,
-                                        base_row,
-                                        lo,
-                                        hi,
-                                        rows_idx,
-                                        bounds,
-                                        node_of,
-                                        owner_of,
-                                        grad,
-                                        hess,
-                                        start..end,
-                                        hists,
-                                    );
-                                });
-                            }
-                        });
-                    }
-                })?;
-            }
-            for t in 0..pools.targets.len() {
-                let (small, parent) = pools.targets[t];
-                let small_hist = std::mem::take(&mut pools.small_hists[t]);
-                let mut larger_hist = std::mem::take(&mut pools.arena[parent as usize].hist);
-                for (ps, cs) in larger_hist.iter_mut().zip(&small_hist) {
-                    ps[0] -= cs[0];
-                    ps[1] -= cs[1];
-                }
-                let Fate::Split { left, right, .. } = pools.arena[parent as usize].fate.clone()
+            self.accumulate_pass(view, level, workers, grad, hess, features, false)?;
+            for t in (0..self.targets.len()).rev() {
+                let (small, parent) = self.targets[t];
+                let small_hist = self.target_hists.pop().expect("one histogram per target");
+                let mut large_hist = std::mem::take(&mut self.arena[parent as usize].hist);
+                subtract_hist(level, &mut large_hist, &small_hist);
+                let Fate::Split { left, right, .. } = self.arena[parent as usize].fate.clone()
                 else {
                     unreachable!("confirmed splits keep their split fate")
                 };
                 let large = if small == left { right } else { left };
-                pools.arena[small as usize].hist = small_hist;
-                pools.arena[large as usize].hist = larger_hist;
+                self.arena[small as usize].hist = small_hist;
+                self.arena[large as usize].hist = large_hist;
             }
 
-            pools.frontier.clear();
-            for i in 0..pools.confirmed.len() {
-                let id = pools.confirmed[i];
-                if let Fate::Split { left, right, .. } = pools.arena[id as usize].fate {
-                    pools.frontier.push(left);
-                    pools.frontier.push(right);
+            self.frontier.clear();
+            for i in 0..self.confirmed.len() {
+                if let Fate::Split { left, right, .. } = self.arena[self.confirmed[i] as usize].fate
+                {
+                    self.frontier.push(left);
+                    self.frontier.push(right);
                 }
             }
             depth += 1;
         }
         // Return any still-held histogram buffers to the pool.
-        for i in 0..pools.arena.len() {
-            if !pools.arena[i].hist.is_empty() {
-                let h = std::mem::take(&mut pools.arena[i].hist);
-                pools.hist_pool.push(h);
+        for node in &mut self.arena {
+            if !node.hist.is_empty() {
+                self.hist_pool.push(std::mem::take(&mut node.hist));
             }
         }
 
-        // --- Emit the arena in the recursion's DFS pre-order -------
-        let tree_start = pools.nodes.len();
-        pools.tree_starts.push(tree_start);
-        emit(&pools.arena, 0, tree_start, &mut pools.nodes);
-
-        // --- Score update and bookkeeping, as in `FitRun::round` ---
-        pools.leaf_weight.clear();
-        pools.leaf_weight.resize(pools.arena.len(), 0.0);
-        for (i, node) in pools.arena.iter().enumerate() {
-            if let Fate::Leaf { weight } = node.fate {
-                pools.leaf_weight[i] = weight;
-            }
-        }
-        let ChunkPools { raw, node_of, leaf_weight, .. } = pools;
-        for (pos, raw_r) in raw.iter_mut().enumerate() {
-            *raw_r += leaf_weight[node_of[pos] as usize];
-        }
-        let train_loss = params.objective.loss(self.labels, raw);
-        self.history.push(EvalRecord { round: self.round, train_loss, eval_loss: None });
-        self.round += 1;
-        Ok(true)
+        let mut max_depth = 0u16;
+        emit(&self.arena, 0, 0, nodes.len(), nodes, &mut max_depth);
+        Ok(max_depth)
     }
 
-    /// Materialise the trained model and loss history. Trees are
-    /// copied out of the scratch arena here, once per fit.
-    pub fn finish(self) -> TrainReport {
-        let pools = self.pools;
-        let n_trees = pools.tree_starts.len();
-        let mut trees: Vec<Tree> = Vec::with_capacity(n_trees);
-        for t in 0..n_trees {
-            let start = pools.tree_starts[t];
-            let end = pools.tree_starts.get(t + 1).copied().unwrap_or(pools.nodes.len());
-            trees.push(Tree::from_nodes(pools.nodes[start..end].to_vec()));
+    /// Add the grown tree's leaf weights to the raw scores: `w` for a
+    /// sampled position, `0.0 + w` for an unsampled one — the sum a
+    /// flat-forest walk of its raw values produces.
+    pub(crate) fn add_leaf_weights(&mut self, raw: &mut [f64]) {
+        self.leaf_weight.clear();
+        self.leaf_weight.resize(self.arena.len(), 0.0);
+        for (w, node) in self.leaf_weight.iter_mut().zip(&self.arena) {
+            if let Fate::Leaf { weight } = node.fate {
+                *w = weight;
+            }
         }
-        TrainReport {
-            booster: Booster {
-                trees,
-                base_score: self.base_score,
-                objective: self.params.objective,
-                n_features: self.ncols,
-            },
-            history: self.history,
-            best_round: self.params.n_estimators,
+        for (pos, r) in raw.iter_mut().enumerate() {
+            let w = self.leaf_weight[self.node_of[pos] as usize];
+            *r += if self.sampled[pos] { w } else { 0.0 + w };
         }
     }
 }
 
 /// Train a boosted ensemble over a chunked matrix, streaming blocks
-/// through every pass — the out-of-core twin of
-/// [`crate::Booster::train`] with [`TreeMethod::Hist`], bitwise equal
-/// to it for any block size and any `workers ≥ 1` (see the module
-/// docs for the argument, `tests/chunked_equivalence.rs` for the
-/// pinning).
+/// through every pass — the out-of-core form of [`crate::Booster::train`]
+/// with [`crate::TreeMethod::Hist`]. Requires the histogram method; any
+/// `subsample`/`colsample_bytree` runs. Bitwise equal to the in-memory
+/// fit for any block size and any `workers ≥ 1` at `subsample == 1`,
+/// and on one block at any subsample (see the module docs, and
+/// `tests/chunked_equivalence.rs` for the pinning).
 ///
-/// Requires `tree_method == Hist`, `subsample == 1.0` and
-/// `colsample_bytree == 1.0`: row/column subsampling would need the
-/// trainer to consult a shuffled index per round, which breaks the
-/// ascending-row streaming the bit-identity argument rests on.
-///
-/// Thin wrapper over [`ChunkedFitRun`] with a throwaway scratch; use
+/// Drives a [`FitRun`] with a throwaway scratch; use
 /// [`train_chunked_on`] to reuse a (per-worker) [`TreeScratch`] across
 /// fits.
 pub fn train_chunked(
@@ -1776,10 +1947,10 @@ pub fn train_chunked(
     train_chunked_on(params, matrix.view(), None, labels, workers, &mut scratch)
 }
 
-/// [`train_chunked`] over a column view and optional ascending row
-/// subset, driving the fit through a borrowed [`TreeScratch`]'s chunk
-/// arena — the entry point the sharded grid fans across its worker
-/// pool.
+/// [`train_chunked`] over a column view and optional row list (in
+/// range, block indices non-decreasing), driving the fit through a
+/// borrowed [`TreeScratch`] — the entry point the sharded grid fans
+/// across its worker pool.
 pub fn train_chunked_on(
     params: &Params,
     view: ChunkedView<'_>,
@@ -1788,9 +1959,39 @@ pub fn train_chunked_on(
     workers: usize,
     scratch: &mut TreeScratch,
 ) -> Result<TrainReport, ChunkError> {
-    let mut run = ChunkedFitRun::new(params, view, rows, labels, workers, scratch)?;
-    while run.round()? {}
-    Ok(run.finish())
+    FitRun::over_chunks(params, view, rows, labels, workers, scratch)?.run()
+}
+
+/// Bench/test hook: the level-wise root pass over every row and feature
+/// of a one-block `matrix` (serial, at the active kernel level), returning
+/// a checksum of the accumulated cells. This is the accumulation kernel
+/// `bench_grid` times and `perf_check` gates; the checksum keeps the
+/// work observable so the timing loop cannot be optimised away.
+#[doc(hidden)]
+pub fn build_hists_for_bench(matrix: &ChunkedMatrix, grad: &[f64], hess: &[f64]) -> f64 {
+    let n = matrix.nrows();
+    assert_eq!(grad.len(), n, "one gradient per row");
+    assert_eq!(hess.len(), n, "one hessian per row");
+    assert_eq!(matrix.n_blocks(), 1, "the bench pass reads one in-memory block");
+    let mut pools = HistPools {
+        row_of: (0..n as u32).collect(),
+        blocks: vec![0],
+        visit: (0..n as u32).collect(),
+        visit_lo: vec![0],
+        visit_hi: vec![n as u32],
+        ..HistPools::default()
+    };
+    let features: Vec<usize> = (0..matrix.ncols()).collect();
+    pools.bounds.push(0);
+    for j in 0..matrix.ncols() {
+        pools.bounds.push(pools.bounds[j] + matrix.cuts(j).len() + 2);
+    }
+    pools.target_hists.push(vec![[0.0; 2]; pools.bounds[matrix.ncols()]]);
+    let level = crate::simd::active_level();
+    pools
+        .accumulate_pass(matrix.view(), level, 1, grad, hess, &features, true)
+        .expect("in-memory blocks always load");
+    pools.target_hists[0].iter().map(|c| c[0] + c[1]).sum()
 }
 
 /// Walk one tree on a bin-coded row, the code-space mirror of the
@@ -1818,10 +2019,10 @@ fn leaf_value_codes(nodes: &[Node], row: &[u16], view: &ChunkedView<'_>) -> f64 
     }
 }
 
-/// Transformed predictions for an ascending row subset of a column
-/// view, walking the booster's trees directly on the stored bin codes
-/// — no feature regeneration pass. Rows that are not strictly
-/// ascending or not below the matrix's row count are a typed
+/// Transformed predictions for a row list of a column view (rows in
+/// range, block indices non-decreasing — any ascending list qualifies),
+/// walking the booster's trees directly on the stored bin codes — no
+/// feature regeneration pass. Any other row list is a typed
 /// `TrainError::InvalidParam` for `rows`. Bit-identical to
 /// [`crate::forest::FlatForest::predict_rows_on`] over the raw
 /// feature rows: same tree order, same zero-seeded accumulator, same
@@ -1835,7 +2036,7 @@ pub fn predict_rows_chunked(
     bufs: &mut Vec<Vec<u16>>,
 ) -> Result<Vec<f64>, ChunkError> {
     let matrix = view.matrix;
-    check_rows(rows, matrix.nrows())?;
+    check_rows(rows.iter().map(|&r| r as usize), matrix)?;
     let (col_start, ncols) = (view.col_start, view.ncols);
     let stride = matrix.ncols();
     let block_rows = matrix.block_rows();
@@ -1869,15 +2070,23 @@ pub fn predict_rows_chunked(
     Ok(out)
 }
 
-/// Emit `id`'s subtree in DFS pre-order (node, left, right) with
-/// tree-relative child links — the exact order and linking the
-/// recursive grower's `TreeBuf` produces. `base` is the tree's start
-/// offset in the flat `nodes` arena; returned indices and patched
-/// links are relative to it.
-fn emit(arena: &[BuildNode], id: u32, base: usize, nodes: &mut Vec<Node>) -> usize {
+/// Emit `id`'s subtree (at `depth`) in DFS pre-order (node, left,
+/// right) with tree-relative child links, the layout of every tree in
+/// the scratch arena, noting the deepest leaf in `max_depth`. `base` is
+/// the tree's start offset in the flat `nodes` arena; returned indices
+/// and patched links are relative to it.
+fn emit(
+    arena: &[BuildNode],
+    id: u32,
+    depth: u16,
+    base: usize,
+    nodes: &mut Vec<Node>,
+    max_depth: &mut u16,
+) -> usize {
     let node = &arena[id as usize];
     match &node.fate {
         Fate::Leaf { weight } => {
+            *max_depth = (*max_depth).max(depth);
             nodes.push(Node::Leaf { weight: *weight, cover: node.h });
             nodes.len() - 1 - base
         }
@@ -1892,8 +2101,8 @@ fn emit(arena: &[BuildNode], id: u32, base: usize, nodes: &mut Vec<Node>) -> usi
                 gain: cand.gain,
             });
             let idx = nodes.len() - 1 - base;
-            let l = emit(arena, *left, base, nodes);
-            let r = emit(arena, *right, base, nodes);
+            let l = emit(arena, *left, depth + 1, base, nodes, max_depth);
+            let r = emit(arena, *right, depth + 1, base, nodes, max_depth);
             if let Node::Split { left: pl, right: pr, .. } = &mut nodes[base + idx] {
                 *pl = l;
                 *pr = r;
@@ -1907,8 +2116,7 @@ fn emit(arena: &[BuildNode], id: u32, base: usize, nodes: &mut Vec<Node>) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binning::BinnedMatrix;
-    use msaw_tabular::Matrix;
+    use crate::params::TreeMethod;
 
     /// Deterministic pseudo-random feature matrix with some NaNs.
     fn synth(nrows: usize, ncols: usize, missing: bool) -> Vec<f64> {
@@ -1940,7 +2148,7 @@ mod tests {
         let ncols = 4;
         let rows = synth(nrows, ncols, true);
         let data = Matrix::from_vec(rows.clone(), nrows, ncols);
-        let binned = BinnedMatrix::fit(&data, 16);
+        let binned = ChunkedMatrix::fit(&data, 16);
         for chunk in [1usize, 7, 64, nrows] {
             let mut sketch = CutSketch::new(ncols);
             for block in rows.chunks(chunk * ncols) {
@@ -2065,21 +2273,12 @@ mod tests {
             Err(ChunkError::Train(TrainError::InvalidParam { name: "tree_method", .. }))
         ));
 
+        // Row and column subsampling both stream.
         let mut p = Params::regression();
         p.tree_method = TreeMethod::Hist { max_bins: 8 };
         p.subsample = 0.5;
-        assert!(matches!(
-            train_chunked(&p, &mut m, &labels, 1),
-            Err(ChunkError::Train(TrainError::InvalidParam { name: "subsample", .. }))
-        ));
-
-        let mut p = Params::regression();
-        p.tree_method = TreeMethod::Hist { max_bins: 8 };
         p.colsample_bytree = 0.5;
-        assert!(matches!(
-            train_chunked(&p, &mut m, &labels, 1),
-            Err(ChunkError::Train(TrainError::InvalidParam { name: "colsample_bytree", .. }))
-        ));
+        assert!(train_chunked(&p, &mut m, &labels, 1).is_ok());
 
         let mut p = Params::regression();
         p.tree_method = TreeMethod::Hist { max_bins: 8 };
@@ -2087,5 +2286,57 @@ mod tests {
             train_chunked(&p, &mut m, &labels[..5], 1),
             Err(ChunkError::Train(TrainError::LabelLength { .. }))
         ));
+    }
+
+    /// Write a one-feature spill file with a correctly sealed header
+    /// over `cuts` and one block of `codes`, bypassing the builder so
+    /// the header can carry tables the builder never writes.
+    fn craft_spill(path: &Path, cuts: &[f64], codes: &[u16]) {
+        let mut bytes = header_bytes(&[cuts.to_vec()], codes.len(), codes.len(), 1);
+        let payload: Vec<u8> = codes.iter().flat_map(|c| c.to_le_bytes()).collect();
+        bytes.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&(codes.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn open_bounds_the_cut_table_by_the_missing_code() {
+        let path = tmp_path("cut_cap");
+        let params = Params {
+            n_estimators: 2,
+            max_depth: 2,
+            tree_method: TreeMethod::Hist { max_bins: 8 },
+            ..Params::regression()
+        };
+        let labels = [0.0, 1.0, 2.0, 3.0];
+
+        // 65,534 cuts: the missing code is 65,535, the largest u16.
+        let cuts: Vec<f64> = (0..u16::MAX as usize - 1).map(|i| i as f64).collect();
+        craft_spill(&path, &cuts, &[0, 40_000, 65_534, 65_535]);
+        let mut m = ChunkedMatrix::open(&path).unwrap();
+        let report = train_chunked(&params, &mut m, &labels, 1).unwrap();
+        assert_eq!(report.booster.trees().len(), 2);
+
+        // One more cut would overflow the missing code.
+        let cuts: Vec<f64> = (0..u16::MAX as usize).map(|i| i as f64).collect();
+        craft_spill(&path, &cuts, &[0, 1, 2, 3]);
+        assert!(matches!(
+            ChunkedMatrix::open(&path),
+            Err(ChunkError::Corrupt { what: "cut count", .. })
+        ));
+
+        // Routing needs a finite, strictly ascending table.
+        for bad in [&[1.0, 3.0, 2.0][..], &[1.0, 1.0], &[0.0, f64::NAN]] {
+            craft_spill(&path, bad, &[0, 1, 2, 3]);
+            assert!(
+                matches!(
+                    ChunkedMatrix::open(&path),
+                    Err(ChunkError::Corrupt { what: "cut table", .. })
+                ),
+                "cuts {bad:?}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -11,8 +11,10 @@
 //!   and each row's *rank* into them — which lets the exact finder
 //!   value-sort any node's rows with a counting sort (`O(n + k)`) instead
 //!   of a comparison sort, and partition on integer rank compares;
-//! * a [`crate::binning::BinnedMatrix`] over the full matrix for the
-//!   histogram finder (shared cuts, XGBoost `DMatrix` semantics).
+//! * a one-block [`ChunkedMatrix`] of bin codes over the full matrix
+//!   for the histogram grower (shared cuts, XGBoost `DMatrix`
+//!   semantics) — the same store out-of-core fits stream, so in-memory
+//!   and out-of-core histogram fits run one grower.
 //!
 //! Determinism contract: for `TreeMethod::Exact`,
 //! [`crate::Booster::train_on_rows`] against a context is **bit-for-bit
@@ -37,9 +39,8 @@
 //! bytes, a cache-built context is bit-identical to a direct
 //! [`TrainingContext::new`] over the same matrix.
 
-use crate::binning::{
-    bump_column_fit_count, cuts_from_distinct, distinct_values, encode_column, BinnedMatrix,
-};
+use crate::binning::{bump_column_fit_count, cuts_from_distinct, distinct_values, encode_column};
+use crate::chunked::ChunkedMatrix;
 use crate::params::DEFAULT_CONTEXT_BINS;
 use msaw_tabular::Matrix;
 use std::collections::HashMap;
@@ -127,13 +128,13 @@ impl ExactIndex {
 pub struct TrainingContext<'a> {
     data: &'a Matrix,
     exact: ExactIndex,
-    binned: BinnedMatrix,
+    binned: ChunkedMatrix,
 }
 
 impl<'a> TrainingContext<'a> {
     /// Prepare `data` with the default histogram resolution
     /// ([`DEFAULT_CONTEXT_BINS`]). Builds both the exact rank index and
-    /// the quantile binning eagerly; `BinnedMatrix::fit` runs exactly
+    /// the quantile binning eagerly; [`ChunkedMatrix::fit`] runs exactly
     /// once per context.
     pub fn new(data: &'a Matrix) -> TrainingContext<'a> {
         Self::with_max_bins(data, DEFAULT_CONTEXT_BINS)
@@ -144,7 +145,7 @@ impl<'a> TrainingContext<'a> {
         TrainingContext {
             data,
             exact: ExactIndex::fit(data),
-            binned: BinnedMatrix::fit(data, max_bins),
+            binned: ChunkedMatrix::fit(data, max_bins),
         }
     }
 
@@ -158,8 +159,8 @@ impl<'a> TrainingContext<'a> {
         &self.exact
     }
 
-    /// The shared full-matrix quantisation.
-    pub fn binned(&self) -> &BinnedMatrix {
+    /// The shared full-matrix quantisation: one in-memory block.
+    pub fn binned(&self) -> &ChunkedMatrix {
         &self.binned
     }
 
@@ -265,7 +266,7 @@ impl ContextCache {
         TrainingContext {
             data,
             exact: ExactIndex::from_parts(distinct, ranks, ncols),
-            binned: BinnedMatrix::from_parts(nrows, cuts, codes),
+            binned: ChunkedMatrix::from_codes(cuts, nrows, codes),
         }
     }
 

@@ -13,9 +13,15 @@
 //! * two objectives — squared error for regression (QoL, SPPB) and
 //!   logistic loss with `scale_pos_weight` for the imbalanced Falls
 //!   classification;
-//! * two split finders behind one API — the exact greedy enumerator and
-//!   a histogram finder over quantile-sketch bins (the paper's learner
-//!   supports both; they form one of our ablation benches);
+//! * two split finders behind one boosting loop ([`FitRun`]) — a
+//!   recursive exact greedy grower and one level-wise histogram grower
+//!   over quantile-sketch bins (the paper's learner supports both; they
+//!   form one of our ablation benches). The histogram grower streams
+//!   the row blocks of a [`ChunkedMatrix`]: one in-memory block for
+//!   [`Booster::train`] and [`TrainingContext`] fits, many (in memory
+//!   or spilled to disk) for [`train_chunked`]. On one block it visits
+//!   each round's sampled rows in sample order, so in-memory histogram
+//!   models keep their bits at any `subsample` (see `chunked`);
 //! * early stopping against a held-out evaluation set;
 //! * gain / cover / frequency feature importances;
 //! * one persisted model format: the checksummed prediction-bundle
@@ -61,14 +67,13 @@ pub mod tree;
 
 pub use artifact::{fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
 pub use booster::{Booster, EvalRecord, FitRun, TrainReport};
+#[doc(hidden)]
+pub use chunked::build_hists_for_bench;
 pub use chunked::{
-    encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, ChunkedFitRun,
-    ChunkedMatrix, ChunkedMatrixBuilder, ChunkedView, CutSketch, DEFAULT_BLOCK_ROWS,
-    DEFAULT_SKETCH_DISTINCT,
+    encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, ChunkedMatrix,
+    ChunkedMatrixBuilder, ChunkedView, CutSketch, DEFAULT_BLOCK_ROWS, DEFAULT_SKETCH_DISTINCT,
 };
 pub use context::{ContextCache, ExactIndex, TrainingContext, MISSING_RANK};
-#[doc(hidden)]
-pub use engine::build_hists_for_bench;
 pub use engine::TreeScratch;
 pub use error::{ChunkError, GbdtError, PredictError, TrainError};
 pub use forest::FlatForest;

@@ -6,8 +6,9 @@
 //! [`TreeScratch`] — performs **zero** heap allocations. This test
 //! binary installs a counting `#[global_allocator]` (test binaries get
 //! their own process, so the hook is invisible to the rest of the
-//! suite) and pins that contract for both tree methods and for pooled
-//! execution at several worker counts.
+//! suite) and pins that contract for exact fits, in-memory histogram
+//! fits at subsample 0.8 / colsample 0.8, streamed chunked fits (in
+//! memory and spilled), and pooled execution at several worker counts.
 //!
 //! The counter is thread-local: a worker thread's metered window only
 //! sees its own allocations, so the pool's own bookkeeping (done on
@@ -17,8 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use msaw_gbdt::{
-    ChunkedFitRun, ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, FitRun, Params, TrainingContext,
-    TreeMethod, TreeScratch,
+    ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, FitRun, Params, TrainingContext, TreeMethod,
+    TreeScratch,
 };
 use msaw_tabular::Matrix;
 
@@ -96,12 +97,18 @@ fn assert_rounds_allocation_free(
     scratch: &mut TreeScratch,
     label: &str,
 ) -> usize {
-    let mut run = FitRun::new(params, ctx, rows, labels, scratch).expect("valid fit");
-    assert!(run.round(), "at least one round must run");
+    let run = FitRun::new(params, ctx, rows, labels, scratch).expect("valid fit");
+    assert_run_allocation_free(run, label)
+}
+
+/// Step a started fit round by round, asserting every round after the
+/// first allocates nothing; returns the finished model's tree count.
+fn assert_run_allocation_free(mut run: FitRun<'_>, label: &str) -> usize {
+    assert!(run.round().expect("round"), "at least one round must run");
     let mut rounds = 1;
     while {
         let before = alloc_count();
-        let more = run.round();
+        let more = run.round().expect("round");
         let delta = alloc_count() - before;
         if more {
             rounds += 1;
@@ -153,14 +160,14 @@ fn a_second_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
     let params = params(TreeMethod::Exact);
     let mut scratch = TreeScratch::new();
     let mut run = FitRun::new(&params, &ctx, &rows, &labels, &mut scratch).expect("valid fit");
-    while run.round() {}
+    while run.round().unwrap() {}
     let _ = run.finish();
 
     let mut run = FitRun::new(&params, &ctx, &rows, &labels, &mut scratch).expect("valid fit");
     let mut rounds = 0;
     while {
         let before = alloc_count();
-        let more = run.round();
+        let more = run.round().unwrap();
         let delta = alloc_count() - before;
         if more {
             rounds += 1;
@@ -171,9 +178,8 @@ fn a_second_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
     assert_eq!(rounds, params.n_estimators);
 }
 
-/// The chunked problem: same synthetic data, stream-compatible params
-/// (no subsampling — the chunked trainer requires 1.0), and an
-/// in-memory chunked matrix so the meter sees only trainer work.
+/// The chunked problem: same synthetic data cut into `block_rows`-row
+/// blocks, kept in memory so the meter sees only trainer work.
 fn chunked_problem(nrows: usize, ncols: usize, block_rows: usize) -> (ChunkedMatrix, Vec<f64>) {
     let (data, labels) = problem(nrows, ncols);
     let mut sketch = CutSketch::new(ncols);
@@ -184,12 +190,7 @@ fn chunked_problem(nrows: usize, ncols: usize, block_rows: usize) -> (ChunkedMat
 }
 
 fn chunked_params() -> Params {
-    Params {
-        n_estimators: 12,
-        max_depth: 4,
-        tree_method: TreeMethod::Hist { max_bins: 32 },
-        ..Params::regression()
-    }
+    params(TreeMethod::Hist { max_bins: 32 })
 }
 
 /// Drive one chunked fit round-by-round, asserting every round after
@@ -201,26 +202,9 @@ fn assert_chunked_rounds_allocation_free(
     scratch: &mut TreeScratch,
     label: &str,
 ) -> usize {
-    let mut run = ChunkedFitRun::new(params, matrix.view(), None, labels, 1, scratch)
+    let run = FitRun::over_chunks(params, matrix.view(), None, labels, 1, scratch)
         .expect("valid chunked fit");
-    assert!(run.round().expect("round"), "at least one round must run");
-    let mut rounds = 1;
-    while {
-        let before = alloc_count();
-        let more = run.round().expect("round");
-        let delta = alloc_count() - before;
-        if more {
-            rounds += 1;
-            assert_eq!(
-                delta, 0,
-                "{label}: chunked round {rounds} allocated {delta} times; \
-                 the chunk arenas must absorb every round after the first"
-            );
-        }
-        more
-    } {}
-    let report = run.finish();
-    report.booster.trees().len()
+    assert_run_allocation_free(run, label)
 }
 
 #[test]
@@ -253,12 +237,12 @@ fn a_second_chunked_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
     let (matrix, labels) = chunked_problem(120, 8, 48);
     let mut scratch = TreeScratch::new();
     let mut run =
-        ChunkedFitRun::new(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
+        FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
     while run.round().unwrap() {}
     let _ = run.finish();
 
     let mut run =
-        ChunkedFitRun::new(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
+        FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
     let mut rounds = 0;
     while {
         let before = alloc_count();
@@ -271,6 +255,30 @@ fn a_second_chunked_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
         more
     } {}
     assert_eq!(rounds, params.n_estimators);
+}
+
+#[test]
+fn spilled_rounds_after_the_first_do_not_allocate() {
+    // A spilled fit reads its block from disk every pass. Through the
+    // serial loader (one block) a pass reuses one code buffer, so
+    // rounds after the first stay off the heap like in-memory ones.
+    // (Prefetched passes over several blocks hand buffers to a reader
+    // thread they spawn per pass.)
+    let (data, labels) = problem(120, 8);
+    let mut sketch = CutSketch::new(8);
+    sketch.update(data.as_slice());
+    let path = std::env::temp_dir().join(format!("msaw_alloc_spill_{}.mscb", std::process::id()));
+    let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(32), 120, &path).unwrap();
+    b.push_rows(data.as_slice()).unwrap();
+    let matrix = b.finish().unwrap();
+    assert!(matrix.is_spilled() && matrix.n_blocks() == 1);
+    let params = chunked_params();
+    let mut scratch = TreeScratch::new();
+    let n_trees =
+        assert_chunked_rounds_allocation_free(&params, &matrix, &labels, &mut scratch, "spilled");
+    assert_eq!(n_trees, params.n_estimators);
+    drop(matrix);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

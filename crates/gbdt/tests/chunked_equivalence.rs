@@ -1,8 +1,10 @@
-//! The out-of-core chunked trainer must be bitwise equal to the
-//! in-memory histogram path — for any block size, worker count {1, 2,
-//! 8}, memory or spilled storage, and both objectives. This is the
-//! determinism contract `bench_scale` and the population-scale pipeline
-//! rest on.
+//! Histogram fits streamed over a chunked matrix must be bitwise equal
+//! to the in-memory histogram fit — for any block size, worker count
+//! {1, 2, 8}, memory or spilled storage, and both objectives at
+//! `subsample == 1`, and on one block at any subsample. Across several
+//! blocks a subsampled fit must still be identical at every worker
+//! count and store kind. This is the determinism contract `bench_scale`
+//! and the population-scale pipeline rest on.
 
 use msaw_gbdt::{
     predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkError, ChunkedMatrix,
@@ -224,11 +226,31 @@ fn column_view_fit_ignores_columns_outside_the_view() {
     assert_eq!(reference.booster, report.booster, "column view leaked out-of-view columns");
 }
 
+/// Spill `rows` in `block_rows`-row blocks to a per-test file and
+/// reopen it.
+fn spilled_matrix(rows: &[f64], ncols: usize, block_rows: usize, tag: &str) -> ChunkedMatrix {
+    let mut sketch = CutSketch::new(ncols);
+    sketch.update(rows);
+    let path = std::env::temp_dir()
+        .join(format!("msaw_chunk_eq_{tag}_{block_rows}_{}.mscb", std::process::id()));
+    let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(16), block_rows, &path).unwrap();
+    b.push_rows(rows).unwrap();
+    b.finish().unwrap();
+    ChunkedMatrix::open(&path).unwrap()
+}
+
+fn remove_spill(m: ChunkedMatrix) {
+    let path = m.spill_path().expect("a spilled matrix").to_path_buf();
+    drop(m);
+    std::fs::remove_file(path).unwrap();
+}
+
 #[test]
-fn prefetch_toggle_never_changes_the_model() {
-    // Spilled fits read identical bytes whether block k+1 is
-    // prefetched on the reader thread or loaded serially; both match
-    // the in-memory store at every worker count.
+fn spilled_loading_path_never_changes_the_model() {
+    // A spilled pass over several blocks prefetches block k+1 on a
+    // reader thread; a pass over one block loads it serially. Both
+    // read identical bytes and match the in-memory store at every
+    // worker count.
     let nrows = 300;
     let ncols = 5;
     let rows = synth_rows(nrows, ncols);
@@ -237,35 +259,86 @@ fn prefetch_toggle_never_changes_the_model() {
     let params = hist_params();
     let reference = Booster::train(&params, &data, &labels).unwrap();
 
-    let mut sketch = CutSketch::new(ncols);
-    sketch.update(&rows);
-    let cuts = sketch.cuts(16);
-    let path = std::env::temp_dir().join(format!("msaw_prefetch_eq_{}.mscb", std::process::id()));
-    let mut b = ChunkedMatrixBuilder::spilled(cuts, 32, &path).unwrap();
-    b.push_rows(&rows).unwrap();
-    b.finish().unwrap();
-
-    for workers in [1usize, 2, 8] {
-        for prefetch in [false, true] {
-            let mut m = ChunkedMatrix::open(&path).unwrap();
-            m.set_prefetch(prefetch);
+    for block_rows in [32usize, nrows] {
+        let mut m = spilled_matrix(&rows, ncols, block_rows, "loading");
+        assert_eq!(m.n_blocks() > 1, block_rows < nrows);
+        for workers in [1usize, 2, 8] {
             let report = train_chunked(&params, &mut m, &labels, workers).unwrap();
             assert_models_identical(
                 &reference,
                 &report.booster,
                 &data,
-                &format!("workers={workers} prefetch={prefetch}"),
+                &format!("workers={workers} block_rows={block_rows}"),
             );
         }
+        remove_spill(m);
     }
-    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn one_block_subsampled_fit_equals_the_in_memory_fit() {
+    // On one block the passes visit the round's sample in draw order —
+    // the in-memory fit's order — so row and column subsampling keep
+    // every bit, in memory and spilled, at every worker count.
+    let nrows = 240;
+    let ncols = 6;
+    let rows = synth_rows(nrows, ncols);
+    let labels = synth_labels(&rows, nrows, ncols);
+    let data = Matrix::from_vec(rows.clone(), nrows, ncols);
+    let params = Params { subsample: 0.9, colsample_bytree: 0.8, ..hist_params() };
+    let reference = Booster::train_with_eval(&params, &data, &labels, None).unwrap();
+
+    let spilled = spilled_matrix(&rows, ncols, nrows, "one_block");
+    for m in [&chunk_matrix(&rows, ncols, nrows), &spilled] {
+        for workers in [1usize, 2, 8] {
+            let mut scratch = TreeScratch::new();
+            let report =
+                train_chunked_on(&params, m.view(), None, &labels, workers, &mut scratch).unwrap();
+            let tag = format!("spilled={} workers={workers}", m.is_spilled());
+            assert_models_identical(&reference.booster, &report.booster, &data, &tag);
+            assert_eq!(report.history, reference.history, "{tag}");
+        }
+    }
+    remove_spill(spilled);
+}
+
+#[test]
+fn multi_block_subsampled_fits_agree_at_every_worker_count_and_store() {
+    // Across blocks the per-cell order is block-major: not the
+    // one-block order, but the same at any worker count, in memory or
+    // spilled.
+    let nrows = 260;
+    let ncols = 6;
+    let rows = synth_rows(nrows, ncols);
+    let labels = synth_labels(&rows, nrows, ncols);
+    let data = Matrix::from_vec(rows.clone(), nrows, ncols);
+    let params = Params { subsample: 0.7, colsample_bytree: 0.8, ..hist_params() };
+    let subset: Vec<u32> = (0..nrows as u32).filter(|i| i % 5 != 3).collect();
+    let y: Vec<f64> = subset.iter().map(|&i| labels[i as usize]).collect();
+
+    let memory = chunk_matrix(&rows, ncols, 48);
+    let mut scratch = TreeScratch::new();
+    let reference =
+        train_chunked_on(&params, memory.view(), Some(&subset), &y, 1, &mut scratch).unwrap();
+    let spilled = spilled_matrix(&rows, ncols, 48, "multi_block");
+    for m in [&memory, &spilled] {
+        for workers in [1usize, 2, 8] {
+            let report =
+                train_chunked_on(&params, m.view(), Some(&subset), &y, workers, &mut scratch)
+                    .unwrap();
+            let tag = format!("spilled={} workers={workers}", m.is_spilled());
+            assert_models_identical(&reference.booster, &report.booster, &data, &tag);
+        }
+    }
+    remove_spill(spilled);
 }
 
 #[test]
 fn chunked_predictions_equal_the_flat_forest() {
     // predict_rows_chunked walks bin codes; the flat forest walks raw
     // values. Same trees, same rows — the transformed outputs must be
-    // bit-identical, in memory and spilled, prefetch on or off.
+    // bit-identical, in memory and spilled, prefetched (several blocks)
+    // or loaded serially (one block).
     let nrows = 240;
     let ncols = 5;
     let rows = synth_rows(nrows, ncols);
@@ -289,24 +362,18 @@ fn chunked_predictions_equal_the_flat_forest() {
 
     assert_preds(&chunk_matrix(&rows, ncols, 48), "memory");
 
-    let mut sketch = CutSketch::new(ncols);
-    sketch.update(&rows);
-    let path = std::env::temp_dir().join(format!("msaw_predict_eq_{}.mscb", std::process::id()));
-    let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(16), 48, &path).unwrap();
-    b.push_rows(&rows).unwrap();
-    b.finish().unwrap();
-    for prefetch in [false, true] {
-        let mut m = ChunkedMatrix::open(&path).unwrap();
-        m.set_prefetch(prefetch);
-        assert_preds(&m, &format!("disk prefetch={prefetch}"));
+    for block_rows in [48usize, nrows] {
+        let m = spilled_matrix(&rows, ncols, block_rows, "predict");
+        assert_preds(&m, &format!("disk block_rows={block_rows}"));
+        remove_spill(m);
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn unsorted_or_out_of_range_prediction_rows_are_typed_errors() {
-    // 40 rows in 16-row blocks. Each bad input's per-block counts sum
-    // to its length, so only an explicit order check can catch it.
+    // 40 rows in 16-row blocks. Each bad input steps back a block or
+    // leaves the matrix, and its per-block counts sum to its length,
+    // so only an explicit order check can catch it.
     let (nrows, ncols) = (40, 3);
     let rows = synth_rows(nrows, ncols);
     let labels = synth_labels(&rows, nrows, ncols);
@@ -320,15 +387,17 @@ fn unsorted_or_out_of_range_prediction_rows_are_typed_errors() {
             other => panic!("rows {bad:?}: expected a typed rows error, got {other:?}"),
         }
     }
-    // An ascending subset still predicts bit-identically to the flat
-    // forest over the raw rows.
-    let subset: Vec<usize> = vec![0, 3, 15, 16, 17, 30, 39];
-    let subset_u32: Vec<u32> = subset.iter().map(|&i| i as u32).collect();
-    let got = predict_rows_chunked(&model, m.view(), &subset_u32, &mut bufs).unwrap();
-    let want = model.flat_forest().predict_rows(&data, &subset);
-    assert_eq!(got.len(), want.len());
-    for (a, b) in got.iter().zip(&want) {
-        assert_eq!(a.to_bits(), b.to_bits(), "prediction bits differ");
+    // An ascending subset — or any order and repeats within a block —
+    // still predicts bit-identically to the flat forest over the raw
+    // rows, in input order.
+    for subset in [vec![0usize, 3, 15, 16, 17, 30, 39], vec![3, 0, 15, 3, 20, 16, 39, 33]] {
+        let subset_u32: Vec<u32> = subset.iter().map(|&i| i as u32).collect();
+        let got = predict_rows_chunked(&model, m.view(), &subset_u32, &mut bufs).unwrap();
+        let want = model.flat_forest().predict_rows(&data, &subset);
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits(), "rows {subset:?}: prediction bits differ");
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 //! the context's shared binning is consistent with re-encoding any
 //! materialised subset against the same cuts.
 
-use msaw_gbdt::binning::BinnedMatrix;
-use msaw_gbdt::{Booster, Params, TrainingContext, TreeMethod};
+use msaw_gbdt::{
+    Booster, ChunkedMatrix, ChunkedMatrixBuilder, Params, TrainingContext, TreeMethod,
+};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 
@@ -196,10 +197,10 @@ proptest! {
     ) {
         let data = build(nrows, ncols, &cells);
         let ctx = TrainingContext::with_max_bins(&data, 8);
-        let materialised = BinnedMatrix::with_cuts(
-            &data.take_rows(&rows),
-            ctx.binned().clone_cuts(),
-        );
+        let cuts = (0..ncols).map(|j| ctx.binned().cuts(j).to_vec()).collect();
+        let mut builder = ChunkedMatrixBuilder::in_memory(cuts, rows.len());
+        builder.push_rows(data.take_rows(&rows).as_slice()).unwrap();
+        let materialised = builder.finish().unwrap();
         for (pos, &r) in rows.iter().enumerate() {
             for j in 0..ncols {
                 prop_assert_eq!(
@@ -232,7 +233,7 @@ proptest! {
         for i in 0..nrows {
             perm.swap(i, (i * 7 + salt) % nrows);
         }
-        let refit = BinnedMatrix::fit(&data.take_rows(&perm), 8);
+        let refit = ChunkedMatrix::fit(&data.take_rows(&perm), 8);
         for (pos, &r) in perm.iter().enumerate() {
             for j in 0..ncols {
                 prop_assert_eq!(ctx.binned().bin(r, j), refit.bin(pos, j));

@@ -5,7 +5,7 @@
 //! points.
 
 use msaw_gbdt::artifact::{self, fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
-use msaw_gbdt::{Booster, Params, PredictError, TreeMethod};
+use msaw_gbdt::{Booster, ChunkedMatrix, Params, PredictError, TreeMethod};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +39,7 @@ fn trained_model() -> Booster {
 
 fn trained_artifact() -> ModelArtifact {
     let (data, labels) = pseudo_data(150, 5);
-    let binned = msaw_gbdt::binning::BinnedMatrix::fit(&data, 32);
+    let binned = ChunkedMatrix::fit(&data, 32);
     let params = Params {
         n_estimators: 12,
         max_depth: 4,
@@ -47,7 +47,8 @@ fn trained_artifact() -> ModelArtifact {
         ..Params::regression()
     };
     let model = Booster::train(&params, &data, &labels).unwrap();
-    ModelArtifact::from_booster(model, Some(binned.clone_cuts()))
+    let cuts = (0..data.ncols()).map(|j| binned.cuts(j).to_vec()).collect();
+    ModelArtifact::from_booster(model, Some(cuts))
 }
 
 /// An exact-method model's artifact: trees and flat forest, no cuts.
@@ -273,7 +274,10 @@ proptest! {
         let model = Booster::train(&params, &data, &labels).unwrap();
 
         // The full bundle, with cuts when the hist method was used.
-        let cuts = hist.then(|| msaw_gbdt::binning::BinnedMatrix::fit(&data, 16).clone_cuts());
+        let cuts = hist.then(|| {
+            let binned = ChunkedMatrix::fit(&data, 16);
+            (0..data.ncols()).map(|j| binned.cuts(j).to_vec()).collect()
+        });
         let bundle = ModelArtifact::from_booster(model, cuts);
         let v2 = artifact::encode(&bundle);
         let bundle2 = artifact::decode(&v2).unwrap();
