@@ -136,6 +136,7 @@ impl Booster {
     ) -> Result<Booster, TrainError> {
         Ok(in_memory(FitRun::new(params, ctx, rows, labels, scratch)?.run())?.booster)
     }
+
     /// Raw (untransformed) score for one row.
     pub fn predict_raw_row(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_features);

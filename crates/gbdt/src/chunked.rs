@@ -1074,6 +1074,13 @@ fn take_hist(pool: &mut Vec<Vec<[f64; 2]>>, total_slots: usize) -> Vec<[f64; 2]>
     h
 }
 
+/// Return a node's histogram buffer, if it holds one, to the pool.
+fn recycle(pool: &mut Vec<Vec<[f64; 2]>>, hist: &mut Vec<[f64; 2]>) {
+    if !hist.is_empty() {
+        pool.push(std::mem::take(hist));
+    }
+}
+
 /// One streamed block's rows as seen through a column view.
 #[derive(Clone, Copy)]
 struct BlockRows<'c> {
@@ -1470,7 +1477,8 @@ pub(crate) struct HistPools {
     route_of: Vec<Option<Route>>,
     /// Arena node → index of the accumulation target it is, if any.
     owner_of: Vec<u32>,
-    /// Accumulation targets of the current pass: `(node, parent)`.
+    /// Accumulation targets of the current pass, `(node, parent)`, and
+    /// their histograms.
     targets: Vec<(u32, u32)>,
     target_hists: Vec<Vec<[f64; 2]>>,
     /// One block's visited positions grouped by target.
@@ -1549,10 +1557,9 @@ impl HistPools {
         self.target_start.reserve(per_tree + 1);
         self.target_pos.reserve(n);
         self.bounds.reserve(view.ncols() + 1);
-        // Pre-fill the histogram pool to the level-order worst case
-        // (every node of the widest two levels holding a buffer), each
-        // buffer big enough for the full feature set, so no later round
-        // has to mint one whatever shape its tree takes.
+        // Pre-fill the histogram pool with one buffer per possible tree
+        // node, each big enough for the full feature set, so no later
+        // round has to mint one whatever shape its tree takes.
         let total_slots: usize = (0..view.ncols()).map(|j| view.cuts(j).len() + 2).sum();
         for h in &mut self.hist_pool {
             h.clear();
@@ -1744,7 +1751,7 @@ impl HistPools {
                         let weight = -g / (h + params.lambda) * params.learning_rate;
                         let node = &mut self.arena[id as usize];
                         node.fate = Fate::Leaf { weight };
-                        self.hist_pool.push(std::mem::take(&mut node.hist));
+                        recycle(&mut self.hist_pool, &mut node.hist);
                     }
                     Some(cand) => {
                         let left = self.arena.len() as u32;
@@ -1838,7 +1845,7 @@ impl HistPools {
                     let node = &mut self.arena[id as usize];
                     let weight = -node.g / (node.h + params.lambda) * params.learning_rate;
                     node.fate = Fate::Leaf { weight };
-                    self.hist_pool.push(std::mem::take(&mut node.hist));
+                    recycle(&mut self.hist_pool, &mut node.hist);
                     self.arena[left as usize].fate = Fate::Leaf { weight };
                     self.arena[right as usize].fate = Fate::Leaf { weight };
                 } else {
@@ -1851,39 +1858,44 @@ impl HistPools {
 
             // Accumulation pass: build each smaller child's histogram
             // (ties go left), then derive the larger child by the
-            // subtraction trick from the parent's buffer.
-            self.owner_of.clear();
-            self.owner_of.resize(self.arena.len(), u32::MAX);
-            self.targets.clear();
-            self.target_hists.clear();
-            for i in 0..self.confirmed.len() {
-                let id = self.confirmed[i];
-                let Fate::Split { left, right, .. } = self.arena[id as usize].fate.clone() else {
-                    unreachable!("confirmed splits keep their split fate")
-                };
-                let small = if self.arena[left as usize].n_rows <= self.arena[right as usize].n_rows
-                {
-                    left
-                } else {
-                    right
-                };
-                self.owner_of[small as usize] = self.targets.len() as u32;
-                self.targets.push((small, id));
-                self.target_hists.push(take_hist(&mut self.hist_pool, total_slots));
-            }
-            self.accumulate_pass(view, level, workers, grad, hess, features, false)?;
-            for t in (0..self.targets.len()).rev() {
-                let (small, parent) = self.targets[t];
-                let small_hist = self.target_hists.pop().expect("one histogram per target");
-                let mut large_hist = std::mem::take(&mut self.arena[parent as usize].hist);
-                subtract_hist(level, &mut large_hist, &small_hist);
-                let Fate::Split { left, right, .. } = self.arena[parent as usize].fate.clone()
-                else {
-                    unreachable!("confirmed splits keep their split fate")
-                };
-                let large = if small == left { right } else { left };
-                self.arena[small as usize].hist = small_hist;
-                self.arena[large as usize].hist = large_hist;
+            // subtraction trick from the parent's buffer. Children at the
+            // depth cap leaf without a scan, so the last split level
+            // builds none.
+            if depth + 1 < params.max_depth {
+                self.owner_of.clear();
+                self.owner_of.resize(self.arena.len(), u32::MAX);
+                self.targets.clear();
+                self.target_hists.clear();
+                for i in 0..self.confirmed.len() {
+                    let id = self.confirmed[i];
+                    let Fate::Split { left, right, .. } = self.arena[id as usize].fate.clone()
+                    else {
+                        unreachable!("confirmed splits keep their split fate")
+                    };
+                    let small =
+                        if self.arena[left as usize].n_rows <= self.arena[right as usize].n_rows {
+                            left
+                        } else {
+                            right
+                        };
+                    self.owner_of[small as usize] = self.targets.len() as u32;
+                    self.targets.push((small, id));
+                    self.target_hists.push(take_hist(&mut self.hist_pool, total_slots));
+                }
+                self.accumulate_pass(view, level, workers, grad, hess, features, false)?;
+                for t in (0..self.targets.len()).rev() {
+                    let (small, parent) = self.targets[t];
+                    let small_hist = self.target_hists.pop().expect("one histogram per target");
+                    let mut large_hist = std::mem::take(&mut self.arena[parent as usize].hist);
+                    subtract_hist(level, &mut large_hist, &small_hist);
+                    let Fate::Split { left, right, .. } = self.arena[parent as usize].fate.clone()
+                    else {
+                        unreachable!("confirmed splits keep their split fate")
+                    };
+                    let large = if small == left { right } else { left };
+                    self.arena[small as usize].hist = small_hist;
+                    self.arena[large as usize].hist = large_hist;
+                }
             }
 
             self.frontier.clear();
@@ -1898,9 +1910,7 @@ impl HistPools {
         }
         // Return any still-held histogram buffers to the pool.
         for node in &mut self.arena {
-            if !node.hist.is_empty() {
-                self.hist_pool.push(std::mem::take(&mut node.hist));
-            }
+            recycle(&mut self.hist_pool, &mut node.hist);
         }
 
         let mut max_depth = 0u16;

@@ -87,12 +87,8 @@ impl RoundCtx<'_> {
         }
     }
 
-    fn scan_threads(&self, node_rows: usize) -> usize {
-        split_workers(self.params, node_rows)
-    }
-
     /// Emit a leaf and record its weight as the leaf assignment of every
-    /// position that reached it — the cache `train_core` adds to `raw`
+    /// position that reached it — the cache `FitRun::round` adds to `raw`
     /// instead of re-walking the finished tree.
     fn leaf(
         &self,
@@ -484,7 +480,7 @@ pub(crate) fn find_split_exact(
     h: f64,
 ) -> Option<SplitCandidate> {
     let cfg = rctx.split_config();
-    let threads = rctx.scan_threads(node_rows);
+    let threads = split_workers(rctx.params, node_rows);
     let nf = rctx.features.len();
     if threads <= 1 || nf < 2 {
         let mut tracker = BestTracker::new(cfg, g, h);

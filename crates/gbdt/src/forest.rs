@@ -344,7 +344,7 @@ impl FlatForest {
     }
 
     /// Sum of tree contributions for one row, in tree order, **without**
-    /// the base score (the single-tree building block `train_core` uses
+    /// the base score (the single-tree building block `FitRun` uses
     /// for its eval-set updates).
     #[inline]
     pub fn sum_row(&self, row: &[f64]) -> f64 {
