@@ -64,14 +64,8 @@ impl Booster {
         labels: &[f64],
         eval: Option<(&Matrix, &[f64])>,
     ) -> Result<TrainReport, TrainError> {
-        params.validate()?;
         let nrows = data.nrows();
-        if nrows == 0 {
-            return Err(TrainError::EmptyDataset);
-        }
-        if labels.len() != nrows {
-            return Err(TrainError::LabelLength { rows: nrows, labels: labels.len() });
-        }
+        validate_fit(params, nrows, labels)?;
         if let Some((ed, el)) = eval {
             if ed.ncols() != data.ncols() {
                 return Err(TrainError::EvalFeatureCount {
@@ -83,7 +77,6 @@ impl Booster {
                 return Err(TrainError::LabelLength { rows: ed.nrows(), labels: el.len() });
             }
         }
-        params.objective.validate_labels(labels)?;
 
         let mut scratch = TreeScratch::new();
         match params.tree_method {
@@ -200,6 +193,19 @@ impl Booster {
     }
 }
 
+/// The checks every fit shares: valid parameters, a non-empty training
+/// view, one label per position, labels the objective accepts.
+fn validate_fit(params: &Params, n_positions: usize, labels: &[f64]) -> Result<(), TrainError> {
+    params.validate()?;
+    if n_positions == 0 {
+        return Err(TrainError::EmptyDataset);
+    }
+    if labels.len() != n_positions {
+        return Err(TrainError::LabelLength { rows: n_positions, labels: labels.len() });
+    }
+    params.objective.validate_labels(labels)
+}
+
 /// Which grower a [`FitRun`] drives, and what it reads.
 enum Grower<'a> {
     /// The recursive exact grower over a matrix's rank index; position
@@ -262,14 +268,7 @@ impl<'a> FitRun<'a> {
         labels: &'a [f64],
         scratch: &'a mut TreeScratch,
     ) -> Result<FitRun<'a>, TrainError> {
-        params.validate()?;
-        if rows.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        if labels.len() != rows.len() {
-            return Err(TrainError::LabelLength { rows: rows.len(), labels: labels.len() });
-        }
-        params.objective.validate_labels(labels)?;
+        validate_fit(params, rows.len(), labels)?;
         let grower = match params.tree_method {
             TreeMethod::Hist { .. } => {
                 let view = ctx.binned().view();
@@ -298,7 +297,7 @@ impl<'a> FitRun<'a> {
         workers: usize,
         scratch: &'a mut TreeScratch,
     ) -> Result<FitRun<'a>, ChunkError> {
-        params.validate()?;
+        validate_fit(params, rows.map_or(view.nrows(), <[u32]>::len), labels)?;
         if !matches!(params.tree_method, TreeMethod::Hist { .. }) {
             return Err(TrainError::InvalidParam {
                 name: "tree_method",
@@ -306,14 +305,6 @@ impl<'a> FitRun<'a> {
             }
             .into());
         }
-        let n_positions = rows.map_or(view.nrows(), <[u32]>::len);
-        if n_positions == 0 {
-            return Err(TrainError::EmptyDataset.into());
-        }
-        if labels.len() != n_positions {
-            return Err(TrainError::LabelLength { rows: n_positions, labels: labels.len() }.into());
-        }
-        params.objective.validate_labels(labels)?;
         match rows {
             None => scratch.hist.prepare(params, view, 0..view.nrows())?,
             Some(rs) => scratch.hist.prepare(params, view, rs.iter().map(|&r| r as usize))?,

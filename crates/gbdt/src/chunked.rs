@@ -237,6 +237,7 @@ fn thin_even(vals: &mut Vec<f64>, cap: usize) {
 #[derive(Debug)]
 pub struct ChunkedMatrixBuilder {
     cuts: Vec<Vec<f64>>,
+    missing: Vec<u16>,
     ncols: usize,
     block_rows: usize,
     nrows: usize,
@@ -251,6 +252,7 @@ impl ChunkedMatrixBuilder {
         let ncols = cuts.len();
         assert!(ncols > 0, "at least one feature required");
         ChunkedMatrixBuilder {
+            missing: missing_codes(&cuts),
             cuts,
             ncols,
             block_rows: block_rows.max(1),
@@ -302,8 +304,12 @@ impl ChunkedMatrixBuilder {
     /// with [`encode_rows`] and the builder appends them in chunk
     /// order, so block boundaries — and therefore the sealed spill
     /// bytes — are identical to a serial [`push_rows`] build.
+    ///
+    /// A code above its feature's missing code (`cuts[j].len() + 1`) is
+    /// a `ChunkError::Corrupt` and leaves the builder unchanged.
     pub fn push_encoded(&mut self, codes: &[u16]) -> Result<(), ChunkError> {
         assert!(codes.len().is_multiple_of(self.ncols), "row-major chunk width mismatch");
+        check_code_range(codes, &self.missing, format_args!("pushed chunk"))?;
         let block_len = self.block_rows * self.ncols;
         let mut rest = codes;
         while !rest.is_empty() {
@@ -335,7 +341,7 @@ impl ChunkedMatrixBuilder {
         }
         let store = match self.spill {
             Some(w) => {
-                let disk = w.seal(self.nrows)?;
+                let disk = w.seal(self.nrows, self.missing)?;
                 Store::Disk(disk)
             }
             None => Store::Memory { blocks: self.blocks },
@@ -364,6 +370,46 @@ pub fn encode_rows(cuts: &[Vec<f64>], rows: &[f64]) -> Vec<u16> {
         }
     }
     out
+}
+
+/// Reject a row-major code buffer holding a code above its feature's
+/// missing code (`cuts[j].len() + 1`). The accumulation kernels index
+/// histograms with unchecked writes, so every code they read comes from
+/// [`encode_value`] in [`ChunkedMatrixBuilder::push_rows`] (never above
+/// that bound) or has passed this check: in
+/// [`ChunkedMatrixBuilder::push_encoded`], in
+/// [`ChunkedMatrix::from_codes`] and on every load of a spilled block.
+fn check_code_range(
+    codes: &[u16],
+    missing: &[u16],
+    origin: std::fmt::Arguments<'_>,
+) -> Result<(), ChunkError> {
+    for row in codes.chunks_exact(missing.len()) {
+        // Branch-free over the row, so it vectorizes: a spilled block
+        // is checked on every pass, at about the cost of reading it.
+        let over = row.iter().zip(missing).fold(0, |acc, (&code, &m)| acc | code.saturating_sub(m));
+        if over != 0 {
+            let j = row
+                .iter()
+                .zip(missing)
+                .position(|(&code, &m)| code > m)
+                .expect("the fold saw a code over");
+            return Err(ChunkError::Corrupt {
+                what: "code range",
+                detail: format!(
+                    "{origin}: code {} exceeds missing code {} for feature {j}",
+                    row[j], missing[j]
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Each feature's missing code `cuts[j].len() + 1`, the largest code it
+/// may hold (saturated at `u16::MAX`, which then bounds nothing).
+fn missing_codes(cuts: &[Vec<f64>]) -> Vec<u16> {
+    cuts.iter().map(|c| u16::try_from(c.len() + 1).unwrap_or(u16::MAX)).collect()
 }
 
 /// Serialise the spill header for the given shape. `nrows`/`n_blocks`
@@ -444,7 +490,7 @@ impl SpillWriter {
         Ok(())
     }
 
-    fn seal(mut self, nrows: usize) -> Result<DiskStore, ChunkError> {
+    fn seal(mut self, nrows: usize, missing: Vec<u16>) -> Result<DiskStore, ChunkError> {
         // Rebuild the header with the final counts; the cuts region is
         // already on disk and unchanged, so it is read back to keep the
         // checksum over the true bytes.
@@ -473,13 +519,15 @@ impl SpillWriter {
             path: self.path,
             offsets: self.offsets,
             rows: self.rows,
+            missing,
             verified,
         })
     }
 }
 
-/// The on-disk half of a spilled [`ChunkedMatrix`]: block offsets, lazy
-/// checksum verification, and one reusable decode buffer. Reads are
+/// The on-disk half of a spilled [`ChunkedMatrix`]: block offsets, the
+/// features' missing codes every load is range-checked against, and
+/// lazy checksum verification (first load per block). Reads are
 /// positional (no shared cursor) and the per-block verified flags are
 /// atomic, so any number of concurrent readers — prefetch threads,
 /// parallel grid fits — can stream the same store through their own
@@ -490,6 +538,7 @@ struct DiskStore {
     path: PathBuf,
     offsets: Vec<u64>,
     rows: Vec<u32>,
+    missing: Vec<u16>,
     verified: Vec<AtomicBool>,
 }
 
@@ -530,10 +579,7 @@ impl ChunkedMatrix {
         let cuts: Vec<Vec<f64>> = (0..data.ncols())
             .map(|j| cuts_from_distinct(&distinct_values(&data.column(j)), max_bins))
             .collect();
-        let mut codes = Vec::with_capacity(data.nrows() * data.ncols());
-        for row in data.rows() {
-            codes.extend(row.iter().zip(&cuts).map(|(&v, c)| encode_value(v, c)));
-        }
+        let codes = if cuts.is_empty() { Vec::new() } else { encode_rows(&cuts, data.as_slice()) };
         ChunkedMatrix::from_codes(cuts, data.nrows(), codes)
     }
 
@@ -543,6 +589,10 @@ impl ChunkedMatrix {
         let ncols = cuts.len();
         assert_eq!(codes.len(), nrows * ncols, "row-major code buffer size mismatch");
         assert!(nrows <= u32::MAX as usize, "row indices must fit in u32");
+        if ncols > 0 {
+            check_code_range(&codes, &missing_codes(&cuts), format_args!("one-block codes"))
+                .expect("one-block codes are encoded against their own cuts");
+        }
         let blocks = if nrows == 0 { Vec::new() } else { vec![codes] };
         ChunkedMatrix {
             cuts,
@@ -604,7 +654,8 @@ impl ChunkedMatrix {
 
     /// Open a spilled chunk file, validating structure, counts and the
     /// header checksum before trusting any of it. Block payloads are
-    /// checksum-verified lazily on first load.
+    /// checksum-verified lazily on first load and range-checked on
+    /// every load.
     pub fn open(path: &Path) -> Result<ChunkedMatrix, ChunkError> {
         fn corrupt(what: &'static str, detail: String) -> ChunkError {
             ChunkError::Corrupt { what, detail }
@@ -705,7 +756,6 @@ impl ChunkedMatrix {
             ));
         }
         Ok(ChunkedMatrix {
-            cuts,
             ncols,
             nrows,
             block_rows,
@@ -714,8 +764,10 @@ impl ChunkedMatrix {
                 path: path.to_path_buf(),
                 offsets,
                 rows,
+                missing: missing_codes(&cuts),
                 verified: (0..n_blocks).map(|_| AtomicBool::new(false)).collect(),
             }),
+            cuts,
         })
     }
 
@@ -742,9 +794,9 @@ impl ChunkedMatrix {
     }
 
     /// Load block `b`'s codes (row-major, `rows_in_block(b) × ncols`)
-    /// into a fresh buffer. Disk blocks are checksum- and
-    /// range-verified on first load. Test-only: the trainer streams
-    /// through [`stream_blocks`] with rotating buffers instead.
+    /// into a fresh buffer. Disk blocks are checksum-verified on first
+    /// load and range-checked on every load. Test-only: the trainer
+    /// streams through [`stream_blocks`] with rotating buffers instead.
     #[cfg(test)]
     fn load_block(&self, b: usize) -> Result<Vec<u16>, ChunkError> {
         let expect_rows = self.rows_in_block(b);
@@ -752,17 +804,7 @@ impl ChunkedMatrix {
             Store::Memory { blocks } => Ok(blocks[b].clone()),
             Store::Disk(d) => {
                 let mut buf = Vec::new();
-                load_disk_block_into(
-                    &d.file,
-                    &d.path,
-                    &d.offsets,
-                    &d.rows,
-                    &d.verified,
-                    &self.cuts,
-                    b,
-                    expect_rows,
-                    &mut buf,
-                )?;
+                load_disk_block_into(d, b, expect_rows, &mut buf)?;
                 Ok(buf)
             }
         }
@@ -799,45 +841,38 @@ impl ChunkedView<'_> {
     }
 }
 
-/// Read, verify (first time) and decode one spilled block into `out`.
-/// The payload is read positionally straight into the code buffer's
+/// Read, checksum-verify (first time only), decode and range-check one
+/// spilled block into `out`. The payload is read positionally straight into the code buffer's
 /// byte view — on little-endian targets the wire format *is* the
 /// in-memory layout, so there is no per-element decode loop; big-endian
 /// targets byte-swap in place after checksumming the wire bytes.
-#[allow(clippy::too_many_arguments)]
 fn load_disk_block_into(
-    file: &File,
-    path: &Path,
-    offsets: &[u64],
-    rows: &[u32],
-    verified: &[AtomicBool],
-    cuts: &[Vec<f64>],
+    d: &DiskStore,
     b: usize,
     expect_rows: usize,
     out: &mut Vec<u16>,
 ) -> Result<(), ChunkError> {
     let mut head = [0u8; 12];
-    pread_exact(file, path, offsets[b], &mut head)?;
+    pread_exact(&d.file, &d.path, d.offsets[b], &mut head)?;
     let stored_sum = u64::from_le_bytes(head[0..8].try_into().unwrap());
     let stored_rows = u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize;
-    if stored_rows != expect_rows || stored_rows != rows[b] as usize {
+    if stored_rows != expect_rows || stored_rows != d.rows[b] as usize {
         return Err(ChunkError::Corrupt {
             what: "block rows",
             detail: format!("block {b}: stored {stored_rows}, expected {expect_rows}"),
         });
     }
-    let ncols = cuts.len();
-    let n_codes = expect_rows * ncols;
+    let n_codes = expect_rows * d.missing.len();
     out.clear();
     out.resize(n_codes, 0);
-    let verify = !verified[b].load(Ordering::Acquire);
+    let verify = !d.verified[b].load(Ordering::Acquire);
     {
         // SAFETY: a `u16` buffer viewed as bytes is always valid —
         // same allocation, `2 × n_codes` bytes, no alignment demand on
         // `u8`, and every bit pattern is a valid `u16`.
         let byte_view =
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), n_codes * 2) };
-        pread_exact(file, path, offsets[b] + 12, byte_view)?;
+        pread_exact(&d.file, &d.path, d.offsets[b] + 12, byte_view)?;
         if verify {
             let computed = fnv1a_64(byte_view);
             if computed != stored_sum {
@@ -854,23 +889,12 @@ fn load_disk_block_into(
     for c in out.iter_mut() {
         *c = u16::from_le(*c);
     }
+    // The range check runs on every load, not just the checksummed
+    // first one: a file rewritten between passes must fail here, not
+    // in the kernels' unchecked histogram writes.
+    check_code_range(out, &d.missing, format_args!("block {b}"))?;
     if verify {
-        // Range-check codes once so histogram indexing can trust them:
-        // code ≤ missing code for its column.
-        for (i, &code) in out.iter().enumerate() {
-            let j = i % ncols;
-            let missing = cuts[j].len() as u16 + 1;
-            if code > missing {
-                return Err(ChunkError::Corrupt {
-                    what: "code range",
-                    detail: format!(
-                        "block {b}: code {code} exceeds missing sentinel {missing} \
-                         for feature {j}"
-                    ),
-                });
-            }
-        }
-        verified[b].store(true, Ordering::Release);
+        d.verified[b].store(true, Ordering::Release);
     }
     Ok(())
 }
@@ -897,8 +921,8 @@ fn pread_exact(_file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> Result
 
 /// Stream the listed blocks of `matrix` through `f` in order. Spilled
 /// passes over two or more blocks overlap I/O with compute: a reader
-/// thread loads (and first-time-verifies) block *k+1* while `f` works
-/// on block *k*, rotating two persistent code buffers through a pair of
+/// thread loads (and checks) block *k+1* while `f` works on block *k*,
+/// rotating two persistent code buffers through a pair of
 /// channels — steady state moves buffers, never allocates. A spilled
 /// pass over fewer blocks loads serially. The call order of `f` is
 /// identical on every path, so training is bitwise unaffected by the
@@ -926,17 +950,7 @@ where
         let mut result = Ok(());
         for &b in block_list {
             let b = b as usize;
-            if let Err(e) = load_disk_block_into(
-                &d.file,
-                &d.path,
-                &d.offsets,
-                &d.rows,
-                &d.verified,
-                &matrix.cuts,
-                b,
-                matrix.rows_in_block(b),
-                &mut buf,
-            ) {
+            if let Err(e) = load_disk_block_into(d, b, matrix.rows_in_block(b), &mut buf) {
                 result = Err(e);
                 break;
             }
@@ -967,17 +981,7 @@ where
             for &b in block_list {
                 let Ok(mut buf) = empty_rx.recv() else { return };
                 let b = b as usize;
-                let loaded = load_disk_block_into(
-                    &d.file,
-                    &d.path,
-                    &d.offsets,
-                    &d.rows,
-                    &d.verified,
-                    &matrix.cuts,
-                    b,
-                    matrix.rows_in_block(b),
-                    &mut buf,
-                );
+                let loaded = load_disk_block_into(d, b, matrix.rows_in_block(b), &mut buf);
                 let failed = loaded.is_err();
                 let sent = match loaded {
                     Ok(()) => full_tx.send(Ok(buf)),
@@ -1135,13 +1139,15 @@ fn accumulate(
     {
         if level >= SimdLevel::Avx512 {
             // SAFETY: `active_level` never reports Avx512 without
-            // AVX-512F CPU support.
+            // AVX-512F CPU support, and streamed codes are range-checked
+            // or encoded in range.
             unsafe { accumulate_avx512(rows, positions, gh, fi_range, data) };
             return;
         }
         if level >= SimdLevel::Avx2 {
             // SAFETY: `active_level` never reports Avx2-or-above without
-            // AVX2 CPU support.
+            // AVX2 CPU support, and streamed codes are range-checked or
+            // encoded in range.
             unsafe { accumulate_avx2(rows, positions, gh, fi_range, data) };
             return;
         }
@@ -1185,6 +1191,12 @@ fn accumulate_scalar(
 /// fall back to the scalar pass over just that chunk. No heap
 /// allocation on any path — the training hot path must stay
 /// allocation-free.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and no code in `rows` may exceed its
+/// feature's missing code — true of every block a fit streams (see
+/// [`check_code_range`]) — so every slot written lies inside `data`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn accumulate_avx2(
@@ -1230,12 +1242,18 @@ unsafe fn accumulate_avx2(
                 let mut s = [0i32; 8];
                 _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, slots);
                 for &si in &s {
+                    // SAFETY: codes never exceed their missing code (see
+                    // `check_code_range`), so `si` indexes inside `data`.
+                    debug_assert!((si as usize) < data.len(), "code past its missing slot");
                     pair_add(data.get_unchecked_mut(si as usize), g_h);
                 }
                 c += 8;
             }
             while c < nf_chunk {
+                // SAFETY: `fi + c` lies inside the row's view codes, and
+                // the code's bound puts `slot` inside `data`.
                 let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
+                debug_assert!(slot < data.len(), "code past its missing slot");
                 pair_add(data.get_unchecked_mut(slot), g_h);
                 c += 1;
             }
@@ -1252,6 +1270,11 @@ unsafe fn accumulate_avx2(
 /// add order as the scalar and AVX2 passes and the result stays
 /// bit-identical across levels. Non-identity chunks fall back to the
 /// scalar pass; nothing allocates.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; codes obey the bound
+/// [`accumulate_avx2`] states.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn accumulate_avx512(
@@ -1297,12 +1320,18 @@ unsafe fn accumulate_avx512(
                 let mut s = [0i32; 16];
                 _mm512_storeu_si512(s.as_mut_ptr() as *mut _, slots);
                 for &si in &s {
+                    // SAFETY: codes never exceed their missing code (see
+                    // `check_code_range`), so `si` indexes inside `data`.
+                    debug_assert!((si as usize) < data.len(), "code past its missing slot");
                     pair_add(data.get_unchecked_mut(si as usize), g_h);
                 }
                 c += 16;
             }
             while c < nf_chunk {
+                // SAFETY: `fi + c` lies inside the row's view codes, and
+                // the code's bound puts `slot` inside `data`.
                 let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
+                debug_assert!(slot < data.len(), "code past its missing slot");
                 pair_add(data.get_unchecked_mut(slot), g_h);
                 c += 1;
             }
@@ -2265,6 +2294,77 @@ mod tests {
         assert!(matches!(err, Err(ChunkError::Corrupt { what: "block checksum", .. })));
 
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn push_encoded_rejects_codes_above_the_missing_code() {
+        // No cuts: codes 0 (present) and 1 (missing) only.
+        let mut b = ChunkedMatrixBuilder::in_memory(vec![vec![]], 4);
+        assert!(matches!(
+            b.push_encoded(&[1000, 0, 0, 0]),
+            Err(ChunkError::Corrupt { what: "code range", .. })
+        ));
+        // Missing codes 2 and 3; the offender sits in a later row of
+        // feature 1, and a rejected chunk appends nothing.
+        let mut b = ChunkedMatrixBuilder::in_memory(vec![vec![0.5], vec![0.5, 1.5]], 4);
+        match b.push_encoded(&[0, 3, 2, 4]) {
+            Err(ChunkError::Corrupt { what: "code range", detail }) => {
+                assert!(detail.contains("code 4") && detail.contains("feature 1"), "{detail}");
+            }
+            other => panic!("expected a code-range error, got {other:?}"),
+        }
+        b.push_encoded(&[0, 3, 2, 0, 1, 2, 2, 1]).unwrap();
+        let mut m = b.finish().unwrap();
+        assert_eq!(m.nrows(), 4);
+        let params = Params {
+            n_estimators: 2,
+            tree_method: TreeMethod::Hist { max_bins: 8 },
+            ..Params::regression()
+        };
+        let report = train_chunked(&params, &mut m, &[0.0, 1.0, 2.0, 3.0], 1).unwrap();
+        assert_eq!(report.booster.trees().len(), 2);
+    }
+
+    #[test]
+    fn a_spill_rewritten_after_its_first_pass_fails_with_a_typed_error() {
+        // The first fit checksums every block; later passes skip the
+        // checksum but still range-check each load, so out-of-range
+        // codes written under an open matrix are a typed error, not a
+        // write past a histogram.
+        let nrows = 40;
+        let ncols = 2;
+        let rows = synth(nrows, ncols, true);
+        let mut sketch = CutSketch::new(ncols);
+        sketch.update(&rows);
+        let labels: Vec<f64> = (0..nrows).map(|i| i as f64).collect();
+        let params = Params {
+            n_estimators: 2,
+            tree_method: TreeMethod::Hist { max_bins: 8 },
+            ..Params::regression()
+        };
+        // 16-row blocks take the prefetching reader, one block the
+        // serial loader.
+        for block_rows in [16usize, nrows] {
+            let path = tmp_path(&format!("rewrite_{block_rows}"));
+            let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(8), block_rows, &path).unwrap();
+            b.push_rows(&rows).unwrap();
+            let mut m = b.finish().unwrap();
+            train_chunked(&params, &mut m, &labels, 1).unwrap();
+
+            let mut bytes = std::fs::read(&path).unwrap();
+            let len = bytes.len();
+            bytes[len - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    train_chunked(&params, &mut m, &labels, 1),
+                    Err(ChunkError::Corrupt { what: "code range", .. })
+                ),
+                "block_rows {block_rows}"
+            );
+            drop(m);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -471,16 +471,18 @@ fn scan_list(
     }
 }
 
+/// The best split of one node over the round's features, scanned by
+/// `threads` workers over contiguous feature chunks (the grower passes
+/// [`split_workers`] of the node's row count) and merged in chunk order.
 pub(crate) fn find_split_exact(
     index: &ExactIndex,
     rctx: &RoundCtx,
     lists: &FeatureListSet,
-    node_rows: usize,
+    threads: usize,
     g: f64,
     h: f64,
 ) -> Option<SplitCandidate> {
     let cfg = rctx.split_config();
-    let threads = split_workers(rctx.params, node_rows);
     let nf = rctx.features.len();
     if threads <= 1 || nf < 2 {
         let mut tracker = BestTracker::new(cfg, g, h);
@@ -548,7 +550,8 @@ fn grow_exact(
         pools.put_lists(lists);
         return idx;
     }
-    let Some(split) = find_split_exact(index, rctx, &lists, rows.len(), g, h) else {
+    let threads = split_workers(rctx.params, rows.len());
+    let Some(split) = find_split_exact(index, rctx, &lists, threads, g, h) else {
         let idx = rctx.leaf(tree, depth, &rows, leaf_of, g, h);
         pools.put_rows(rows);
         pools.put_lists(lists);

@@ -83,8 +83,11 @@ impl std::error::Error for PredictError {}
 pub enum ChunkError {
     /// The spill file could not be read or written.
     Io(std::io::Error),
-    /// The spill file failed structural or checksum validation.
-    /// `what` names the field or region, `detail` says how it failed.
+    /// The spill file failed structural, checksum or code-range
+    /// validation, or a chunk given to
+    /// [`crate::ChunkedMatrixBuilder::push_encoded`] held a code above
+    /// its feature's missing code. `what` names the field or region,
+    /// `detail` says how it failed.
     Corrupt { what: &'static str, detail: String },
     /// A training-stage failure (bad parameters or labels).
     Train(TrainError),

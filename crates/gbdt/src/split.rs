@@ -259,35 +259,34 @@ mod tests {
         SplitConfig { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 }
     }
 
-    /// Depth-1 growth under `cfg`; a zero split threshold turns on the
-    /// feature-parallel scans.
-    fn params(cfg: SplitConfig, parallel: bool) -> Params {
+    /// Depth-1 growth under `cfg`.
+    fn params(cfg: SplitConfig) -> Params {
         Params {
             max_depth: 1,
             lambda: cfg.lambda,
             gamma: cfg.gamma,
             min_child_weight: cfg.min_child_weight,
-            parallel_split_threshold: if parallel { 0 } else { usize::MAX },
             ..Params::regression()
         }
     }
 
-    /// The exact grower's root split over every row of `x`.
+    /// The exact finder's root split over every row of `x`, scanned by
+    /// `threads` feature-chunk workers.
     fn exact_split(
         x: &Matrix,
         grad: &[f64],
         hess: &[f64],
         features: &[usize],
         cfg: SplitConfig,
-        parallel: bool,
+        threads: usize,
     ) -> Option<SplitCandidate> {
         let index = ExactIndex::fit(x);
-        let params = params(cfg, parallel);
+        let params = params(cfg);
         let map: Vec<usize> = (0..x.nrows()).collect();
         let rctx = RoundCtx { map: &map, grad, hess, features, params: &params };
         let lists = root_lists(&index, &rctx, &map, &mut EnginePools::default());
         let (g, h) = (grad.iter().sum(), hess.iter().sum());
-        find_split_exact(&index, &rctx, &lists, map.len(), g, h)
+        find_split_exact(&index, &rctx, &lists, threads, g, h)
     }
 
     /// The level-wise histogram grower's root split over every row of
@@ -300,7 +299,7 @@ mod tests {
         max_bins: u16,
     ) -> Option<(usize, f64, bool, f64)> {
         let m = ChunkedMatrix::fit(x, max_bins);
-        let params = params(cfg(), false);
+        let params = params(cfg());
         let mut pools = HistPools::default();
         pools.prepare(&params, m.view(), 0..x.nrows()).unwrap();
         let sample: Vec<usize> = (0..x.nrows()).collect();
@@ -317,7 +316,7 @@ mod tests {
     #[test]
     fn exact_finds_the_obvious_split() {
         let (x, g, h) = simple_data();
-        let best = exact_split(&x, &g, &h, &[0], cfg(), false).unwrap();
+        let best = exact_split(&x, &g, &h, &[0], cfg(), 1).unwrap();
         assert_eq!(best.feature, 0);
         assert!(best.threshold > 1.0 && best.threshold < 10.0);
         // Left has grads +2, right -2 → gain = 0.5*(4/3 + 4/3 - 0) = 4/3
@@ -329,7 +328,7 @@ mod tests {
     #[test]
     fn threshold_is_midpoint_between_distinct_values() {
         let (x, g, h) = simple_data();
-        let best = exact_split(&x, &g, &h, &[0], cfg(), false).unwrap();
+        let best = exact_split(&x, &g, &h, &[0], cfg(), 1).unwrap();
         assert_eq!(best.threshold, 5.5);
     }
 
@@ -341,7 +340,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![f64::NAN], vec![f64::NAN]]);
         let g = vec![1.0, 1.0, -1.0, -1.0];
         let h = vec![1.0; 4];
-        let best = exact_split(&x, &g, &h, &[0], cfg(), false).unwrap();
+        let best = exact_split(&x, &g, &h, &[0], cfg(), 1).unwrap();
         // Both grads positive below threshold: threshold 0.5 splits row 0
         // from row 1; best config puts missing right with leftover +1.
         // What matters: a split exists and default direction is learned.
@@ -356,7 +355,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0], vec![10.0], vec![f64::NAN]]);
         let g = vec![1.0, -1.0, 1.0];
         let h = vec![1.0; 3];
-        let best = exact_split(&x, &g, &h, &[0], cfg(), false).unwrap();
+        let best = exact_split(&x, &g, &h, &[0], cfg(), 1).unwrap();
         assert!(best.default_left);
         assert_eq!(best.left_grad, 2.0);
         assert_eq!(best.right_grad, -1.0);
@@ -366,14 +365,14 @@ mod tests {
     fn min_child_weight_blocks_thin_children() {
         let (x, g, h) = simple_data();
         let strict = SplitConfig { min_child_weight: 3.0, ..cfg() };
-        assert!(exact_split(&x, &g, &h, &[0], strict, false).is_none());
+        assert!(exact_split(&x, &g, &h, &[0], strict, 1).is_none());
     }
 
     #[test]
     fn gamma_blocks_weak_splits() {
         let (x, g, h) = simple_data();
         let strict = SplitConfig { gamma: 10.0, ..cfg() };
-        assert!(exact_split(&x, &g, &h, &[0], strict, false).is_none());
+        assert!(exact_split(&x, &g, &h, &[0], strict, 1).is_none());
     }
 
     #[test]
@@ -381,7 +380,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![2.0], vec![2.0], vec![2.0]]);
         let g = vec![1.0, -1.0, 0.0];
         let h = vec![1.0; 3];
-        assert!(exact_split(&x, &g, &h, &[0], cfg(), false).is_none());
+        assert!(exact_split(&x, &g, &h, &[0], cfg(), 1).is_none());
         assert!(hist_split(&x, &g, &h, &[0], 8).is_none());
     }
 
@@ -402,15 +401,15 @@ mod tests {
         let x = Matrix::from_vec(data, nrows, ncols);
         let hess = vec![1.0; nrows];
         let features: Vec<usize> = (0..ncols).collect();
-        let serial = exact_split(&x, &grad, &hess, &features, cfg(), false);
-        let parallel = exact_split(&x, &grad, &hess, &features, cfg(), true);
+        let serial = exact_split(&x, &grad, &hess, &features, cfg(), 1);
+        let parallel = exact_split(&x, &grad, &hess, &features, cfg(), 4);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn hist_agrees_with_exact_on_small_data() {
         let (x, g, h) = simple_data();
-        let exact = exact_split(&x, &g, &h, &[0], cfg(), false).unwrap();
+        let exact = exact_split(&x, &g, &h, &[0], cfg(), 1).unwrap();
         let (feature, threshold, _, gain) = hist_split(&x, &g, &h, &[0], 64).unwrap();
         assert_eq!(exact.feature, feature);
         assert!((exact.gain - gain).abs() < 1e-9);

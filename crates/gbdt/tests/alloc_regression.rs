@@ -8,7 +8,8 @@
 //! their own process, so the hook is invisible to the rest of the
 //! suite) and pins that contract for exact fits, in-memory histogram
 //! fits at subsample 0.8 / colsample 0.8, streamed chunked fits (in
-//! memory and spilled), and pooled execution at several worker counts.
+//! memory and spilled, without subsampling and at 0.8 / 0.8), and
+//! pooled execution at several worker counts.
 //!
 //! The counter is thread-local: a worker thread's metered window only
 //! sees its own allocations, so the pool's own bookkeeping (done on
@@ -189,8 +190,14 @@ fn chunked_problem(nrows: usize, ncols: usize, block_rows: usize) -> (ChunkedMat
     (b.finish().unwrap(), labels)
 }
 
-fn chunked_params() -> Params {
-    params(TreeMethod::Hist { max_bins: 32 })
+/// The chunked parameter sets: the stream's default (no subsampling —
+/// the ascending visit lists and the identity-feature kernels) and
+/// subsample 0.8 / colsample 0.8 (the block-regrouped visit lists and
+/// the drawn-feature kernels).
+fn chunked_param_sets() -> [(Params, &'static str); 2] {
+    let subsampled = params(TreeMethod::Hist { max_bins: 32 });
+    let full = Params { subsample: 1.0, colsample_bytree: 1.0, ..subsampled.clone() };
+    [(full, "subsample 1"), (subsampled, "subsample 0.8")]
 }
 
 /// Drive one chunked fit round-by-round, asserting every round after
@@ -213,18 +220,19 @@ fn chunked_rounds_after_the_first_do_not_allocate() {
     // pools, every later round streams blocks, builds histograms,
     // partitions and emits trees without touching the heap — across
     // several block sizes, since block count shapes the visit lists.
-    let params = chunked_params();
-    for block_rows in [16usize, 48, 200] {
-        let (matrix, labels) = chunked_problem(120, 8, block_rows);
-        let mut scratch = TreeScratch::new();
-        let n_trees = assert_chunked_rounds_allocation_free(
-            &params,
-            &matrix,
-            &labels,
-            &mut scratch,
-            &format!("chunked block_rows={block_rows}"),
-        );
-        assert_eq!(n_trees, params.n_estimators);
+    for (params, set) in chunked_param_sets() {
+        for block_rows in [16usize, 48, 200] {
+            let (matrix, labels) = chunked_problem(120, 8, block_rows);
+            let mut scratch = TreeScratch::new();
+            let n_trees = assert_chunked_rounds_allocation_free(
+                &params,
+                &matrix,
+                &labels,
+                &mut scratch,
+                &format!("chunked {set}, block_rows={block_rows}"),
+            );
+            assert_eq!(n_trees, params.n_estimators);
+        }
     }
 }
 
@@ -233,28 +241,32 @@ fn a_second_chunked_fit_on_a_used_scratch_is_allocation_free_from_round_one() {
     // Steady state across fits — the sharded grid's execution shape:
     // a worker's scratch sees many fits of the same shape, and every
     // fit after the first must run allocation-free from round one.
-    let params = chunked_params();
-    let (matrix, labels) = chunked_problem(120, 8, 48);
-    let mut scratch = TreeScratch::new();
-    let mut run =
-        FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
-    while run.round().unwrap() {}
-    let _ = run.finish();
+    for (params, set) in chunked_param_sets() {
+        let (matrix, labels) = chunked_problem(120, 8, 48);
+        let mut scratch = TreeScratch::new();
+        let mut run =
+            FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
+        while run.round().unwrap() {}
+        let _ = run.finish();
 
-    let mut run =
-        FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
-    let mut rounds = 0;
-    while {
-        let before = alloc_count();
-        let more = run.round().unwrap();
-        let delta = alloc_count() - before;
-        if more {
-            rounds += 1;
-            assert_eq!(delta, 0, "warm-scratch chunked round {rounds} allocated {delta} times");
-        }
-        more
-    } {}
-    assert_eq!(rounds, params.n_estimators);
+        let mut run =
+            FitRun::over_chunks(&params, matrix.view(), None, &labels, 1, &mut scratch).unwrap();
+        let mut rounds = 0;
+        while {
+            let before = alloc_count();
+            let more = run.round().unwrap();
+            let delta = alloc_count() - before;
+            if more {
+                rounds += 1;
+                assert_eq!(
+                    delta, 0,
+                    "{set}: warm-scratch chunked round {rounds} allocated {delta} times"
+                );
+            }
+            more
+        } {}
+        assert_eq!(rounds, params.n_estimators);
+    }
 }
 
 #[test]
@@ -272,11 +284,17 @@ fn spilled_rounds_after_the_first_do_not_allocate() {
     b.push_rows(data.as_slice()).unwrap();
     let matrix = b.finish().unwrap();
     assert!(matrix.is_spilled() && matrix.n_blocks() == 1);
-    let params = chunked_params();
-    let mut scratch = TreeScratch::new();
-    let n_trees =
-        assert_chunked_rounds_allocation_free(&params, &matrix, &labels, &mut scratch, "spilled");
-    assert_eq!(n_trees, params.n_estimators);
+    for (params, set) in chunked_param_sets() {
+        let mut scratch = TreeScratch::new();
+        let n_trees = assert_chunked_rounds_allocation_free(
+            &params,
+            &matrix,
+            &labels,
+            &mut scratch,
+            &format!("spilled {set}"),
+        );
+        assert_eq!(n_trees, params.n_estimators);
+    }
     drop(matrix);
     std::fs::remove_file(&path).unwrap();
 }
