@@ -8,7 +8,7 @@
 //! type wraps all of them plus the pool's panic report, so binaries and
 //! experiments handle exactly one error type.
 
-use msaw_gbdt::{PredictError, TrainError};
+use msaw_gbdt::{ChunkError, PredictError, TrainError};
 use msaw_parallel::PoolError;
 use msaw_preprocess::SampleError;
 use msaw_tabular::TabularError;
@@ -91,6 +91,16 @@ impl std::error::Error for PipelineError {
 impl From<TrainError> for PipelineError {
     fn from(source: TrainError) -> Self {
         PipelineError::Train { job: None, source }
+    }
+}
+
+impl From<ChunkError> for PipelineError {
+    fn from(e: ChunkError) -> Self {
+        match e {
+            // Parameter/label failures keep their typed identity.
+            ChunkError::Train(source) => PipelineError::Train { job: None, source },
+            other => PipelineError::Chunk { message: other.to_string() },
+        }
     }
 }
 

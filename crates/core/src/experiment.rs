@@ -4,7 +4,8 @@
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
 use msaw_gbdt::{
-    Booster, ContextCache, Objective, Params, TrainError, TrainingContext, TreeMethod, TreeScratch,
+    predict_rows_chunked, train_chunked_on, Booster, ChunkError, ChunkedView, ContextCache,
+    Objective, Params, TrainingContext, TreeMethod, TreeScratch,
 };
 use msaw_metrics::{
     group_train_test_split, kfold, stratified_kfold, train_test_split, ConfusionMatrix,
@@ -12,6 +13,7 @@ use msaw_metrics::{
 use msaw_metrics::{mae, one_minus_mape};
 use msaw_preprocess::{OutcomeKind, SampleSet};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// DD vs KD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -118,9 +120,8 @@ impl VariantResult {
 }
 
 /// Tune `scale_pos_weight` to the training split's class imbalance,
-/// XGBoost's standard `sum(neg)/sum(pos)` recipe. Shared with the
-/// sharded chunked grid, whose fits must reweight identically.
-pub(crate) fn balanced_params(base: &Params, labels: &[f64]) -> Params {
+/// XGBoost's standard `sum(neg)/sum(pos)` recipe.
+fn balanced_params(base: &Params, labels: &[f64]) -> Params {
     let pos = labels.iter().filter(|&&l| l == 1.0).count().max(1);
     let neg = labels.len() - labels.iter().filter(|&&l| l == 1.0).count();
     Params {
@@ -129,80 +130,48 @@ pub(crate) fn balanced_params(base: &Params, labels: &[f64]) -> Params {
     }
 }
 
-/// Train on a row view of `set` through its shared context — no row
-/// copying, no re-binning — reusing `scratch`'s training arenas across
-/// calls. `auto_balance` switches on the class-weight recipe; the
+/// The hyper-parameters of a fit on labels `y`: the outcome's own, with
+/// the class-weight recipe switched on by `cfg.auto_balance_falls`. The
 /// paper's models did not reweight (which is exactly why its KD Falls
 /// model without FI collapses to the majority class).
-fn fit_rows(
-    set: &SampleSet,
-    ctx: &TrainingContext<'_>,
-    rows: &[usize],
-    params: &Params,
-    auto_balance: bool,
-    scratch: &mut TreeScratch,
-) -> Result<Booster, TrainError> {
-    let y: Vec<f64> = rows.iter().map(|&i| set.labels[i]).collect();
-    let params = if set.outcome.is_classification() && auto_balance {
-        balanced_params(params, &y)
+fn fit_params(cfg: &ExperimentConfig, outcome: OutcomeKind, y: &[f64]) -> Params {
+    let params = cfg.params_for(outcome);
+    if outcome.is_classification() && cfg.auto_balance_falls {
+        balanced_params(params, y)
     } else {
         params.clone()
-    };
-    Booster::train_on_rows_with(&params, ctx, rows, &y, scratch)
+    }
 }
 
-/// Predict a row view through the flat engine — no materialised
-/// sub-matrix. Runs on one worker: fit jobs already execute inside the
-/// grid's pool, and nesting thread fan-out there would oversubscribe.
-fn predict_rows(model: &Booster, set: &SampleSet, rows: &[usize]) -> Vec<f64> {
-    model.flat_forest().predict_rows_on(1, &set.features, rows)
-}
-
-/// The primary metric of predictions against their labels: accuracy at
-/// the decision threshold for classification, `1 - MAPE` otherwise.
-/// Shared with the chunked grid so both paths score identically.
-pub(crate) fn primary_metric_from_preds(
+/// Score predictions against their labels: a fold's primary metric
+/// (accuracy at the decision threshold for classification, `1 - MAPE`
+/// otherwise), or the final model's full test-set evaluation.
+fn job_output(
+    job: FitJob,
     is_classification: bool,
     y: &[f64],
     preds: &[f64],
     threshold: f64,
-) -> f64 {
-    if is_classification {
-        let labels: Vec<bool> = y.iter().map(|&l| l == 1.0).collect();
-        ConfusionMatrix::from_probabilities(&labels, preds, threshold).accuracy()
-    } else {
-        one_minus_mape(y, preds)
-    }
-}
-
-/// The final test-set evaluation of predictions against their labels —
-/// the [`FitOutput::Final`] both grid paths assemble.
-pub(crate) fn final_output_from_preds(
-    is_classification: bool,
-    y_test: &[f64],
-    preds: &[f64],
-    threshold: f64,
 ) -> FitOutput {
     if is_classification {
-        let labels: Vec<bool> = y_test.iter().map(|&l| l == 1.0).collect();
+        let labels: Vec<bool> = y.iter().map(|&l| l == 1.0).collect();
         let cm = ConfusionMatrix::from_probabilities(&labels, preds, threshold);
-        FitOutput::Final { regression: None, classification: Some(cm.report()) }
+        match job {
+            FitJob::Fold(_) => FitOutput::CvScore(cm.accuracy()),
+            FitJob::Final => {
+                FitOutput::Final { regression: None, classification: Some(cm.report()) }
+            }
+        }
     } else {
-        FitOutput::Final {
-            regression: Some(RegressionScores {
-                one_minus_mape: one_minus_mape(y_test, preds),
-                mae: mae(y_test, preds),
-            }),
-            classification: None,
+        let score = one_minus_mape(y, preds);
+        match job {
+            FitJob::Fold(_) => FitOutput::CvScore(score),
+            FitJob::Final => FitOutput::Final {
+                regression: Some(RegressionScores { one_minus_mape: score, mae: mae(y, preds) }),
+                classification: None,
+            },
         }
     }
-}
-
-/// Score a fitted model on the given rows: the primary metric.
-fn score(model: &Booster, set: &SampleSet, rows: &[usize], threshold: f64) -> f64 {
-    let y: Vec<f64> = rows.iter().map(|&i| set.labels[i]).collect();
-    let preds = predict_rows(model, set, rows);
-    primary_metric_from_preds(set.outcome.is_classification(), &y, &preds, threshold)
 }
 
 /// The 80/20 split the protocol uses: sample-level (the paper's
@@ -257,24 +226,21 @@ fn fold_rows(
 
 /// The protocol's frozen row partition for one dataset: the 80/20
 /// split plus the CV folds over the training side, all in absolute row
-/// indices, exactly as [`plan_with_context`] freezes them into a
-/// [`VariantPlan`]. Exposed set-free so the sharded chunked grid —
-/// which never materialises a [`SampleSet`] — partitions its rows
-/// through the identical code path.
-pub(crate) struct SplitPlan {
+/// indices.
+struct SplitPlan {
     /// Training rows of the 80% side.
-    pub train_rows: Vec<usize>,
+    train_rows: Vec<usize>,
     /// Held-out test rows.
-    pub test_rows: Vec<usize>,
+    test_rows: Vec<usize>,
     /// Per fold: (training rows, validation rows), absolute indices.
-    pub folds: Vec<(Vec<usize>, Vec<usize>)>,
+    folds: Vec<(Vec<usize>, Vec<usize>)>,
 }
 
 /// Compute the protocol's split and folds for `n_rows` samples.
 /// Folds are built only when the training side can feed every fold at
 /// least two samples. Under `cfg.canonical_row_order` every list is
 /// then sorted ascending — same membership, streaming-friendly order.
-pub(crate) fn split_plan(
+fn split_plan(
     n_rows: usize,
     labels: &[f64],
     is_classification: bool,
@@ -306,9 +272,21 @@ pub(crate) fn split_plan(
     SplitPlan { train_rows, test_rows, folds }
 }
 
-/// One variant, prepared for fitting: the sample set's shared training
-/// context (matrix indexed and binned exactly once) plus the protocol's
-/// 80/20 split and CV folds, all in absolute row indices.
+/// Where a plan's fits read their rows.
+enum RowStore<'a> {
+    /// A sample set's shared training context: exact or histogram fits
+    /// on row views, flat-forest predictions on the raw rows. Boxed,
+    /// because a context is ten times the size of a view.
+    Context(Box<TrainingContext<'a>>),
+    /// A column view of a sealed bin-coded matrix, in memory or
+    /// spilled: out-of-core histogram fits and predictions on the
+    /// stored codes (the sharded grid).
+    Chunked(ChunkedView<'a>),
+}
+
+/// One variant, prepared for fitting: where its fits read rows, the
+/// labels they score against, and the protocol's 80/20 split and CV
+/// folds, all in absolute row indices.
 ///
 /// A plan is immutable and `Sync`: its fit jobs are independent and may
 /// run on any thread in any order — [`try_run_fit_job_with`] is a pure
@@ -316,14 +294,13 @@ pub(crate) fn split_plan(
 /// [`crate::grid::try_run_full_grid_on`] fan the whole grid's jobs
 /// across one bounded worker pool.
 pub struct VariantPlan<'a> {
-    set: &'a SampleSet,
+    outcome: OutcomeKind,
     approach: Approach,
     with_fi: bool,
-    ctx: TrainingContext<'a>,
-    train_rows: Vec<usize>,
-    test_rows: Vec<usize>,
-    /// Per fold: (training rows, validation rows), absolute indices.
-    folds: Vec<(Vec<usize>, Vec<usize>)>,
+    labels: &'a [f64],
+    rows: RowStore<'a>,
+    /// Shared by the sharded grid's four variants of one outcome.
+    split: Arc<SplitPlan>,
 }
 
 /// One unit of training work inside a variant.
@@ -368,7 +345,7 @@ pub fn try_plan_variant<'a>(
         TreeMethod::Hist { max_bins } => TrainingContext::with_max_bins(&set.features, max_bins),
         TreeMethod::Exact => set.training_context(),
     };
-    plan_with_context(set, approach, with_fi, cfg, ctx)
+    Ok(plan_with_context(set, approach, with_fi, cfg, ctx))
 }
 
 /// [`try_plan_variant`] through a [`ContextCache`]: column sets shared
@@ -393,7 +370,7 @@ pub fn try_plan_variant_cached<'a>(
         TreeMethod::Hist { max_bins } => cache.context_with_bins(&set.features, max_bins),
         TreeMethod::Exact => cache.context_for(&set.features),
     };
-    plan_with_context(set, approach, with_fi, cfg, ctx)
+    Ok(plan_with_context(set, approach, with_fi, cfg, ctx))
 }
 
 /// Shared tail of the plan builders: freeze the protocol's 80/20 split
@@ -404,18 +381,42 @@ fn plan_with_context<'a>(
     with_fi: bool,
     cfg: &ExperimentConfig,
     ctx: TrainingContext<'a>,
-) -> Result<VariantPlan<'a>, PipelineError> {
+) -> VariantPlan<'a> {
     let groups = cfg.split_by_patient.then(|| set.patient_groups());
-    let plan =
+    let split =
         split_plan(set.len(), &set.labels, set.outcome.is_classification(), groups.as_deref(), cfg);
-    Ok(VariantPlan {
-        set,
+    VariantPlan {
+        outcome: set.outcome,
         approach,
         with_fi,
-        ctx,
-        train_rows: plan.train_rows,
-        test_rows: plan.test_rows,
-        folds: plan.folds,
+        labels: &set.labels,
+        rows: RowStore::Context(Box::new(ctx)),
+        split: Arc::new(split),
+    }
+}
+
+/// Plan one outcome's variants over column views of sealed bin-coded
+/// matrices, for the sharded grid. `labels` and `groups` (patient ids,
+/// used under `cfg.split_by_patient`) cover every row of every view.
+/// The variants share one frozen split and folds, exactly as the
+/// in-memory grid's four plans of an outcome agree.
+pub(crate) fn plan_views<'a>(
+    outcome: OutcomeKind,
+    labels: &'a [f64],
+    groups: &[u64],
+    cfg: &ExperimentConfig,
+    views: [(Approach, bool, ChunkedView<'a>); 4],
+) -> [VariantPlan<'a>; 4] {
+    let groups = cfg.split_by_patient.then_some(groups);
+    let split =
+        Arc::new(split_plan(labels.len(), labels, outcome.is_classification(), groups, cfg));
+    views.map(|(approach, with_fi, view)| VariantPlan {
+        outcome,
+        approach,
+        with_fi,
+        labels,
+        rows: RowStore::Chunked(view),
+        split: Arc::clone(&split),
     })
 }
 
@@ -423,14 +424,23 @@ impl VariantPlan<'_> {
     /// The fit jobs of this variant, in canonical order: every CV fold,
     /// then the final model.
     pub fn jobs(&self) -> impl Iterator<Item = FitJob> {
-        (0..self.folds.len()).map(FitJob::Fold).chain(std::iter::once(FitJob::Final))
+        (0..self.split.folds.len()).map(FitJob::Fold).chain(std::iter::once(FitJob::Final))
     }
 }
 
-/// Execute one fit job against a plan. Pure in `(plan, job, cfg)`:
-/// safe to call from any thread, results independent of scheduling. A
-/// fit failure (bad labels, bad hyper-parameters) surfaces as a
-/// [`TrainError`].
+/// Execute one fit job against a plan: fit on the job's rows, predict
+/// its held-out rows on one worker (fit jobs already run inside the
+/// grid's pool), and score them. Pure in `(plan, job, cfg)`: safe to
+/// call from any thread, results independent of scheduling. A fit
+/// failure (bad labels, bad hyper-parameters) is a
+/// [`ChunkError::Train`]; a bin-coded block that fails to load is an
+/// I/O or corruption [`ChunkError`].
+///
+/// Context plans train through [`Booster::train_on_rows_with`] (on the
+/// context's `split_workers`) and predict through the flat forest on
+/// the raw rows. Chunked plans train through
+/// [`msaw_gbdt::train_chunked_on`] on one worker and predict through
+/// [`msaw_gbdt::predict_rows_chunked`] on the stored codes.
 ///
 /// The fit reuses the caller-owned `scratch`'s gradient/partition/
 /// histogram arenas instead of allocating fresh ones, which is what
@@ -442,40 +452,33 @@ pub fn try_run_fit_job_with(
     job: FitJob,
     cfg: &ExperimentConfig,
     scratch: &mut TreeScratch,
-) -> Result<FitOutput, TrainError> {
-    let params = cfg.params_for(plan.set.outcome);
-    match job {
-        FitJob::Fold(i) => {
-            let (fold_train, fold_val) = &plan.folds[i];
-            let model =
-                fit_rows(plan.set, &plan.ctx, fold_train, params, cfg.auto_balance_falls, scratch)?;
-            Ok(FitOutput::CvScore(score(&model, plan.set, fold_val, cfg.decision_threshold)))
+) -> Result<FitOutput, ChunkError> {
+    let (fit_rows, eval_rows) = match job {
+        FitJob::Fold(i) => (&plan.split.folds[i].0, &plan.split.folds[i].1),
+        FitJob::Final => (&plan.split.train_rows, &plan.split.test_rows),
+    };
+    let y: Vec<f64> = fit_rows.iter().map(|&i| plan.labels[i]).collect();
+    let params = fit_params(cfg, plan.outcome, &y);
+    let preds = match &plan.rows {
+        RowStore::Context(ctx) => {
+            let model = Booster::train_on_rows_with(&params, ctx, fit_rows, &y, scratch)?;
+            model.flat_forest().predict_rows_on(1, ctx.data(), eval_rows)
         }
-        FitJob::Final => {
-            let model = fit_rows(
-                plan.set,
-                &plan.ctx,
-                &plan.train_rows,
-                params,
-                cfg.auto_balance_falls,
-                scratch,
-            )?;
-            let y_test: Vec<f64> = plan.test_rows.iter().map(|&i| plan.set.labels[i]).collect();
-            let preds = predict_rows(&model, plan.set, &plan.test_rows);
-            Ok(final_output_from_preds(
-                plan.set.outcome.is_classification(),
-                &y_test,
-                &preds,
-                cfg.decision_threshold,
-            ))
+        RowStore::Chunked(view) => {
+            let fit_rows: Vec<u32> = fit_rows.iter().map(|&r| r as u32).collect();
+            let model = train_chunked_on(&params, *view, Some(&fit_rows), &y, 1, scratch)?.booster;
+            let eval_rows: Vec<u32> = eval_rows.iter().map(|&r| r as u32).collect();
+            predict_rows_chunked(&model, *view, &eval_rows, &mut Vec::new())?
         }
-    }
+    };
+    let y_eval: Vec<f64> = eval_rows.iter().map(|&i| plan.labels[i]).collect();
+    Ok(job_output(job, plan.outcome.is_classification(), &y_eval, &preds, cfg.decision_threshold))
 }
 
 /// Assemble a [`VariantResult`] from a plan and its job outputs, which
 /// must be in the plan's canonical job order (folds, then final).
 pub fn finish_variant(plan: &VariantPlan<'_>, outputs: Vec<FitOutput>) -> VariantResult {
-    let mut cv_scores = Vec::with_capacity(plan.folds.len());
+    let mut cv_scores = Vec::with_capacity(plan.split.folds.len());
     let mut regression = None;
     let mut classification = None;
     for out in outputs {
@@ -487,16 +490,16 @@ pub fn finish_variant(plan: &VariantPlan<'_>, outputs: Vec<FitOutput>) -> Varian
             }
         }
     }
-    assert_eq!(cv_scores.len(), plan.folds.len(), "one CV score per fold");
+    assert_eq!(cv_scores.len(), plan.split.folds.len(), "one CV score per fold");
     VariantResult {
-        outcome: plan.set.outcome,
+        outcome: plan.outcome,
         approach: plan.approach,
         with_fi: plan.with_fi,
         regression,
         classification,
         cv_scores,
-        n_train: plan.train_rows.len(),
-        n_test: plan.test_rows.len(),
+        n_train: plan.split.train_rows.len(),
+        n_test: plan.split.test_rows.len(),
     }
 }
 
@@ -531,10 +534,10 @@ pub fn try_fit_final_model(
     cfg: &ExperimentConfig,
 ) -> Result<Booster, PipelineError> {
     let (train_rows, _) = split_train_test(set, cfg);
+    let y: Vec<f64> = train_rows.iter().map(|&i| set.labels[i]).collect();
+    let params = fit_params(cfg, set.outcome, &y);
     let ctx = set.training_context();
-    let params = cfg.params_for(set.outcome);
-    let mut scratch = TreeScratch::new();
-    Ok(fit_rows(set, &ctx, &train_rows, params, cfg.auto_balance_falls, &mut scratch)?)
+    Ok(Booster::train_on_rows_with(&params, &ctx, &train_rows, &y, &mut TreeScratch::new())?)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use crate::experiment::{
     VariantPlan, VariantResult,
 };
 use msaw_cohort::{Clinic, CohortData};
-use msaw_gbdt::{ContextCache, TreeScratch};
+use msaw_gbdt::{ChunkError, ContextCache, TreeScratch};
 use msaw_kd::{attach_fi, default_ici_spec, ici_sample_set};
 use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind, SampleSet};
 
@@ -39,24 +39,23 @@ pub fn build_variant_sets(
     VariantSets { dd, dd_fi, kd, kd_fi }
 }
 
-fn job_count(plans: &[VariantPlan<'_>]) -> usize {
-    plans.iter().map(|plan| plan.jobs().count()).sum()
-}
-
-/// Fallible core of the grid engine: run every fit job of every plan on
-/// `workers` pool workers, containing both panics and typed fit errors.
+/// Fallible core of the grid engine, shared by the in-memory, per-clinic
+/// and sharded grids: run every fit job of every plan on `workers` pool
+/// workers (`0` means the default for the job count), containing both
+/// panics and typed fit errors.
 ///
 /// Each worker owns one [`TreeScratch`] for its whole drain — the first
 /// job it claims pays the arena allocations, every later fit reuses
 /// them (the pool rebuilds a worker's scratch only after a panicked
 /// job). Results stay independent of which jobs share a scratch.
 ///
-/// A panicking job surfaces as [`PipelineError::Pool`]; a job that
-/// returns a `TrainError` surfaces as [`PipelineError::Train`] carrying
-/// its flat job index. Either way the pool drains every job first (see
-/// `msaw_parallel`'s drain-the-cursor policy), so the reported index is
-/// the *lowest* failing job at any worker count.
-fn try_run_plans_on(
+/// A panicking job surfaces as [`PipelineError::Pool`]; a job whose fit
+/// fails surfaces as [`PipelineError::Train`] carrying its flat job
+/// index, and one whose bin-coded block fails to load as
+/// [`PipelineError::Chunk`]. Either way the pool drains every job first
+/// (see `msaw_parallel`'s drain-the-cursor policy), so the reported
+/// failure is the *lowest* failing job's at any worker count.
+pub(crate) fn try_run_plans_on(
     workers: usize,
     plans: &[VariantPlan<'_>],
     cfg: &ExperimentConfig,
@@ -66,6 +65,7 @@ fn try_run_plans_on(
         .enumerate()
         .flat_map(|(p, plan)| plan.jobs().map(move |job| (p, job)))
         .collect();
+    let workers = if workers == 0 { msaw_parallel::default_workers(jobs.len()) } else { workers };
     let results =
         msaw_parallel::try_run_scratch_on(workers, jobs.len(), TreeScratch::new, |scratch, i| {
             #[cfg(feature = "failpoint")]
@@ -79,7 +79,10 @@ fn try_run_plans_on(
             Ok(out) => outputs[p].push(out),
             // Job order is canonical, so the first error seen here is
             // the lowest failing index — deterministic like the pool's.
-            Err(source) => return Err(PipelineError::Train { job: Some(i), source }),
+            Err(ChunkError::Train(source)) => {
+                return Err(PipelineError::Train { job: Some(i), source })
+            }
+            Err(other) => return Err(other.into()),
         }
     }
     Ok(plans.iter().zip(outputs).map(|(plan, out)| finish_variant(plan, out)).collect())
@@ -127,8 +130,6 @@ pub fn try_run_full_grid_on(
             try_plan_variant_cached(set, approach, with_fi, cfg, &mut cache)
         })
         .collect::<Result<_, _>>()?;
-    let workers =
-        if workers == 0 { msaw_parallel::default_workers(job_count(&plans)) } else { workers };
     try_run_plans_on(workers, &plans, cfg)
 }
 
@@ -171,8 +172,7 @@ pub fn try_run_clinic_grids(
                     try_plan_variant_cached(set, approach, with_fi, cfg, &mut cache)
                 })
                 .collect::<Result<_, _>>()?;
-            let workers = msaw_parallel::default_workers(job_count(&plans));
-            Ok((clinic, try_run_plans_on(workers, &plans, cfg)?))
+            Ok((clinic, try_run_plans_on(0, &plans, cfg)?))
         })
         .collect()
 }

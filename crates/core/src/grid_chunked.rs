@@ -19,11 +19,13 @@
 //!    DD is columns `0..59`, KD is column `0` — so each distinct
 //!    column is sketched and encoded exactly once, the out-of-core
 //!    mirror of the in-memory grid's [`msaw_gbdt::ContextCache`].
-//! 3. **Fit** — the ~72 fold/final fits are fanned across one bounded
-//!    worker pool, each training via [`train_chunked_on`] on its
-//!    ascending row subset and scoring via [`predict_rows_chunked`],
-//!    through the same split/fold/scoring code paths as the in-memory
-//!    experiment layer. Fits run the protocol's own row and column
+//! 3. **Fit** — the twelve variants become experiment-layer
+//!    [`VariantPlan`]s over column views of the two matrices, and the
+//!    in-memory grid's pool runs their ~72 fold/final fits through the
+//!    one fit runner, [`crate::experiment::try_run_fit_job_with`], with
+//!    the same `grid_fit` failpoint and error contract: each fit trains
+//!    out of core on its ascending row subset and predicts on the
+//!    stored codes. Fits run the protocol's own row and column
 //!    subsampling.
 //!
 //! Under `canonical_row_order` (which this path requires) and an exact
@@ -37,16 +39,13 @@
 
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
-use crate::experiment::{
-    balanced_params, final_output_from_preds, primary_metric_from_preds, split_plan, Approach,
-    FitJob, FitOutput, SplitPlan, VariantResult,
-};
+use crate::experiment::{plan_views, Approach, VariantPlan, VariantResult};
+use crate::grid::try_run_plans_on;
 use msaw_cohort::stream::CohortStream;
 use msaw_cohort::CohortConfig;
 use msaw_gbdt::{
-    encode_rows, predict_rows_chunked, train_chunked_on, ChunkError, ChunkedMatrix,
-    ChunkedMatrixBuilder, ChunkedView, CutSketch, TreeMethod, TreeScratch, DEFAULT_BLOCK_ROWS,
-    DEFAULT_SKETCH_DISTINCT,
+    encode_rows, ChunkError, ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, TreeMethod,
+    DEFAULT_BLOCK_ROWS,
 };
 use msaw_kd::{compute_ici_row, default_ici_spec, frailty_index, IciVariable};
 use msaw_parallel::{try_run_waves_on, WaveError};
@@ -66,8 +65,6 @@ pub struct ChunkedGridConfig {
     pub chunk_patients: usize,
     /// Rows per binned block of the chunked matrices.
     pub block_rows: usize,
-    /// Per-feature distinct-value capacity of the cut sketches.
-    pub sketch_capacity: usize,
     /// Spill directory for the two bin-coded matrices (`grid_dd_fi.mscb`
     /// and `grid_kd_fi.mscb`); `None` keeps both in memory. Spilled
     /// files are left on disk for the caller to inspect or remove.
@@ -83,7 +80,6 @@ impl ChunkedGridConfig {
             experiment,
             chunk_patients: 512,
             block_rows: DEFAULT_BLOCK_ROWS,
-            sketch_capacity: DEFAULT_SKETCH_DISTINCT,
             spill_dir: None,
             workers: 0,
         }
@@ -239,8 +235,8 @@ pub fn try_run_full_grid_chunked(
     // Pass 1: sketch both representations, collect labels and patient
     // ids. Per-worker sketches merge in chunk order (order-independent
     // while exact; the merge tracks thinning past capacity).
-    let mut sketch_dd = CutSketch::with_capacity(dd_cols, cfg.sketch_capacity);
-    let mut sketch_kd = CutSketch::with_capacity(2, cfg.sketch_capacity);
+    let mut sketch_dd = CutSketch::new(dd_cols);
+    let mut sketch_kd = CutSketch::new(2);
     let mut labels: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut patients: Vec<u64> = Vec::new();
     try_run_waves_on(
@@ -250,9 +246,9 @@ pub fn try_run_full_grid_chunked(
         |c| {
             let (start, end) = chunk_range(c);
             let block = extended_block(cohort, &exp.pipeline, &spec, &positions, start, end);
-            let mut s_dd = CutSketch::with_capacity(dd_cols, cfg.sketch_capacity);
+            let mut s_dd = CutSketch::new(dd_cols);
             s_dd.update(&block.rows_dd);
-            let mut s_kd = CutSketch::with_capacity(2, cfg.sketch_capacity);
+            let mut s_kd = CutSketch::new(2);
             s_kd.update(&block.rows_kd);
             (s_dd, s_kd, block.labels, block.patients)
         },
@@ -278,22 +274,12 @@ pub fn try_run_full_grid_chunked(
     // Pass 2: regenerate and bin-encode both matrices, appending code
     // slabs in chunk order so the sealed matrices (and any spilled
     // `.mscb` files) are byte-identical at every worker count.
-    let mut builder_dd = match &cfg.spill_dir {
-        Some(dir) => ChunkedMatrixBuilder::spilled(
-            cuts_dd.clone(),
-            cfg.block_rows,
-            &dir.join("grid_dd_fi.mscb"),
-        )?,
-        None => ChunkedMatrixBuilder::in_memory(cuts_dd.clone(), cfg.block_rows),
+    let builder = |cuts: &[Vec<f64>], file: &str| match &cfg.spill_dir {
+        Some(dir) => ChunkedMatrixBuilder::spilled(cuts.to_vec(), cfg.block_rows, &dir.join(file)),
+        None => Ok(ChunkedMatrixBuilder::in_memory(cuts.to_vec(), cfg.block_rows)),
     };
-    let mut builder_kd = match &cfg.spill_dir {
-        Some(dir) => ChunkedMatrixBuilder::spilled(
-            cuts_kd.clone(),
-            cfg.block_rows,
-            &dir.join("grid_kd_fi.mscb"),
-        )?,
-        None => ChunkedMatrixBuilder::in_memory(cuts_kd.clone(), cfg.block_rows),
-    };
+    let mut builder_dd = builder(&cuts_dd, "grid_dd_fi.mscb")?;
+    let mut builder_kd = builder(&cuts_kd, "grid_kd_fi.mscb")?;
     try_run_waves_on(
         stream_workers,
         n_chunks,
@@ -313,139 +299,27 @@ pub fn try_run_full_grid_chunked(
     let matrix_kd: ChunkedMatrix = builder_kd.finish()?;
     let spilled = matrix_dd.is_spilled();
 
-    // Freeze one split plan per outcome — identical across that
-    // outcome's four variants, exactly as the in-memory grid's four
-    // plans agree when rows and labels agree.
-    let groups = exp.split_by_patient.then_some(patients.as_slice());
-    let plans: Vec<SplitPlan> = OutcomeKind::ALL
+    // The twelve variants in canonical order, each a column view of one
+    // of the two sealed matrices; an outcome's four share one split.
+    let plans: Vec<VariantPlan<'_>> = OutcomeKind::ALL
         .iter()
-        .enumerate()
-        .map(|(k, &outcome)| {
-            split_plan(n_rows, &labels[k], outcome.is_classification(), groups, exp)
+        .zip(&labels)
+        .flat_map(|(&outcome, labels)| {
+            plan_views(
+                outcome,
+                labels,
+                &patients,
+                exp,
+                [
+                    (Approach::KnowledgeDriven, false, matrix_kd.col_view(0..1)),
+                    (Approach::KnowledgeDriven, true, matrix_kd.view()),
+                    (Approach::DataDriven, false, matrix_dd.col_view(0..n_features)),
+                    (Approach::DataDriven, true, matrix_dd.view()),
+                ],
+            )
         })
         .collect();
-
-    // The twelve variants in canonical order, each a column view of
-    // one of the two sealed matrices.
-    struct Variant<'m> {
-        outcome: OutcomeKind,
-        outcome_idx: usize,
-        approach: Approach,
-        with_fi: bool,
-        view: ChunkedView<'m>,
-    }
-    let mut variants: Vec<Variant<'_>> = Vec::with_capacity(12);
-    for (k, &outcome) in OutcomeKind::ALL.iter().enumerate() {
-        let spec: [(Approach, bool, ChunkedView<'_>); 4] = [
-            (Approach::KnowledgeDriven, false, matrix_kd.col_view(0..1)),
-            (Approach::KnowledgeDriven, true, matrix_kd.view()),
-            (Approach::DataDriven, false, matrix_dd.col_view(0..n_features)),
-            (Approach::DataDriven, true, matrix_dd.view()),
-        ];
-        for (approach, with_fi, view) in spec {
-            variants.push(Variant { outcome, outcome_idx: k, approach, with_fi, view });
-        }
-    }
-
-    // Fan the fold/final fits across the pool: per-worker scratch, one
-    // chunked fit per job on its ascending row subset, scored through
-    // the shared experiment-layer helpers.
-    let jobs: Vec<(usize, FitJob)> = variants
-        .iter()
-        .enumerate()
-        .flat_map(|(v, var)| {
-            let folds = plans[var.outcome_idx].folds.len();
-            (0..folds).map(FitJob::Fold).chain(std::iter::once(FitJob::Final)).map(move |j| (v, j))
-        })
-        .collect();
-    let fit_workers =
-        if cfg.workers == 0 { msaw_parallel::default_workers(jobs.len()) } else { cfg.workers };
-    let results = msaw_parallel::try_run_scratch_on(
-        fit_workers,
-        jobs.len(),
-        TreeScratch::new,
-        |scratch, i| {
-            let (v, job) = jobs[i];
-            let var = &variants[v];
-            let plan = &plans[var.outcome_idx];
-            let outcome_labels = &labels[var.outcome_idx];
-            let (fit_list, eval_list): (&[usize], &[usize]) = match job {
-                FitJob::Fold(f) => (&plan.folds[f].0, &plan.folds[f].1),
-                FitJob::Final => (&plan.train_rows, &plan.test_rows),
-            };
-            let y: Vec<f64> = fit_list.iter().map(|&r| outcome_labels[r]).collect();
-            let base = exp.params_for(var.outcome);
-            let params = if var.outcome.is_classification() && exp.auto_balance_falls {
-                balanced_params(base, &y)
-            } else {
-                base.clone()
-            };
-            let fit_rows: Vec<u32> = fit_list.iter().map(|&r| r as u32).collect();
-            // One worker per fit: parallelism lives in the job pool,
-            // mirroring the in-memory grid's single-worker predict.
-            let report = train_chunked_on(&params, var.view, Some(&fit_rows), &y, 1, scratch)?;
-            let eval_rows: Vec<u32> = eval_list.iter().map(|&r| r as u32).collect();
-            let mut bufs = Vec::new();
-            let preds = predict_rows_chunked(&report.booster, var.view, &eval_rows, &mut bufs)?;
-            let y_eval: Vec<f64> = eval_list.iter().map(|&r| outcome_labels[r]).collect();
-            let is_cls = var.outcome.is_classification();
-            Ok::<FitOutput, ChunkError>(match job {
-                FitJob::Fold(_) => FitOutput::CvScore(primary_metric_from_preds(
-                    is_cls,
-                    &y_eval,
-                    &preds,
-                    exp.decision_threshold,
-                )),
-                FitJob::Final => {
-                    final_output_from_preds(is_cls, &y_eval, &preds, exp.decision_threshold)
-                }
-            })
-        },
-    )?;
-
-    // Reassemble in canonical order; the lowest failing job index wins
-    // deterministically, matching the in-memory grid's error contract.
-    let mut outputs: Vec<Vec<FitOutput>> = variants.iter().map(|_| Vec::new()).collect();
-    for (i, (&(v, _), result)) in jobs.iter().zip(results).enumerate() {
-        match result {
-            Ok(out) => outputs[v].push(out),
-            Err(ChunkError::Train(source)) => {
-                return Err(PipelineError::Train { job: Some(i), source })
-            }
-            Err(other) => return Err(other.into()),
-        }
-    }
-    let results: Vec<VariantResult> = variants
-        .iter()
-        .zip(outputs)
-        .map(|(var, outs)| {
-            let plan = &plans[var.outcome_idx];
-            let mut cv_scores = Vec::with_capacity(plan.folds.len());
-            let mut regression = None;
-            let mut classification = None;
-            for out in outs {
-                match out {
-                    FitOutput::CvScore(s) => cv_scores.push(s),
-                    FitOutput::Final { regression: r, classification: c } => {
-                        regression = r;
-                        classification = c;
-                    }
-                }
-            }
-            assert_eq!(cv_scores.len(), plan.folds.len(), "one CV score per fold");
-            VariantResult {
-                outcome: var.outcome,
-                approach: var.approach,
-                with_fi: var.with_fi,
-                regression,
-                classification,
-                cv_scores,
-                n_train: plan.train_rows.len(),
-                n_test: plan.test_rows.len(),
-            }
-        })
-        .collect();
-
+    let results = try_run_plans_on(cfg.workers, &plans, exp)?;
     Ok(ChunkedGridReport { results, n_rows, spilled, sketch_exact })
 }
 
@@ -613,7 +487,6 @@ mod tests {
         let cfg = ChunkedGridConfig::new(ExperimentConfig::fast());
         assert!(cfg.chunk_patients > 0);
         assert_eq!(cfg.block_rows, DEFAULT_BLOCK_ROWS);
-        assert_eq!(cfg.sketch_capacity, DEFAULT_SKETCH_DISTINCT);
         assert!(cfg.spill_dir.is_none());
     }
 }

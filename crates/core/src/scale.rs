@@ -113,16 +113,6 @@ pub struct ScaleReport {
     pub train: TrainReport,
 }
 
-impl From<ChunkError> for PipelineError {
-    fn from(e: ChunkError) -> Self {
-        match e {
-            // Parameter/label failures keep their typed identity.
-            ChunkError::Train(source) => PipelineError::Train { job: None, source },
-            other => PipelineError::Chunk { message: other.to_string() },
-        }
-    }
-}
-
 /// Run the streaming generate → sketch → encode → fit pipeline for
 /// `cohort` under `cfg`. See the module docs for the pass structure;
 /// the trained model is bit-identical to materialising the cohort and
