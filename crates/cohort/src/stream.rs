@@ -5,13 +5,14 @@
 //! depends only on `(config, patient_id)`, never on how many other
 //! patients were generated before it or in what order. That property is
 //! what this module exposes: a [`CohortStream`] yields fully generated
-//! [`PatientRecord`]s one at a time (or in fixed-size chunks via
-//! [`CohortStream::chunks`]) with **O(1)** cohort state, and the
-//! full-cohort [`crate::generate`] is nothing but `collect` over it.
+//! [`PatientRecord`]s one at a time (over the whole cohort or any id
+//! range of it, via [`CohortStream::range`]) with **O(1)** cohort
+//! state, and the full-cohort [`crate::generate`] is nothing but
+//! `collect` over it.
 //!
 //! Determinism contract (pinned by `tests/stream_equivalence.rs`):
-//! for any chunk size, concatenating the streamed records reproduces
-//! the materialised [`crate::CohortData`] bit for bit.
+//! for any chunk size, concatenating consecutive range streams
+//! reproduces the materialised [`crate::CohortData`] bit for bit.
 
 use crate::activity::{self, ActivityTrace};
 use crate::clinical::{self, clinical_panel, ClinicalAssessment, ClinicalVariable};
@@ -183,12 +184,6 @@ impl<'a> CohortStream<'a> {
     pub fn remaining(&self) -> usize {
         (self.total - self.next) as usize
     }
-
-    /// Adapt into fixed-size chunks of records. The final chunk may be
-    /// short; `chunk_patients` is clamped to at least 1.
-    pub fn chunks(self, chunk_patients: usize) -> CohortChunks<'a> {
-        CohortChunks { stream: self, chunk: chunk_patients.max(1) }
-    }
 }
 
 impl Iterator for CohortStream<'_> {
@@ -211,29 +206,6 @@ impl Iterator for CohortStream<'_> {
 }
 
 impl ExactSizeIterator for CohortStream<'_> {}
-
-/// Fixed-size chunking over a [`CohortStream`]; see
-/// [`CohortStream::chunks`].
-pub struct CohortChunks<'a> {
-    stream: CohortStream<'a>,
-    chunk: usize,
-}
-
-impl Iterator for CohortChunks<'_> {
-    type Item = Vec<PatientRecord>;
-
-    fn next(&mut self) -> Option<Vec<PatientRecord>> {
-        if self.stream.remaining() == 0 {
-            return None;
-        }
-        let take = self.chunk.min(self.stream.remaining());
-        let mut out = Vec::with_capacity(take);
-        for _ in 0..take {
-            out.push(self.stream.next().expect("remaining() said more records exist"));
-        }
-        Some(out)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -280,7 +252,10 @@ mod tests {
         let cfg = CohortConfig::small(42);
         let n = cfg.total_patients();
         for chunk in [1usize, 7, n, n + 10] {
-            let total: usize = CohortStream::new(&cfg).chunks(chunk).map(|c| c.len()).sum();
+            let total: usize = (0..n)
+                .step_by(chunk)
+                .map(|start| CohortStream::range(&cfg, start as u32, (start + chunk) as u32).len())
+                .sum();
             assert_eq!(total, n, "chunk size {chunk}");
         }
     }

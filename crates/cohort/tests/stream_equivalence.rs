@@ -6,9 +6,15 @@ use msaw_cohort::stream::CohortStream;
 use msaw_cohort::{generate, CohortConfig, CohortData, PatientRecord};
 use proptest::prelude::*;
 
-/// Concatenate a chunked stream back into patient-major order.
+/// Concatenate consecutive `CohortStream::range` calls of `chunk`
+/// patients, the path both streaming pipelines take, back into
+/// patient-major order.
 fn stream_chunked(config: &CohortConfig, chunk: usize) -> Vec<PatientRecord> {
-    CohortStream::new(config).chunks(chunk).flatten().collect()
+    let n = config.total_patients();
+    (0..n)
+        .step_by(chunk)
+        .flat_map(|start| CohortStream::range(config, start as u32, (start + chunk).min(n) as u32))
+        .collect()
 }
 
 /// Assert the streamed records reproduce the materialised cohort
@@ -40,19 +46,6 @@ fn chunk_sizes_reproduce_full_cohort() {
 }
 
 #[test]
-fn exact_division_leaves_no_empty_trailing_chunk() {
-    let config = CohortConfig::small(42);
-    let n = config.total_patients();
-    // Pick a chunk size that divides n so the "empty last block" case
-    // is exercised: the chunk iterator must end cleanly, not yield [].
-    let chunk = (1..=n).rev().find(|c| n.is_multiple_of(*c) && *c < n).unwrap();
-    let chunks: Vec<_> = CohortStream::new(&config).chunks(chunk).collect();
-    assert!(chunks.iter().all(|c| !c.is_empty()));
-    assert_eq!(chunks.len(), n / chunk);
-    assert_matches(&generate(&config), &chunks.into_iter().flatten().collect::<Vec<_>>());
-}
-
-#[test]
 fn single_patient_cohort_streams() {
     let mut config = CohortConfig::paper(9);
     config.clinics.truncate(1);
@@ -67,10 +60,9 @@ fn single_patient_cohort_streams() {
 fn chunk_larger_than_cohort_yields_one_chunk() {
     let config = CohortConfig::small(11);
     let n = config.total_patients();
-    let chunks: Vec<_> = CohortStream::new(&config).chunks(n + 100).collect();
-    assert_eq!(chunks.len(), 1);
-    assert_eq!(chunks[0].len(), n);
-    assert_matches(&generate(&config), &chunks[0]);
+    let records: Vec<_> = CohortStream::range(&config, 0, (n + 100) as u32).collect();
+    assert_eq!(records.len(), n);
+    assert_matches(&generate(&config), &records);
 }
 
 /// A tiny arbitrary cohort: 1–3 clinics, 1–6 patients each, varied

@@ -65,7 +65,7 @@ use crate::split::{scan_hist, BestTracker, SplitCandidate, SplitConfig};
 use crate::tree::Node;
 use msaw_tabular::Matrix;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -275,35 +275,18 @@ impl ChunkedMatrixBuilder {
         Ok(b)
     }
 
-    /// Encode and append a row-major chunk of raw feature values
-    /// (`rows.len()` must be a multiple of the feature count).
-    pub fn push_rows(&mut self, rows: &[f64]) -> Result<(), ChunkError> {
-        assert!(rows.len().is_multiple_of(self.ncols), "row-major chunk width mismatch");
-        for row in rows.chunks_exact(self.ncols) {
-            for (j, &v) in row.iter().enumerate() {
-                self.current.push(encode_value(v, &self.cuts[j]));
-            }
-            self.nrows += 1;
-            if self.current.len() == self.block_rows * self.ncols {
-                self.flush_block()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The builder's cut tables (what [`encode_rows`] must be given so
-    /// [`ChunkedMatrixBuilder::push_encoded`] appends the exact codes
-    /// [`ChunkedMatrixBuilder::push_rows`] would produce).
+    /// The builder's cut tables, the ones [`encode_rows`] must encode
+    /// against for [`ChunkedMatrixBuilder::push_encoded`].
     pub fn cuts(&self) -> &[Vec<f64>] {
         &self.cuts
     }
 
-    /// Append a chunk of already-encoded codes (row-major, a multiple
-    /// of the feature count). This is the reassembly half of the
-    /// parallel pass-2 fan-out: workers encode their chunks off-thread
-    /// with [`encode_rows`] and the builder appends them in chunk
-    /// order, so block boundaries — and therefore the sealed spill
-    /// bytes — are identical to a serial [`push_rows`] build.
+    /// Append a chunk of codes from [`encode_rows`] (row-major, a
+    /// multiple of the feature count). Workers encode their chunks
+    /// off-thread and the builder appends them in chunk order, so block
+    /// boundaries — and therefore the sealed spill bytes — depend only
+    /// on the concatenated rows, never on the chunking or the worker
+    /// count.
     ///
     /// A code above its feature's missing code (`cuts[j].len() + 1`) is
     /// a `ChunkError::Corrupt` and leaves the builder unchanged.
@@ -340,10 +323,7 @@ impl ChunkedMatrixBuilder {
             self.flush_block()?;
         }
         let store = match self.spill {
-            Some(w) => {
-                let disk = w.seal(self.nrows, self.missing)?;
-                Store::Disk(disk)
-            }
+            Some(w) => Store::Disk(w.seal(&self.cuts, self.nrows, self.missing)?),
             None => Store::Memory { blocks: self.blocks },
         };
         Ok(ChunkedMatrix {
@@ -358,8 +338,7 @@ impl ChunkedMatrixBuilder {
 
 /// Encode a row-major chunk of raw feature values against fixed cut
 /// tables, off the builder — the per-worker half of the parallel
-/// pass-2 fan-out. Produces exactly the codes
-/// [`ChunkedMatrixBuilder::push_rows`] would emit for the same chunk.
+/// pass-2 fan-out, appended with [`ChunkedMatrixBuilder::push_encoded`].
 pub fn encode_rows(cuts: &[Vec<f64>], rows: &[f64]) -> Vec<u16> {
     let ncols = cuts.len();
     assert!(ncols > 0 && rows.len().is_multiple_of(ncols), "row-major chunk width mismatch");
@@ -374,10 +353,8 @@ pub fn encode_rows(cuts: &[Vec<f64>], rows: &[f64]) -> Vec<u16> {
 
 /// Reject a row-major code buffer holding a code above its feature's
 /// missing code (`cuts[j].len() + 1`). The accumulation kernels index
-/// histograms with unchecked writes, so every code they read comes from
-/// [`encode_value`] in [`ChunkedMatrixBuilder::push_rows`] (never above
-/// that bound) or has passed this check: in
-/// [`ChunkedMatrixBuilder::push_encoded`], in
+/// histograms with unchecked writes, so every code they read has
+/// passed this check: in [`ChunkedMatrixBuilder::push_encoded`], in
 /// [`ChunkedMatrix::from_codes`] and on every load of a spilled block.
 fn check_code_range(
     codes: &[u16],
@@ -441,7 +418,6 @@ fn header_bytes(cuts: &[Vec<f64>], block_rows: usize, nrows: usize, n_blocks: us
 struct SpillWriter {
     file: File,
     path: PathBuf,
-    cuts_len: Vec<usize>,
     block_rows: usize,
     header_len: u64,
     offsets: Vec<u64>,
@@ -464,7 +440,6 @@ impl SpillWriter {
         Ok(SpillWriter {
             file,
             path: path.to_path_buf(),
-            cuts_len: cuts.iter().map(|c| c.len()).collect(),
             block_rows,
             header_len,
             offsets: Vec::new(),
@@ -490,25 +465,15 @@ impl SpillWriter {
         Ok(())
     }
 
-    fn seal(mut self, nrows: usize, missing: Vec<u16>) -> Result<DiskStore, ChunkError> {
-        // Rebuild the header with the final counts; the cuts region is
-        // already on disk and unchanged, so it is read back to keep the
-        // checksum over the true bytes.
-        let mut header = Vec::new();
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.cuts_len.len() as u32).to_le_bytes());
-        header.extend_from_slice(&(self.block_rows as u32).to_le_bytes());
-        header.extend_from_slice(&(nrows as u64).to_le_bytes());
-        header.extend_from_slice(&(self.offsets.len() as u32).to_le_bytes());
-        let fixed = header.len();
-        let cuts_region_len = self.header_len as usize - fixed - 8;
-        let mut cuts_region = vec![0u8; cuts_region_len];
-        self.file.seek(SeekFrom::Start(fixed as u64))?;
-        self.file.read_exact(&mut cuts_region)?;
-        header.extend_from_slice(&cuts_region);
-        let sum = fnv1a_64(&header);
-        header.extend_from_slice(&sum.to_le_bytes());
+    /// Overwrite the placeholder header with the final counts; `cuts`
+    /// must be the ones the writer was created with.
+    fn seal(
+        mut self,
+        cuts: &[Vec<f64>],
+        nrows: usize,
+        missing: Vec<u16>,
+    ) -> Result<DiskStore, ChunkError> {
+        let header = header_bytes(cuts, self.block_rows, nrows, self.offsets.len());
         debug_assert_eq!(header.len() as u64, self.header_len);
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header)?;
@@ -2227,13 +2192,13 @@ mod tests {
         let cuts = sketch.cuts(16);
 
         let mut mem = ChunkedMatrixBuilder::in_memory(cuts.clone(), 32);
-        mem.push_rows(&rows).unwrap();
+        mem.push_encoded(&encode_rows(mem.cuts(), &rows)).unwrap();
         let mem = mem.finish().unwrap();
 
         let path = tmp_path("roundtrip");
         let mut disk = ChunkedMatrixBuilder::spilled(cuts, 32, &path).unwrap();
         for block in rows.chunks(9 * ncols) {
-            disk.push_rows(block).unwrap();
+            disk.push_encoded(&encode_rows(disk.cuts(), block)).unwrap();
         }
         disk.finish().unwrap();
         let disk = ChunkedMatrix::open(&path).unwrap();
@@ -2258,7 +2223,7 @@ mod tests {
         sketch.update(&rows);
         let path = tmp_path("corrupt");
         let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(8), 16, &path).unwrap();
-        b.push_rows(&rows).unwrap();
+        b.push_encoded(&encode_rows(b.cuts(), &rows)).unwrap();
         b.finish().unwrap();
         let good = std::fs::read(&path).unwrap();
 
@@ -2347,7 +2312,7 @@ mod tests {
         for block_rows in [16usize, nrows] {
             let path = tmp_path(&format!("rewrite_{block_rows}"));
             let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(8), block_rows, &path).unwrap();
-            b.push_rows(&rows).unwrap();
+            b.push_encoded(&encode_rows(b.cuts(), &rows)).unwrap();
             let mut m = b.finish().unwrap();
             train_chunked(&params, &mut m, &labels, 1).unwrap();
 
@@ -2373,7 +2338,7 @@ mod tests {
         let mut sketch = CutSketch::new(2);
         sketch.update(&rows);
         let mut b = ChunkedMatrixBuilder::in_memory(sketch.cuts(8), 8);
-        b.push_rows(&rows).unwrap();
+        b.push_encoded(&encode_rows(b.cuts(), &rows)).unwrap();
         let mut m = b.finish().unwrap();
         let labels: Vec<f64> = (0..20).map(|i| i as f64).collect();
 

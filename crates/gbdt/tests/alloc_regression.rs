@@ -19,8 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use msaw_gbdt::{
-    ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, FitRun, Params, TrainingContext, TreeMethod,
-    TreeScratch,
+    encode_rows, ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, FitRun, Params, TrainingContext,
+    TreeMethod, TreeScratch,
 };
 use msaw_tabular::Matrix;
 
@@ -186,7 +186,7 @@ fn chunked_problem(nrows: usize, ncols: usize, block_rows: usize) -> (ChunkedMat
     let mut sketch = CutSketch::new(ncols);
     sketch.update(data.as_slice());
     let mut b = ChunkedMatrixBuilder::in_memory(sketch.cuts(32), block_rows);
-    b.push_rows(data.as_slice()).unwrap();
+    b.push_encoded(&encode_rows(b.cuts(), data.as_slice())).unwrap();
     (b.finish().unwrap(), labels)
 }
 
@@ -281,7 +281,7 @@ fn spilled_rounds_after_the_first_do_not_allocate() {
     sketch.update(data.as_slice());
     let path = std::env::temp_dir().join(format!("msaw_alloc_spill_{}.mscb", std::process::id()));
     let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(32), 120, &path).unwrap();
-    b.push_rows(data.as_slice()).unwrap();
+    b.push_encoded(&encode_rows(b.cuts(), data.as_slice())).unwrap();
     let matrix = b.finish().unwrap();
     assert!(matrix.is_spilled() && matrix.n_blocks() == 1);
     for (params, set) in chunked_param_sets() {

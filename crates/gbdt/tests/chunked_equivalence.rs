@@ -7,8 +7,9 @@
 //! and the population-scale pipeline rest on.
 
 use msaw_gbdt::{
-    predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkError, ChunkedMatrix,
-    ChunkedMatrixBuilder, CutSketch, Params, TrainError, TrainingContext, TreeMethod, TreeScratch,
+    encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, Booster, ChunkError,
+    ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, Params, TrainError, TrainingContext,
+    TreeMethod, TreeScratch,
 };
 use msaw_tabular::Matrix;
 
@@ -66,7 +67,7 @@ fn chunk_matrix(rows: &[f64], ncols: usize, block_rows: usize) -> ChunkedMatrix 
     }
     assert!(sketch.is_exact(), "test data must stay within sketch capacity");
     let mut b = ChunkedMatrixBuilder::in_memory(sketch.cuts(16), block_rows);
-    b.push_rows(rows).unwrap();
+    b.push_encoded(&encode_rows(b.cuts(), rows)).unwrap();
     b.finish().unwrap()
 }
 
@@ -144,7 +145,7 @@ fn spilled_store_trains_identically_to_memory_store() {
     let path = std::env::temp_dir().join(format!("msaw_chunk_equiv_{}.mscb", std::process::id()));
     let mut b = ChunkedMatrixBuilder::spilled(cuts, 48, &path).unwrap();
     for chunk in rows.chunks(11 * ncols) {
-        b.push_rows(chunk).unwrap();
+        b.push_encoded(&encode_rows(b.cuts(), chunk)).unwrap();
     }
     // The freshly-sealed matrix must train directly (no reopen): the
     // seal path hands over its own block table.
@@ -234,7 +235,7 @@ fn spilled_matrix(rows: &[f64], ncols: usize, block_rows: usize, tag: &str) -> C
     let path = std::env::temp_dir()
         .join(format!("msaw_chunk_eq_{tag}_{block_rows}_{}.mscb", std::process::id()));
     let mut b = ChunkedMatrixBuilder::spilled(sketch.cuts(16), block_rows, &path).unwrap();
-    b.push_rows(rows).unwrap();
+    b.push_encoded(&encode_rows(b.cuts(), rows)).unwrap();
     b.finish().unwrap();
     ChunkedMatrix::open(&path).unwrap()
 }

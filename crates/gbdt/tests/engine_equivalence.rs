@@ -5,7 +5,7 @@
 //! materialised subset against the same cuts.
 
 use msaw_gbdt::{
-    Booster, ChunkedMatrix, ChunkedMatrixBuilder, Params, TrainingContext, TreeMethod,
+    encode_rows, Booster, ChunkedMatrix, ChunkedMatrixBuilder, Params, TrainingContext, TreeMethod,
 };
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
@@ -199,7 +199,7 @@ proptest! {
         let ctx = TrainingContext::with_max_bins(&data, 8);
         let cuts = (0..ncols).map(|j| ctx.binned().cuts(j).to_vec()).collect();
         let mut builder = ChunkedMatrixBuilder::in_memory(cuts, rows.len());
-        builder.push_rows(data.take_rows(&rows).as_slice()).unwrap();
+        builder.push_encoded(&encode_rows(builder.cuts(), data.take_rows(&rows).as_slice())).unwrap();
         let materialised = builder.finish().unwrap();
         for (pos, &r) in rows.iter().enumerate() {
             for j in 0..ncols {

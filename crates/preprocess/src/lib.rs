@@ -42,4 +42,4 @@ pub use samples::{
     build_samples, label_of, FeaturePanel, OutcomeKind, PatientFeatures, PipelineConfig,
     SampleMeta, SampleSet,
 };
-pub use stream::{collect_samples, patient_samples, range_samples, SampleBlock, SampleStream};
+pub use stream::{patient_samples, range_samples, SampleBlock};

@@ -7,16 +7,15 @@
 //! into the block being built — the same featurisation and row filter
 //! the materialised [`crate::build_samples`] path runs, in the same patient
 //! order — so concatenating the streamed blocks reproduces the
-//! in-memory [`SampleSet`] byte for byte (pinned by the tests below).
+//! in-memory [`crate::SampleSet`] byte for byte (pinned by the tests below).
 
 use crate::featurise::{append_patient_samples, N_FEATURES};
-use crate::samples::{FeaturePanel, OutcomeKind, PipelineConfig, SampleMeta, SampleSet};
-use msaw_cohort::stream::{CohortChunks, CohortStream};
+use crate::samples::{OutcomeKind, PipelineConfig, SampleMeta};
+use msaw_cohort::stream::CohortStream;
 use msaw_cohort::{CohortConfig, PatientRecord};
-use msaw_tabular::Matrix;
 
 /// A block of assembled samples — the streamed counterpart of a
-/// [`SampleSet`] slice. `rows` is row-major with [`N_FEATURES`]
+/// [`crate::SampleSet`] slice. `rows` is row-major with [`N_FEATURES`]
 /// columns per row.
 #[derive(Debug, Clone)]
 pub struct SampleBlock {
@@ -67,9 +66,9 @@ pub fn patient_samples(
 
 /// Featurize the patients with ids `start..end` into one
 /// [`SampleBlock`] — the unit of work parallel pipelines fan across
-/// workers. Generation is pure in `(config, id)`, so this block is
-/// bit-identical to the same id range of a serial [`SampleStream`]
-/// pass, whatever chunking either side uses.
+/// workers. Generation is pure in `(config, id)`, so consecutive ranges
+/// concatenate to the materialised [`crate::build_samples`] rows,
+/// whatever the chunking.
 pub fn range_samples(
     config: &CohortConfig,
     outcome: OutcomeKind,
@@ -84,92 +83,39 @@ pub fn range_samples(
     block
 }
 
-/// Streaming generate→featurize pipeline: yields one [`SampleBlock`]
-/// per chunk of `chunk_patients` patients, holding only that chunk in
-/// memory. Patient order (and therefore row order under concatenation)
-/// is identical to the materialised path for every chunk size.
-pub struct SampleStream<'a> {
-    chunks: CohortChunks<'a>,
-    outcome: OutcomeKind,
-    cfg: PipelineConfig,
-}
-
-impl<'a> SampleStream<'a> {
-    /// Stream samples for `outcome` over the whole cohort of `config`.
-    pub fn new(
-        config: &'a CohortConfig,
-        outcome: OutcomeKind,
-        cfg: PipelineConfig,
-        chunk_patients: usize,
-    ) -> SampleStream<'a> {
-        SampleStream { chunks: CohortStream::new(config).chunks(chunk_patients), outcome, cfg }
-    }
-}
-
-impl Iterator for SampleStream<'_> {
-    type Item = SampleBlock;
-
-    fn next(&mut self) -> Option<SampleBlock> {
-        let records = self.chunks.next()?;
-        let mut block = SampleBlock::new();
-        for record in &records {
-            append_patient_samples(record, self.outcome, &self.cfg, &mut block);
-        }
-        Some(block)
-    }
-}
-
-/// Collect a streamed run back into a [`SampleSet`] — the convenience
-/// used by equivalence tests and small-scale callers; at population
-/// scale, consume the blocks instead.
-pub fn collect_samples(
-    config: &CohortConfig,
-    outcome: OutcomeKind,
-    cfg: &PipelineConfig,
-    chunk_patients: usize,
-) -> SampleSet {
-    let mut rows: Vec<f64> = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
-    for block in SampleStream::new(config, outcome, cfg.clone(), chunk_patients) {
-        rows.extend_from_slice(&block.rows);
-        labels.extend(block.labels);
-        meta.extend(block.meta);
-    }
-    let nrows = labels.len();
-    SampleSet {
-        features: Matrix::from_vec(rows, nrows, N_FEATURES),
-        feature_names: FeaturePanel::feature_names(),
-        labels,
-        meta,
-        outcome,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::samples::build_samples;
+    use crate::samples::{build_samples, FeaturePanel};
     use msaw_cohort::generate;
 
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// Consecutive `range_samples` calls of `chunk` patients, the path
+    /// both streaming pipelines take, concatenate to the materialised
+    /// sample set bit for bit, in blocks of feature-width rows.
     fn assert_equivalent(config: &CohortConfig, outcome: OutcomeKind, chunk: usize) {
         let cfg = PipelineConfig::default();
         let data = generate(config);
         let panel = FeaturePanel::build(&data, &cfg);
         let full = build_samples(&data, &panel, outcome, &cfg);
-        let streamed = collect_samples(config, outcome, &cfg, chunk);
-        assert_eq!(streamed.len(), full.len());
-        assert!(
-            bits_eq(streamed.features.as_slice(), full.features.as_slice()),
-            "features diverge at chunk {chunk}"
-        );
-        assert!(bits_eq(&streamed.labels, &full.labels));
-        assert_eq!(streamed.meta, full.meta);
-        assert_eq!(streamed.feature_names, full.feature_names);
+        let n = config.total_patients();
+        let (mut rows, mut labels, mut meta) = (Vec::new(), Vec::new(), Vec::new());
+        for start in (0..n).step_by(chunk) {
+            let end = (start + chunk).min(n);
+            let block = range_samples(config, outcome, &cfg, start as u32, end as u32);
+            assert_eq!(block.n_features, N_FEATURES);
+            assert_eq!(block.rows.len(), block.n_rows() * N_FEATURES);
+            rows.extend(block.rows);
+            labels.extend(block.labels);
+            meta.extend(block.meta);
+        }
+        assert_eq!(labels.len(), full.len());
+        assert!(bits_eq(&rows, full.features.as_slice()), "features diverge at chunk {chunk}");
+        assert!(bits_eq(&labels, &full.labels));
+        assert_eq!(meta, full.meta);
     }
 
     #[test]
@@ -186,21 +132,6 @@ mod tests {
         let n = config.total_patients();
         for chunk in [1usize, 7, n, n + 50] {
             assert_equivalent(&config, OutcomeKind::Qol, chunk);
-        }
-    }
-
-    #[test]
-    fn block_rows_are_feature_width() {
-        let config = CohortConfig::small(42);
-        let blocks: Vec<SampleBlock> =
-            SampleStream::new(&config, OutcomeKind::Qol, PipelineConfig::default(), 8).collect();
-        assert!(!blocks.is_empty());
-        for block in &blocks {
-            assert_eq!(block.n_features, 59);
-            assert_eq!(block.rows.len(), block.n_rows() * 59);
-            if block.n_rows() > 0 {
-                assert_eq!(block.row(0).len(), 59);
-            }
         }
     }
 }
