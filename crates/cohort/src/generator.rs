@@ -26,11 +26,6 @@ impl ProPanel {
     pub fn get(&self, patient: PatientId, question: usize) -> &[Option<u8>] {
         &self.series[patient.0 as usize][question]
     }
-
-    /// Number of weekly observation slots.
-    pub fn n_weeks(&self) -> usize {
-        self.series.first().and_then(|p| p.first()).map(|s| s.len()).unwrap_or(0)
-    }
 }
 
 /// A fully generated synthetic cohort.
@@ -162,7 +157,9 @@ mod tests {
         assert_eq!(data.activity.len(), n);
         assert_eq!(data.clinical.len(), n * 3);
         assert_eq!(data.outcomes.len(), n * 2);
-        assert_eq!(data.pro.n_weeks(), STUDY_MONTHS * WEEKS_PER_MONTH);
+        for series in data.pro.series.iter().flatten() {
+            assert_eq!(series.len(), STUDY_MONTHS * WEEKS_PER_MONTH);
+        }
     }
 
     #[test]

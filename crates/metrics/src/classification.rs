@@ -138,27 +138,6 @@ pub struct BinaryReport {
     pub f1_false: f64,
 }
 
-/// Log-loss (binary cross-entropy) for probability predictions; used as
-/// the early-stopping criterion for the Falls models.
-pub fn log_loss(y_true: &[bool], probs: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), probs.len(), "length mismatch");
-    assert!(!y_true.is_empty(), "empty input");
-    const EPS: f64 = 1e-15;
-    let sum: f64 = y_true
-        .iter()
-        .zip(probs)
-        .map(|(&t, &p)| {
-            let p = p.clamp(EPS, 1.0 - EPS);
-            if t {
-                -p.ln()
-            } else {
-                -(1.0 - p).ln()
-            }
-        })
-        .sum();
-    sum / y_true.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,19 +203,6 @@ mod tests {
         let m = ConfusionMatrix::default();
         assert_eq!(m.accuracy(), 0.0);
         assert_eq!(m.f1_pos(), 0.0);
-    }
-
-    #[test]
-    fn log_loss_confident_correct_is_small() {
-        let ll = log_loss(&[true, false], &[0.99, 0.01]);
-        assert!(ll < 0.02);
-    }
-
-    #[test]
-    fn log_loss_clamps_extremes() {
-        // p = 0 on a true label must not produce infinity.
-        let ll = log_loss(&[true], &[0.0]);
-        assert!(ll.is_finite());
     }
 
     #[test]

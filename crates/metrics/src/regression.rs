@@ -58,13 +58,6 @@ pub fn r2(y_true: &[f64], y_pred: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Absolute error per observation, used to build per-patient MAE
-/// distributions for Fig. 5.
-pub fn absolute_errors(y_true: &[f64], y_pred: &[f64]) -> Vec<f64> {
-    assert_eq!(y_true.len(), y_pred.len(), "length mismatch");
-    y_true.iter().zip(y_pred).map(|(t, p)| (t - p).abs()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,10 +124,5 @@ mod tests {
     fn r2_constant_targets() {
         assert_eq!(r2(&[2.0, 2.0], &[2.0, 2.0]), 1.0);
         assert_eq!(r2(&[2.0, 2.0], &[1.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn absolute_errors_elementwise() {
-        assert_eq!(absolute_errors(&[1.0, 5.0], &[2.0, 3.0]), vec![1.0, 2.0]);
     }
 }

@@ -88,16 +88,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// Number of missing entries.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Float(v) => v.iter().filter(|x| x.is_nan()).count(),
-            Column::Int(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Bool(v) => v.iter().filter(|x| x.is_none()).count(),
-            Column::Categorical { codes, .. } => codes.iter().filter(|x| x.is_none()).count(),
-        }
-    }
-
     /// Borrow the float payload, if this is a float column.
     pub fn as_f64(&self) -> Option<&[f64]> {
         match self {
@@ -130,25 +120,6 @@ impl Column {
         }
     }
 
-    /// Value at `row` coerced to `f64`: ints and bools widen, categoricals
-    /// expose their code, missing values become `NaN`.
-    pub fn value_as_f64(&self, row: usize) -> f64 {
-        match self {
-            Column::Float(v) => v[row],
-            Column::Int(v) => v[row].map(|x| x as f64).unwrap_or(f64::NAN),
-            Column::Bool(v) => v[row].map(|x| if x { 1.0 } else { 0.0 }).unwrap_or(f64::NAN),
-            Column::Categorical { codes, .. } => codes[row].map(|c| c as f64).unwrap_or(f64::NAN),
-        }
-    }
-
-    /// Entire column coerced to `f64` (see [`Column::value_as_f64`]).
-    pub fn to_f64_vec(&self) -> Vec<f64> {
-        match self {
-            Column::Float(v) => v.clone(),
-            _ => (0..self.len()).map(|i| self.value_as_f64(i)).collect(),
-        }
-    }
-
     /// Keep only rows where `mask[i]` is true. `mask.len()` must equal
     /// `self.len()` (enforced by [`crate::Frame::filter`]).
     pub fn filter(&self, mask: &[bool]) -> Column {
@@ -178,44 +149,6 @@ impl Column {
         }
     }
 
-    /// Append all rows of `other` (same variant required; categorical
-    /// dictionaries are merged by label).
-    pub fn extend_from(&mut self, other: &Column) -> bool {
-        match (self, other) {
-            (Column::Float(a), Column::Float(b)) => {
-                a.extend_from_slice(b);
-                true
-            }
-            (Column::Int(a), Column::Int(b)) => {
-                a.extend_from_slice(b);
-                true
-            }
-            (Column::Bool(a), Column::Bool(b)) => {
-                a.extend_from_slice(b);
-                true
-            }
-            (
-                Column::Categorical { codes: ac, categories: acat },
-                Column::Categorical { codes: bc, categories: bcat },
-            ) => {
-                // Remap b's codes into a's dictionary.
-                let remap: Vec<u32> = bcat
-                    .iter()
-                    .map(|label| match acat.iter().position(|c| c == label) {
-                        Some(pos) => pos as u32,
-                        None => {
-                            acat.push(label.clone());
-                            (acat.len() - 1) as u32
-                        }
-                    })
-                    .collect();
-                ac.extend(bc.iter().map(|c| c.map(|code| remap[code as usize])));
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Render the value at `row` for display/CSV. Missing values render
     /// as the empty string.
     pub fn render(&self, row: usize) -> String {
@@ -241,39 +174,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn float_null_count_counts_nans() {
-        let c = Column::from_f64(vec![1.0, f64::NAN, 3.0, f64::NAN]);
-        assert_eq!(c.null_count(), 2);
-        assert_eq!(c.len(), 4);
-    }
-
-    #[test]
     fn labels_dictionary_encode_in_first_appearance_order() {
         let c = Column::from_labels(&[Some("modena"), Some("sydney"), Some("modena"), None]);
         let (codes, cats) = c.as_categorical().unwrap();
         assert_eq!(cats, &["modena".to_string(), "sydney".to_string()]);
         assert_eq!(codes, &[Some(0), Some(1), Some(0), None]);
-        assert_eq!(c.null_count(), 1);
-    }
-
-    #[test]
-    fn value_as_f64_widens_all_types() {
-        let f = Column::from_f64(vec![2.5]);
-        let i = Column::from_i64(vec![Some(7)]);
-        let b = Column::from_bool(vec![Some(true)]);
-        let c = Column::from_labels(&[Some("x")]);
-        assert_eq!(f.value_as_f64(0), 2.5);
-        assert_eq!(i.value_as_f64(0), 7.0);
-        assert_eq!(b.value_as_f64(0), 1.0);
-        assert_eq!(c.value_as_f64(0), 0.0);
-    }
-
-    #[test]
-    fn missing_values_widen_to_nan() {
-        let i = Column::from_i64(vec![None]);
-        let b = Column::from_bool(vec![None]);
-        assert!(i.value_as_f64(0).is_nan());
-        assert!(b.value_as_f64(0).is_nan());
     }
 
     #[test]
@@ -288,25 +193,6 @@ mod tests {
         let c = Column::from_i64(vec![Some(10), Some(20), Some(30)]);
         let taken = c.take(&[2, 0, 0]);
         assert_eq!(taken.as_i64().unwrap(), &[Some(30), Some(10), Some(10)]);
-    }
-
-    #[test]
-    fn extend_merges_categorical_dictionaries() {
-        let mut a = Column::from_labels(&[Some("modena"), Some("sydney")]);
-        let b = Column::from_labels(&[Some("hong_kong"), Some("modena")]);
-        assert!(a.extend_from(&b));
-        let (codes, cats) = a.as_categorical().unwrap();
-        assert_eq!(cats.len(), 3);
-        assert_eq!(codes.len(), 4);
-        // The appended "modena" must map back to code 0.
-        assert_eq!(codes[3], Some(0));
-    }
-
-    #[test]
-    fn extend_rejects_mismatched_variants() {
-        let mut a = Column::from_f64(vec![1.0]);
-        let b = Column::from_i64(vec![Some(1)]);
-        assert!(!a.extend_from(&b));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::column::Column;
 use crate::error::TabularError;
-use crate::matrix::Matrix;
 use crate::schema::{Field, Schema};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -149,64 +148,6 @@ impl Frame {
         Ok(out)
     }
 
-    /// Append the rows of `other`. Schemas must match by name, order and type.
-    pub fn vstack(&mut self, other: &Frame) -> Result<()> {
-        if self.ncols() == 0 {
-            *self = other.clone();
-            return Ok(());
-        }
-        if self.schema.fields() != other.schema.fields() {
-            // Surface the first mismatching column for a useful message.
-            for (a, b) in self.schema.fields().iter().zip(other.schema.fields()) {
-                if a.name != b.name {
-                    return Err(TabularError::UnknownColumn(b.name.clone()));
-                }
-                if a.dtype != b.dtype {
-                    return Err(TabularError::TypeMismatch {
-                        column: a.name.clone(),
-                        expected: a.dtype.name(),
-                        actual: b.dtype.name(),
-                    });
-                }
-            }
-            return Err(TabularError::LengthMismatch {
-                expected: self.ncols(),
-                actual: other.ncols(),
-            });
-        }
-        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
-            // Variants are known to match after the schema check above.
-            let ok = mine.extend_from(theirs);
-            debug_assert!(ok, "schema check guarantees matching variants");
-        }
-        self.nrows += other.nrows;
-        Ok(())
-    }
-
-    /// Export the named columns as a dense row-major `f64` matrix
-    /// (missing values become `NaN`). This is the hand-off format for
-    /// `msaw-gbdt`.
-    pub fn to_matrix(&self, names: &[&str]) -> Result<Matrix> {
-        let cols: Vec<&Column> = names.iter().map(|&n| self.column(n)).collect::<Result<_>>()?;
-        let ncols = cols.len();
-        let mut data = vec![0.0f64; self.nrows * ncols];
-        for (j, col) in cols.iter().enumerate() {
-            match col {
-                Column::Float(v) => {
-                    for (i, &x) in v.iter().enumerate() {
-                        data[i * ncols + j] = x;
-                    }
-                }
-                other => {
-                    for i in 0..self.nrows {
-                        data[i * ncols + j] = other.value_as_f64(i);
-                    }
-                }
-            }
-        }
-        Ok(Matrix::from_vec(data, self.nrows, ncols))
-    }
-
     /// Restore schema lookup after deserialisation.
     pub fn rebuild_index(&mut self) {
         self.schema.rebuild_index();
@@ -291,42 +232,6 @@ mod tests {
             f.take(&[0, 3]),
             Err(TabularError::RowOutOfBounds { index: 3, nrows: 3 })
         ));
-    }
-
-    #[test]
-    fn vstack_appends_rows() {
-        let mut a = sample();
-        let b = sample();
-        a.vstack(&b).unwrap();
-        assert_eq!(a.nrows(), 6);
-        assert_eq!(a.f64_column("steps").unwrap().len(), 6);
-    }
-
-    #[test]
-    fn vstack_rejects_schema_mismatch() {
-        let mut a = sample();
-        let mut b = Frame::new();
-        b.push_column("steps", Column::from_f64(vec![1.0])).unwrap();
-        assert!(a.vstack(&b).is_err());
-    }
-
-    #[test]
-    fn to_matrix_row_major_with_nan() {
-        let f = sample();
-        let m = f.to_matrix(&["steps", "sleep"]).unwrap();
-        assert_eq!(m.nrows(), 3);
-        assert_eq!(m.ncols(), 2);
-        assert_eq!(m.get(0, 0), 4000.0);
-        assert_eq!(m.get(1, 1), 6.5);
-        assert!(m.get(2, 0).is_nan());
-    }
-
-    #[test]
-    fn to_matrix_widens_bools() {
-        let f = sample();
-        let m = f.to_matrix(&["fell"]).unwrap();
-        assert_eq!(m.get(1, 0), 1.0);
-        assert!(m.get(2, 0).is_nan());
     }
 
     #[test]

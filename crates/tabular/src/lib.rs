@@ -4,7 +4,7 @@
 //! reproduction. It plays the role pandas played in the original study:
 //! holding heterogeneous patient observations (floats with missing
 //! values, integers, booleans, categoricals), selecting and filtering
-//! them, and exporting dense matrices for the learners.
+//! them, and holding the dense row-major matrices the learners train on.
 //!
 //! The design follows the repository-wide guidance for database-flavoured
 //! Rust: columns are contiguous `Vec`s, missing floats are encoded as
@@ -28,14 +28,12 @@ pub mod error;
 pub mod frame;
 pub mod matrix;
 pub mod schema;
-pub mod stats;
 
 pub use column::Column;
 pub use error::TabularError;
 pub use frame::Frame;
 pub use matrix::Matrix;
 pub use schema::{DataType, Field, Schema};
-pub use stats::Summary;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TabularError>;

@@ -58,14 +58,6 @@ impl Schema {
         Schema::default()
     }
 
-    /// Build a schema from fields. Later duplicates shadow earlier entries
-    /// in the lookup index; [`crate::Frame`] rejects duplicates before they
-    /// reach this point.
-    pub fn from_fields(fields: Vec<Field>) -> Self {
-        let index = fields.iter().enumerate().map(|(i, f)| (f.name.clone(), i)).collect();
-        Schema { fields, index }
-    }
-
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -133,19 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn from_fields_builds_index() {
-        let s = Schema::from_fields(vec![
-            Field::new("x", DataType::Int),
-            Field::new("y", DataType::Categorical),
-        ]);
-        assert_eq!(s.len(), 2);
-        assert!(s.contains("y"));
-        assert!(!s.is_empty());
-    }
-
-    #[test]
     fn rebuild_index_after_manual_clear() {
-        let mut s = Schema::from_fields(vec![Field::new("x", DataType::Int)]);
+        let mut s = Schema::new();
+        s.push(Field::new("x", DataType::Int));
         s.index.clear();
         assert_eq!(s.position("x"), None);
         s.rebuild_index();
