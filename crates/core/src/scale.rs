@@ -30,8 +30,8 @@
 use crate::error::PipelineError;
 use msaw_cohort::CohortConfig;
 use msaw_gbdt::{
-    encode_rows, train_chunked, ChunkError, ChunkedMatrixBuilder, CutSketch, Params, TrainReport,
-    TreeMethod,
+    encode_rows, train_chunked, ChunkError, ChunkedMatrixBuilder, CutSketch, Params, TrainError,
+    TrainReport, TreeMethod,
 };
 use msaw_parallel::{try_run_waves_on, WaveError};
 use msaw_preprocess::{range_samples, OutcomeKind, PipelineConfig, N_FEATURES};
@@ -141,6 +141,19 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
         }
     };
 
+    // Reject parameters the fit would reject before streaming a single
+    // patient: at population scale both passes take minutes.
+    let TreeMethod::Hist { max_bins } = cfg.params.tree_method else {
+        return Err(PipelineError::Train {
+            job: None,
+            source: TrainError::InvalidParam {
+                name: "tree_method",
+                message: "the scale pipeline streams histograms; use TreeMethod::Hist".into(),
+            },
+        });
+    };
+    cfg.params.validate()?;
+
     // Pass 1: sketch cuts and collect labels. Each worker sketches its
     // chunk into a private sketch; the fold merges them in chunk order
     // (distinct-set unions, order-independent while exact — the merge
@@ -167,18 +180,6 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
     )
     .map_err(wave_err)?;
     let sketch_exact = sketch.is_exact();
-    let max_bins = match cfg.params.tree_method {
-        TreeMethod::Hist { max_bins } => max_bins,
-        TreeMethod::Exact => {
-            return Err(PipelineError::Train {
-                job: None,
-                source: msaw_gbdt::TrainError::InvalidParam {
-                    name: "tree_method",
-                    message: "the scale pipeline streams histograms; use TreeMethod::Hist".into(),
-                },
-            })
-        }
-    };
     let cuts = sketch.cuts(max_bins);
     let sketch_secs = sketch_start.elapsed().as_secs_f64();
 
@@ -360,6 +361,29 @@ mod tests {
                 ..
             }) => {}
             other => panic!("expected InvalidParam, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_parameters_fail_before_streaming_and_leave_no_spill() {
+        let cohort = CohortConfig::small(7);
+        let spill =
+            std::env::temp_dir().join(format!("msaw_scale_bad_params_{}.mscb", std::process::id()));
+        let _ = std::fs::remove_file(&spill);
+        let mut zero_trees = ScaleConfig::new(OutcomeKind::Qol);
+        zero_trees.params.n_estimators = 0;
+        let mut exact = ScaleConfig::new(OutcomeKind::Qol);
+        exact.params.tree_method = TreeMethod::Exact;
+        for (mut cfg, name) in [(zero_trees, "n_estimators"), (exact, "tree_method")] {
+            cfg.spill_path = Some(spill.clone());
+            match run_scale(&cohort, &cfg) {
+                Err(PipelineError::Train {
+                    job: None,
+                    source: TrainError::InvalidParam { name: got, .. },
+                }) => assert_eq!(got, name),
+                other => panic!("expected InvalidParam {{ name: {name:?} }}, got {other:?}"),
+            }
+            assert!(!spill.exists(), "{name}: a rejected run wrote {}", spill.display());
         }
     }
 
