@@ -6,8 +6,9 @@
 //! * **Injected panics** — the `failpoint` feature arms a named site
 //!   inside the grid's pooled fit jobs; the suite asserts a detonation
 //!   surfaces as `PipelineError::Pool` carrying the *lowest* failing
-//!   job index, identically at 1, 2 and 8 workers, and that the pool
-//!   leaks no threads and stays usable afterwards.
+//!   job index, identically at 1, 2 and 8 workers, for the in-memory
+//!   grid and for the sharded grid over in-memory and spilled blocks,
+//!   and that the pool leaks no threads and stays usable afterwards.
 //! * **Corrupted inputs** — sample CSVs with out-of-domain cells go
 //!   through the validating ingest: strict mode names the first bad
 //!   row, lenient mode quarantines exactly the corrupted rows and the
@@ -20,13 +21,17 @@
 
 use msaw_cohort::validate::ViolationReason;
 use msaw_cohort::{generate, CohortConfig, CohortData};
-use msaw_core::{grid, Approach, ExperimentConfig, PipelineError};
+use msaw_core::{
+    grid, try_run_full_grid_chunked, Approach, ChunkedGridConfig, ExperimentConfig, PipelineError,
+};
+use msaw_gbdt::TreeMethod;
 use msaw_parallel::failpoint;
 use msaw_preprocess::{
     build_samples, read_sample_csv, FeaturePanel, IngestMode, OutcomeKind, PipelineConfig,
     SampleError, SampleSet,
 };
 use std::io::Cursor;
+use std::path::PathBuf;
 use std::sync::{Mutex, Once};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -134,6 +139,62 @@ fn pool_survives_faults_with_no_thread_leaks_and_clean_reruns() {
                 assert_eq!(a.cv_scores, b.cv_scores, "workers={workers}");
             }
         }
+    });
+}
+
+/// A sharded grid over 64-row blocks of a stream-compatible protocol,
+/// kept in memory or spilled to `spill_dir`.
+fn sharded_config(spill_dir: Option<PathBuf>, workers: usize) -> ChunkedGridConfig {
+    let mut exp = ExperimentConfig::fast();
+    for params in [&mut exp.regression_params, &mut exp.classification_params] {
+        params.tree_method = TreeMethod::Hist { max_bins: 16 };
+        params.n_estimators = 8;
+    }
+    exp.canonical_row_order = true;
+    let mut cfg = ChunkedGridConfig::new(exp);
+    cfg.chunk_patients = 5;
+    cfg.block_rows = 64;
+    cfg.spill_dir = spill_dir;
+    cfg.workers = workers;
+    cfg
+}
+
+#[test]
+fn sharded_grid_panics_are_the_same_typed_error_at_every_worker_count_and_store() {
+    with_faults(|| {
+        let cohort = CohortConfig::small(7);
+        let dir = std::env::temp_dir().join(format!("msaw_fault_sharded_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let clean = try_run_full_grid_chunked(&cohort, &sharded_config(None, 1)).unwrap();
+        assert!(clean.n_rows > 2 * 64, "the grid must span several blocks");
+        let clean = format!("{:?}", clean.results);
+        for workers in WORKER_COUNTS {
+            for spill_dir in [None, Some(dir.clone())] {
+                let spilled = spill_dir.is_some();
+                let cfg = sharded_config(spill_dir, workers);
+                failpoint::disarm_all();
+                failpoint::arm("grid_fit", 5);
+                failpoint::arm("grid_fit", 17);
+                match try_run_full_grid_chunked(&cohort, &cfg) {
+                    Err(PipelineError::Pool(p)) => {
+                        assert_eq!(p.job, 5, "workers={workers} spilled={spilled}");
+                        assert!(p.message.contains("failpoint `grid_fit` fired at job 5"), "{p}");
+                    }
+                    Err(other) => panic!("expected a pool error, got {other}"),
+                    Ok(_) => panic!("armed failpoints must fail the sharded grid"),
+                }
+                failpoint::disarm_all();
+                let rerun = try_run_full_grid_chunked(&cohort, &cfg).unwrap();
+                assert_eq!(rerun.spilled, spilled);
+                assert_eq!(
+                    format!("{:?}", rerun.results),
+                    clean,
+                    "a disarmed rerun must equal the clean run (workers={workers} spilled={spilled})"
+                );
+            }
+        }
+        assert_eq!(msaw_parallel::live_workers(), 0, "worker threads leaked");
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
