@@ -1,7 +1,7 @@
 //! Performance tracking for the flat-forest prediction engine: times
 //! raw-score batch prediction on the paper cohort's SPPB DD model —
 //! the node-walk loop (`predict_raw_row` per row) against the compiled
-//! [`FlatForest`], single-core and multi-worker — and writes
+//! [`msaw_gbdt::FlatForest`], single-core and multi-worker — and writes
 //! `BENCH_predict.json` so the engine's perf trajectory is recorded
 //! from run to run.
 //!

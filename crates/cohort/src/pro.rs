@@ -207,7 +207,7 @@ impl ProQuestion {
     ///
     /// This is the reference implementation of the answer model: one
     /// libm Box–Muller draw per answer. The generator draws whole weekly
-    /// series through [`ProQuestion::answer_series`], which returns the
+    /// series through the crate's `answer_series`, which returns the
     /// same answers from the same RNG words; the tests compare the two.
     pub fn answer<R: RngCore + ?Sized>(&self, theta: f64, noise_scale: f64, rng: &mut R) -> u8 {
         let (u1, u2) = box_muller_uniforms(rng);

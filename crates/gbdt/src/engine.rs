@@ -245,8 +245,8 @@ pub struct TreeScratch {
 }
 
 impl TreeScratch {
-    /// An empty scratch; buffers grow to their worst case on first use
-    /// ([`TreeScratch::prepare`] runs at the start of every fit).
+    /// An empty scratch; every fit pre-sizes its buffers to that fit's
+    /// worst case before its first round.
     pub fn new() -> TreeScratch {
         TreeScratch {
             pools: EnginePools::default(),

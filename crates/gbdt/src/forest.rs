@@ -520,7 +520,7 @@ impl FlatForest {
     }
 
     /// Raw scores for every row of a matrix on exactly `workers` threads
-    /// at kernel `level`, in [`BLOCK_ROWS`]-row blocks, byte-identical
+    /// at kernel `level`, in fixed 256-row blocks, byte-identical
     /// at any worker count. Panic-safe: a row-width mismatch is a typed
     /// [`PredictError`] and a panicking block comes back as
     /// `PredictError::Batch` with the lowest failing block index (the

@@ -19,6 +19,9 @@ cargo fmt --all --check
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors: dangling and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
