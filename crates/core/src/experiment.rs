@@ -1,5 +1,11 @@
 //! One variant = one trained and evaluated model: an outcome, an
 //! approach (DD or KD), and whether the baseline FI is included.
+//!
+//! A [`VariantPlan`] freezes a variant's split and folds and records
+//! where its fits read rows: a sample set's [`TrainingContext`] (the
+//! in-memory and per-clinic grids) or a [`ChunkedView`] of a sealed
+//! bin-coded matrix (the sharded grid). [`try_run_fit_job_with`] is the
+//! one fit → predict → score runner for both.
 
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;

@@ -1,5 +1,8 @@
 //! The full 12-model grid of the paper's Fig. 4 (and, stratified per
-//! clinic, its Table 1): 3 outcomes × {DD, KD} × {w/o FI, w/ FI}.
+//! clinic, its Table 1): 3 outcomes × {DD, KD} × {w/o FI, w/ FI}. The
+//! pooled job runner here also runs the sharded grid's plans
+//! ([`crate::grid_chunked`]), so every grid shares one pool, failpoint
+//! and error contract.
 
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;

@@ -8,12 +8,17 @@
 //! * [`experiment`] — train-and-evaluate for a single `(outcome,
 //!   approach, ±FI)` variant: 80/20 split, K-fold CV on the training
 //!   side, held-out test metrics (1-MAPE for QoL/SPPB, the full
-//!   per-class classification report for Falls);
+//!   per-class classification report for Falls). Its one fit runner
+//!   serves every grid, whether a plan's rows live in a sample set's
+//!   training context or in a view of a bin-coded matrix;
 //! * [`grid`] — the full 12-model grid (3 outcomes × DD/KD × ±FI) that
-//!   regenerates Fig. 4, with per-clinic stratification for Table 1;
-//! * [`grid_chunked`] — the same grid sharded out of core: every fit
-//!   streamed through spillable bin-coded matrices, bit-identical to
-//!   the in-memory grid under `canonical_row_order`;
+//!   regenerates Fig. 4, with per-clinic stratification for Table 1,
+//!   and the pooled job runner all grids share;
+//! * [`grid_chunked`] — the same grid sharded out of core: two
+//!   streaming passes build spillable bin-coded matrices, and the
+//!   grid's runner fits plans over views of them — bit-identical to
+//!   the in-memory grid under `canonical_row_order` without row
+//!   subsampling;
 //! * [`oof`] — out-of-fold predictions over an entire sample set, used
 //!   for the per-patient MAE distributions of Fig. 5;
 //! * [`interpret`] — SHAP-based reports: per-patient top-k local
