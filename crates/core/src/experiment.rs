@@ -442,11 +442,12 @@ impl VariantPlan<'_> {
 /// [`ChunkError::Train`]; a bin-coded block that fails to load is an
 /// I/O or corruption [`ChunkError`].
 ///
-/// Context plans train through [`Booster::train_on_rows_with`] (on the
-/// context's `split_workers`) and predict through the flat forest on
-/// the raw rows. Chunked plans train through
-/// [`msaw_gbdt::train_chunked_on`] on one worker and predict through
-/// [`msaw_gbdt::predict_rows_chunked`] on the stored codes.
+/// Context plans train through [`Booster::train_on_rows_with`], which
+/// fans a split search out from `params.parallel_split_threshold` rows,
+/// and predict through the flat forest on the raw rows. Chunked plans
+/// train through [`msaw_gbdt::train_chunked_on`] on one worker and
+/// predict through [`msaw_gbdt::predict_rows_chunked`] on the stored
+/// codes, with a fresh prefetch buffer pool per job.
 ///
 /// The fit reuses the caller-owned `scratch`'s gradient/partition/
 /// histogram arenas instead of allocating fresh ones, which is what
