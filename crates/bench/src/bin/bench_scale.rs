@@ -1,5 +1,5 @@
 //! Scaling curves for the streaming population-scale pipeline: runs
-//! the generate → sketch → encode → out-of-core-fit pipeline
+//! the generate → rank + sketch → remap → out-of-core-fit pipeline
 //! (`msaw_core::scale`) at 261 → 10k → 100k → 1M patients and records
 //! per-stage wall times, per-stage worker counts, fit throughput, and
 //! peak RSS into `BENCH_scale.json`. Scales run ascending so the
@@ -13,6 +13,8 @@
 //!   serial (1-worker) stage seconds over pooled stage seconds. On a
 //!   single-core box these honestly read ~1.0; the merged artifacts
 //!   are byte-identical either way, so the ratio is pure wall time.
+//!   The encode stage (pass 2) only remaps pass 1's ranks on the
+//!   calling thread, so its ratio reads ~1.0 on any box.
 //! * `spilled_fit_*` — the same 10k fit re-run against disk-spilled
 //!   blocks, isolating the prefetching block reader's throughput from
 //!   the in-memory path CI normally gates.

@@ -345,13 +345,17 @@ pub fn try_plan_variant<'a>(
     if set.is_empty() {
         return Err(PipelineError::EmptySampleSet);
     }
-    // Honour the configured histogram resolution: the context's shared
-    // cuts are what every fit of this variant will train against.
-    let ctx = match cfg.params_for(set.outcome).tree_method {
+    Ok(plan_with_context(set, approach, with_fi, cfg, protocol_context(set, cfg)))
+}
+
+/// The set's shared context at the protocol's histogram resolution: the
+/// cuts every grid fit of the set trains against, and the final model
+/// with them.
+fn protocol_context<'a>(set: &'a SampleSet, cfg: &ExperimentConfig) -> TrainingContext<'a> {
+    match cfg.params_for(set.outcome).tree_method {
         TreeMethod::Hist { max_bins } => TrainingContext::with_max_bins(&set.features, max_bins),
         TreeMethod::Exact => set.training_context(),
-    };
-    Ok(plan_with_context(set, approach, with_fi, cfg, ctx))
+    }
 }
 
 /// [`try_plan_variant`] through a [`ContextCache`]: column sets shared
@@ -535,7 +539,9 @@ pub fn fit_final_model(set: &SampleSet, cfg: &ExperimentConfig) -> Booster {
 }
 
 /// Train a final model on the full 80% training split of a sample set
-/// (the model the interpretation experiments explain).
+/// (the model the interpretation experiments explain), against the
+/// same context — and so, under a histogram protocol, the same cuts —
+/// as the grid's fits of the set.
 pub fn try_fit_final_model(
     set: &SampleSet,
     cfg: &ExperimentConfig,
@@ -543,7 +549,7 @@ pub fn try_fit_final_model(
     let (train_rows, _) = split_train_test(set, cfg);
     let y: Vec<f64> = train_rows.iter().map(|&i| set.labels[i]).collect();
     let params = fit_params(cfg, set.outcome, &y);
-    let ctx = set.training_context();
+    let ctx = protocol_context(set, cfg);
     Ok(Booster::train_on_rows_with(&params, &ctx, &train_rows, &y, &mut TreeScratch::new())?)
 }
 
@@ -609,6 +615,31 @@ mod tests {
             r.regression.unwrap().one_minus_mape,
             baseline
         );
+    }
+
+    /// Under a histogram protocol the final model trains on the
+    /// protocol's `max_bins`, the cuts the grid scored, not the
+    /// context default.
+    #[test]
+    fn final_model_trains_at_the_protocols_histogram_resolution() {
+        let set = qol_set();
+        let mut cfg = ExperimentConfig::fast();
+        for params in [&mut cfg.regression_params, &mut cfg.classification_params] {
+            params.tree_method = TreeMethod::Hist { max_bins: 16 };
+        }
+        let model = fit_final_model(&set, &cfg);
+
+        let (train_rows, _) = split_train_test(&set, &cfg);
+        let y: Vec<f64> = train_rows.iter().map(|&i| set.labels[i]).collect();
+        let params = fit_params(&cfg, set.outcome, &y);
+        let ctx = TrainingContext::with_max_bins(&set.features, 16);
+        let reference =
+            Booster::train_on_rows_with(&params, &ctx, &train_rows, &y, &mut TreeScratch::new())
+                .unwrap();
+        let bits = |m: &Booster| -> Vec<u64> {
+            m.predict(&set.features).iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(&model), bits(&reference));
     }
 
     #[test]

@@ -3,30 +3,25 @@
 //! chunked trainer over spillable bin-coded matrices, so the grid runs
 //! on cohorts whose feature matrices never fit in RAM.
 //!
-//! The pipeline mirrors [`crate::scale::run_scale`]'s pass structure,
-//! widened to the grid's four feature representations:
+//! The cohort streams through [`crate::scale`]'s two-pass streaming
+//! routine, which generates every patient once, into two matrices: the *extended*
+//! 60-column DD⁺FI matrix (the 59 DD features plus the window-baseline
+//! FI) and the 2-column KD⁺FI matrix (`[ici, fi]`), with the three
+//! outcomes' labels and per-row patient ids collected in chunk order.
+//! Pass 1 ranks and sketches each chunk; pass 2 remaps the ranks into
+//! bin codes, in memory or spilled, without generating again. The four
+//! variants are *column views* of the two matrices — DD is columns
+//! `0..59`, KD is column `0` — so each distinct column is sketched and
+//! encoded exactly once, the out-of-core mirror of the in-memory grid's
+//! [`msaw_gbdt::ContextCache`].
 //!
-//! 1. **Sketch** — patient chunks are generated and featurized across
-//!    workers; each worker sketches the *extended* 60-column row
-//!    (the 59 DD features plus the window-baseline FI) and the
-//!    2-column KD row (`[ici, fi]`), and collects the three outcomes'
-//!    labels plus per-row patient ids. Merging in chunk order keeps
-//!    every artifact worker-count invariant.
-//! 2. **Encode** — chunks are regenerated and bin-encoded against the
-//!    shared cut tables into two [`ChunkedMatrix`]es (optionally
-//!    spilled): the 60-column DD⁺FI matrix and the 2-column KD⁺FI
-//!    matrix. The four variants are *column views* of these two —
-//!    DD is columns `0..59`, KD is column `0` — so each distinct
-//!    column is sketched and encoded exactly once, the out-of-core
-//!    mirror of the in-memory grid's [`msaw_gbdt::ContextCache`].
-//! 3. **Fit** — the twelve variants become experiment-layer
-//!    [`VariantPlan`]s over column views of the two matrices, and the
-//!    in-memory grid's pool runs their ~72 fold/final fits through the
-//!    one fit runner, [`crate::experiment::try_run_fit_job_with`], with
-//!    the same `grid_fit` failpoint and error contract: each fit trains
-//!    out of core on its ascending row subset and predicts on the
-//!    stored codes. Fits run the protocol's own row and column
-//!    subsampling.
+//! The twelve variants then become experiment-layer [`VariantPlan`]s
+//! over those views, and the in-memory grid's pool runs their ~72
+//! fold/final fits through the one fit runner,
+//! [`crate::experiment::try_run_fit_job_with`], with the same
+//! `grid_fit` failpoint and error contract: each fit trains out of core
+//! on its ascending row subset and predicts on the stored codes, with
+//! the protocol's own row and column subsampling.
 //!
 //! Under `canonical_row_order` (which this path requires) and an exact
 //! cut sketch, the twelve [`VariantResult`]s are bit-identical to
@@ -41,14 +36,11 @@ use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
 use crate::experiment::{plan_views, Approach, VariantPlan, VariantResult};
 use crate::grid::try_run_plans_on;
+use crate::scale::{stream, Passes, Streamed};
 use msaw_cohort::stream::CohortStream;
 use msaw_cohort::CohortConfig;
-use msaw_gbdt::{
-    encode_rows, ChunkError, ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, TreeMethod,
-    DEFAULT_BLOCK_ROWS,
-};
+use msaw_gbdt::{TreeMethod, DEFAULT_BLOCK_ROWS, DEFAULT_SKETCH_DISTINCT};
 use msaw_kd::{compute_ici_row, default_ici_spec, frailty_index, IciVariable};
-use msaw_parallel::{try_run_waves_on, WaveError};
 use msaw_preprocess::{
     label_of, patient_samples, FeaturePanel, OutcomeKind, PipelineConfig, N_FEATURES,
 };
@@ -66,8 +58,10 @@ pub struct ChunkedGridConfig {
     /// Rows per binned block of the chunked matrices.
     pub block_rows: usize,
     /// Spill directory for the two bin-coded matrices (`grid_dd_fi.mscb`
-    /// and `grid_kd_fi.mscb`); `None` keeps both in memory. Spilled
-    /// files are left on disk for the caller to inspect or remove.
+    /// and `grid_kd_fi.mscb`, each with a rank file beside it while
+    /// the matrices stream); `None` keeps both in memory. A successful
+    /// run leaves the two matrices on disk for the caller to inspect or
+    /// remove; a failed one leaves nothing.
     pub spill_dir: Option<PathBuf>,
     /// Worker count for every stage; `0` means the default.
     pub workers: usize,
@@ -209,7 +203,6 @@ pub fn try_run_full_grid_chunked(
     let max_bins = validate_config(cfg)?;
     let exp = &cfg.experiment;
     let n_features = N_FEATURES;
-    let dd_cols = n_features + 1;
     let spec = default_ici_spec();
     let names = FeaturePanel::feature_names();
     let positions: Vec<Option<usize>> =
@@ -217,86 +210,39 @@ pub fn try_run_full_grid_chunked(
 
     let n_patients = cohort.total_patients();
     let chunk_patients = cfg.chunk_patients.max(1);
-    let n_chunks = n_patients.div_ceil(chunk_patients);
-    let stream_workers =
-        if cfg.workers == 0 { msaw_parallel::default_workers(n_chunks) } else { cfg.workers };
-    let wave = stream_workers * 2;
-    let chunk_range = |c: usize| {
-        let start = (c * chunk_patients) as u32;
-        (start, ((c + 1) * chunk_patients).min(n_patients) as u32)
+    let spill = |file: &str| cfg.spill_dir.as_ref().map(|dir| dir.join(file));
+    let passes = Passes {
+        n_patients,
+        chunk_patients,
+        workers: if cfg.workers == 0 {
+            msaw_parallel::default_workers(n_patients.div_ceil(chunk_patients))
+        } else {
+            cfg.workers
+        },
+        max_bins,
+        sketch_capacity: DEFAULT_SKETCH_DISTINCT,
+        block_rows: cfg.block_rows,
+        matrices: [(n_features + 1, spill("grid_dd_fi.mscb")), (2, spill("grid_kd_fi.mscb"))],
     };
-    let wave_err = |e: WaveError<ChunkError>| -> PipelineError {
-        match e {
-            WaveError::Pool(p) => p.into(),
-            WaveError::Consume(c) => c.into(),
-        }
-    };
-
-    // Pass 1: sketch both representations, collect labels and patient
-    // ids. Per-worker sketches merge in chunk order (order-independent
-    // while exact; the merge tracks thinning past capacity).
-    let mut sketch_dd = CutSketch::new(dd_cols);
-    let mut sketch_kd = CutSketch::new(2);
     let mut labels: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut patients: Vec<u64> = Vec::new();
-    try_run_waves_on(
-        stream_workers,
-        n_chunks,
-        wave,
-        |c| {
-            let (start, end) = chunk_range(c);
+    let Streamed { matrices: [matrix_dd, matrix_kd], sketch_exact, spills, .. } = stream(
+        &passes,
+        |start, end| {
             let block = extended_block(cohort, &exp.pipeline, &spec, &positions, start, end);
-            let mut s_dd = CutSketch::new(dd_cols);
-            s_dd.update(&block.rows_dd);
-            let mut s_kd = CutSketch::new(2);
-            s_kd.update(&block.rows_kd);
-            (s_dd, s_kd, block.labels, block.patients)
+            ([block.rows_dd, block.rows_kd], (block.labels, block.patients))
         },
-        |_, (s_dd, s_kd, chunk_labels, chunk_patients)| {
-            sketch_dd.merge(&s_dd);
-            sketch_kd.merge(&s_kd);
+        |(chunk_labels, chunk_patients)| {
             for (all, part) in labels.iter_mut().zip(chunk_labels) {
                 all.extend(part);
             }
             patients.extend(chunk_patients);
-            Ok::<(), ChunkError>(())
         },
-    )
-    .map_err(wave_err)?;
+    )?;
     let n_rows = labels[0].len();
     if n_rows == 0 {
         return Err(PipelineError::EmptySampleSet);
     }
-    let sketch_exact = sketch_dd.is_exact() && sketch_kd.is_exact();
-    let cuts_dd = sketch_dd.cuts(max_bins);
-    let cuts_kd = sketch_kd.cuts(max_bins);
-
-    // Pass 2: regenerate and bin-encode both matrices, appending code
-    // slabs in chunk order so the sealed matrices (and any spilled
-    // `.mscb` files) are byte-identical at every worker count.
-    let builder = |cuts: &[Vec<f64>], file: &str| match &cfg.spill_dir {
-        Some(dir) => ChunkedMatrixBuilder::spilled(cuts.to_vec(), cfg.block_rows, &dir.join(file)),
-        None => Ok(ChunkedMatrixBuilder::in_memory(cuts.to_vec(), cfg.block_rows)),
-    };
-    let mut builder_dd = builder(&cuts_dd, "grid_dd_fi.mscb")?;
-    let mut builder_kd = builder(&cuts_kd, "grid_kd_fi.mscb")?;
-    try_run_waves_on(
-        stream_workers,
-        n_chunks,
-        wave,
-        |c| {
-            let (start, end) = chunk_range(c);
-            let block = extended_block(cohort, &exp.pipeline, &spec, &positions, start, end);
-            (encode_rows(&cuts_dd, &block.rows_dd), encode_rows(&cuts_kd, &block.rows_kd))
-        },
-        |_, (codes_dd, codes_kd)| {
-            builder_dd.push_encoded(&codes_dd)?;
-            builder_kd.push_encoded(&codes_kd)
-        },
-    )
-    .map_err(wave_err)?;
-    let matrix_dd: ChunkedMatrix = builder_dd.finish()?;
-    let matrix_kd: ChunkedMatrix = builder_kd.finish()?;
     let spilled = matrix_dd.is_spilled();
 
     // The twelve variants in canonical order, each a column view of one
@@ -320,6 +266,7 @@ pub fn try_run_full_grid_chunked(
         })
         .collect();
     let results = try_run_plans_on(cfg.workers, &plans, exp)?;
+    spills.keep();
     Ok(ChunkedGridReport { results, n_rows, spilled, sketch_exact })
 }
 

@@ -1,37 +1,42 @@
-//! Population-scale streaming pipeline: generate → featurize → bin →
+//! Population-scale streaming pipeline: generate → featurise → bin →
 //! train, with memory bounded by chunk sizes rather than cohort size.
 //!
 //! The paper's cohort is 261 patients; this module answers "what if it
-//! were a million". It composes the streaming layers end to end, with
-//! every stage fanned across the worker pool:
+//! were a million". [`run_scale`] and the sharded grid
+//! ([`crate::grid_chunked`]) share one two-pass streaming routine that
+//! generates every patient once:
 //!
-//! 1. **Sketch pass** — patient chunks are regenerated and featurized
-//!    in parallel ([`range_samples`] is pure in `(config, id range)`),
-//!    each worker building a private [`CutSketch`]; the main thread
-//!    merges sketches and appends labels strictly in chunk order, so
-//!    the cut table is byte-identical at any worker count.
-//! 2. **Encode pass** — workers regenerate their chunks (generation is
-//!    deterministic, so the rows are bit-identical) and bin-encode
-//!    them against the shared cut table; the main thread appends the
-//!    code slabs in chunk order into a [`ChunkedMatrixBuilder`]:
-//!    fixed-size row blocks of binned `u16` codes, in memory or
-//!    spilled to a checksummed columnar file whose bytes never depend
-//!    on the worker count.
+//! 1. **Rank pass** — patient chunks are generated and featurised
+//!    across the worker pool (the row producer, here [`range_samples`],
+//!    is pure in its patient range), and each worker ranks its chunk's
+//!    rows into their sorted distinct values ([`RankedChunk`]). The
+//!    calling thread merges the ranks into the [`CutSketch`], keeps
+//!    them in a [`RankStore`] and appends labels strictly in chunk
+//!    order, so every artifact is byte-identical at any worker count.
+//! 2. **Remap pass** — once the cuts are final, a plain loop on the
+//!    calling thread maps every stored rank to its bin code and appends
+//!    the codes in chunk order to a [`ChunkedMatrixBuilder`]: fixed-size
+//!    row blocks of `u16` codes, in memory or spilled to a checksummed
+//!    file. Nothing is generated twice, and the codes equal
+//!    [`msaw_gbdt::encode_rows`] of the pass-1 rows, so the matrix and
+//!    its spill bytes are those of regenerating and encoding each chunk.
 //! 3. **Fit** — [`train_chunked`] streams the row blocks through
 //!    histogram training — prefetching spilled blocks so decode
 //!    overlaps compute — bit-identical to the in-memory
 //!    [`msaw_gbdt::Booster::train`] hist path (pinned by tests here and
 //!    in `msaw-gbdt`).
 //!
-//! Peak memory is `O(chunk_patients + block_rows + labels)`, so the
-//! only term growing with cohort size is the label vector (8 bytes per
-//! sample) — the 100× larger code matrix lives on disk when spilled.
+//! A spilled run keeps its ranks in a rank file beside the spill file
+//! ([`RankStore::path_beside`]) until pass 2 ends, and a run that fails
+//! removes its spill files too. Peak memory of a spilled run is
+//! `O(chunk_patients + block_rows + labels)`: the only term growing
+//! with cohort size is the label vector (8 bytes per sample).
 
 use crate::error::PipelineError;
 use msaw_cohort::CohortConfig;
 use msaw_gbdt::{
-    encode_rows, train_chunked, ChunkError, ChunkedMatrixBuilder, CutSketch, Params, TrainError,
-    TrainReport, TreeMethod,
+    train_chunked, ChunkError, ChunkedMatrix, ChunkedMatrixBuilder, CutSketch, Params, RankStore,
+    RankedChunk, TrainError, TrainReport, TreeMethod,
 };
 use msaw_parallel::{try_run_waves_on, WaveError};
 use msaw_preprocess::{range_samples, OutcomeKind, PipelineConfig, N_FEATURES};
@@ -56,6 +61,8 @@ pub struct ScaleConfig {
     pub sketch_capacity: usize,
     /// Spill the binned blocks to this file instead of holding them in
     /// memory. `None` keeps them resident (fine below ~10⁵ patients).
+    /// Pass 1's ranks go to a rank file beside it, removed once pass 2
+    /// has read it, so disk use peaks at about twice the spill size.
     pub spill_path: Option<PathBuf>,
     /// Worker threads for histogram accumulation during the fit.
     pub workers: usize,
@@ -97,9 +104,9 @@ pub struct ScaleReport {
     pub spilled: bool,
     /// Whether the cut sketch stayed exact (no thinning).
     pub sketch_exact: bool,
-    /// Wall time of the sketch pass (generate + featurize + sketch).
+    /// Wall time of pass 1 (generate + featurise + rank + sketch).
     pub sketch_secs: f64,
-    /// Wall time of the encode pass (regenerate + bin + store).
+    /// Wall time of pass 2 (remap the ranks + store the codes).
     pub encode_secs: f64,
     /// Wall time of the chunked fit.
     pub fit_secs: f64,
@@ -113,36 +120,15 @@ pub struct ScaleReport {
     pub train: TrainReport,
 }
 
-/// Run the streaming generate → sketch → encode → fit pipeline for
+/// Run the streaming generate → rank → remap → fit pipeline for
 /// `cohort` under `cfg`. See the module docs for the pass structure;
 /// the trained model is bit-identical to materialising the cohort and
 /// calling [`msaw_gbdt::Booster::train`] with the same parameters
 /// (while the sketch stays exact, which it does by a wide margin for
 /// this feature panel).
 pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
-    let n_features = N_FEATURES;
-    let workers = cfg.workers.max(1);
-    let chunk_patients = cfg.chunk_patients.max(1);
-    let n_patients = cohort.total_patients();
-    let n_chunks = n_patients.div_ceil(chunk_patients);
-    // Bounded fan-out: at most one wave of chunk outputs (two per
-    // worker, so the pool stays fed while one drains) is resident;
-    // merging strictly in chunk order keeps every artifact
-    // byte-identical at any worker count.
-    let wave = workers * 2;
-    let chunk_range = |c: usize| {
-        let start = (c * chunk_patients) as u32;
-        (start, ((c + 1) * chunk_patients).min(n_patients) as u32)
-    };
-    let wave_err = |e: WaveError<ChunkError>| -> PipelineError {
-        match e {
-            WaveError::Pool(p) => p.into(),
-            WaveError::Consume(c) => c.into(),
-        }
-    };
-
     // Reject parameters the fit would reject before streaming a single
-    // patient: at population scale both passes take minutes.
+    // patient: at population scale the passes take minutes.
     let TreeMethod::Hist { max_bins } = cfg.params.tree_method else {
         return Err(PipelineError::Train {
             job: None,
@@ -154,59 +140,26 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
     };
     cfg.params.validate()?;
 
-    // Pass 1: sketch cuts and collect labels. Each worker sketches its
-    // chunk into a private sketch; the fold merges them in chunk order
-    // (distinct-set unions, order-independent while exact — the merge
-    // also tracks thinning so `sketch_exact` stays truthful).
-    let sketch_start = Instant::now();
-    let mut sketch = CutSketch::with_capacity(n_features, cfg.sketch_capacity);
-    let mut labels: Vec<f64> = Vec::new();
-    try_run_waves_on(
+    let n_patients = cohort.total_patients();
+    let workers = cfg.workers.max(1);
+    let passes = Passes {
+        n_patients,
+        chunk_patients: cfg.chunk_patients,
         workers,
-        n_chunks,
-        wave,
-        |c| {
-            let (start, end) = chunk_range(c);
-            let block = range_samples(cohort, cfg.outcome, &cfg.pipeline, start, end);
-            let mut part = CutSketch::with_capacity(n_features, cfg.sketch_capacity);
-            part.update(&block.rows);
-            (part, block.labels)
-        },
-        |_, (part, chunk_labels)| {
-            sketch.merge(&part);
-            labels.extend(chunk_labels);
-            Ok::<(), ChunkError>(())
-        },
-    )
-    .map_err(wave_err)?;
-    let sketch_exact = sketch.is_exact();
-    let cuts = sketch.cuts(max_bins);
-    let sketch_secs = sketch_start.elapsed().as_secs_f64();
-
-    // Pass 2: regenerate and encode into fixed-size binned blocks.
-    // Workers regenerate + bin-encode their chunks against the shared
-    // cut table; the fold appends code slabs in chunk order, so the
-    // sealed matrix (and a spilled `.mscb` file) is byte-identical to
-    // the serial build.
-    let encode_start = Instant::now();
-    let mut builder = match &cfg.spill_path {
-        Some(path) => ChunkedMatrixBuilder::spilled(cuts.clone(), cfg.block_rows, path)?,
-        None => ChunkedMatrixBuilder::in_memory(cuts.clone(), cfg.block_rows),
+        max_bins,
+        sketch_capacity: cfg.sketch_capacity,
+        block_rows: cfg.block_rows,
+        matrices: [(N_FEATURES, cfg.spill_path.clone())],
     };
-    try_run_waves_on(
-        workers,
-        n_chunks,
-        wave,
-        |c| {
-            let (start, end) = chunk_range(c);
+    let mut labels: Vec<f64> = Vec::new();
+    let Streamed { matrices: [mut matrix], sketch_exact, rank_secs, remap_secs, spills } = stream(
+        &passes,
+        |start, end| {
             let block = range_samples(cohort, cfg.outcome, &cfg.pipeline, start, end);
-            encode_rows(&cuts, &block.rows)
+            ([block.rows], block.labels)
         },
-        |_, codes| builder.push_encoded(&codes),
-    )
-    .map_err(wave_err)?;
-    let mut matrix = builder.finish()?;
-    let encode_secs = encode_start.elapsed().as_secs_f64();
+        |chunk_labels| labels.extend(chunk_labels),
+    )?;
     // Sample the high-water mark after the seal so the reported RSS
     // covers the encode pass's peak (sampling only at the end raced
     // the kernel's accounting of the builder teardown).
@@ -215,6 +168,7 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
     // Pass 3: out-of-core fit over the row blocks.
     let fit_start = Instant::now();
     let train = train_chunked(&cfg.params, &mut matrix, &labels, workers)?;
+    spills.keep();
     let fit_secs = fit_start.elapsed().as_secs_f64();
     let n_rows = labels.len();
     let fit_rows_per_sec = if fit_secs > 0.0 {
@@ -226,11 +180,11 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
     Ok(ScaleReport {
         n_patients,
         n_rows,
-        n_features,
+        n_features: N_FEATURES,
         spilled: matrix.is_spilled(),
         sketch_exact,
-        sketch_secs,
-        encode_secs,
+        sketch_secs: rank_secs,
+        encode_secs: remap_secs,
         fit_secs,
         fit_rows_per_sec,
         peak_rss_mb: match (rss_after_seal, peak_rss_mb()) {
@@ -239,6 +193,123 @@ pub fn run_scale(cohort: &CohortConfig, cfg: &ScaleConfig) -> Result<ScaleReport
         },
         train,
     })
+}
+
+/// The shape of one streamed run.
+pub(crate) struct Passes<const N: usize> {
+    pub n_patients: usize,
+    pub chunk_patients: usize,
+    pub workers: usize,
+    pub max_bins: u16,
+    pub sketch_capacity: usize,
+    pub block_rows: usize,
+    /// Per matrix: its feature count and its spill file (`None` keeps
+    /// it in memory).
+    pub matrices: [(usize, Option<PathBuf>); N],
+}
+
+/// What a streamed run built.
+pub(crate) struct Streamed<const N: usize> {
+    pub matrices: [ChunkedMatrix; N],
+    /// Whether every cut sketch stayed exact.
+    pub sketch_exact: bool,
+    /// Wall time of pass 1: generate, featurise, rank and sketch.
+    pub rank_secs: f64,
+    /// Wall time of pass 2: remap and store.
+    pub remap_secs: f64,
+    /// Removes the spill files unless the caller keeps them.
+    pub spills: SpillGuard,
+}
+
+/// A run's spill files, removed when dropped unless [`SpillGuard::keep`]
+/// was called: a failed run leaves no file behind.
+pub(crate) struct SpillGuard(Vec<PathBuf>);
+
+impl SpillGuard {
+    /// The run succeeded: leave its spill files for the caller.
+    pub fn keep(mut self) {
+        self.0.clear();
+    }
+}
+
+impl Drop for SpillGuard {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// The shared two-pass routine (see the module docs): stream a cohort into `N`
+/// bin-coded matrices. `produce(start, end)` returns patients
+/// `start..end` as one row-major slab per matrix plus the caller's
+/// bookkeeping, which `keep` receives in chunk order.
+pub(crate) fn stream<const N: usize, B: Send>(
+    run: &Passes<N>,
+    produce: impl Fn(u32, u32) -> ([Vec<f64>; N], B) + Sync,
+    mut keep: impl FnMut(B),
+) -> Result<Streamed<N>, PipelineError> {
+    let spills = SpillGuard(run.matrices.iter().filter_map(|(_, spill)| spill.clone()).collect());
+    let chunk_patients = run.chunk_patients.max(1);
+    let n_chunks = run.n_patients.div_ceil(chunk_patients);
+
+    // Pass 1. At most one wave of chunk outputs (two per worker, so the
+    // pool stays fed while one drains) is resident at a time.
+    let start = Instant::now();
+    let mut sketches = Vec::with_capacity(N);
+    let mut stores = Vec::with_capacity(N);
+    for (ncols, spill) in &run.matrices {
+        sketches.push(CutSketch::with_capacity(*ncols, run.sketch_capacity));
+        stores.push(match spill {
+            Some(path) => RankStore::beside(path, *ncols)?,
+            None => RankStore::in_memory(*ncols),
+        });
+    }
+    try_run_waves_on(
+        run.workers,
+        n_chunks,
+        run.workers * 2,
+        |c| {
+            #[cfg(feature = "failpoint")]
+            msaw_parallel::failpoint::hit("stream_chunk", c);
+            let first = c * chunk_patients;
+            let end = (first + chunk_patients).min(run.n_patients);
+            let (rows, extra) = produce(first as u32, end as u32);
+            let ranked: [RankedChunk; N] =
+                std::array::from_fn(|m| RankedChunk::build(&rows[m], run.matrices[m].0));
+            (ranked, extra)
+        },
+        |_, (ranked, extra)| {
+            for ((chunk, sketch), store) in ranked.into_iter().zip(&mut sketches).zip(&mut stores) {
+                sketch.merge_ranked(&chunk);
+                store.push(chunk)?;
+            }
+            keep(extra);
+            Ok::<(), ChunkError>(())
+        },
+    )
+    .map_err(|e| match e {
+        WaveError::Pool(p) => PipelineError::from(p),
+        WaveError::Consume(c) => c.into(),
+    })?;
+    let rank_secs = start.elapsed().as_secs_f64();
+
+    // Pass 2: remap each matrix's ranks against its final cuts.
+    let start = Instant::now();
+    let sketch_exact = sketches.iter().all(CutSketch::is_exact);
+    let mut matrices = Vec::with_capacity(N);
+    for ((sketch, store), (_, spill)) in sketches.iter().zip(stores).zip(&run.matrices) {
+        let cuts = sketch.cuts(run.max_bins);
+        let mut builder = match spill {
+            Some(path) => ChunkedMatrixBuilder::spilled(cuts, run.block_rows, path)?,
+            None => ChunkedMatrixBuilder::in_memory(cuts, run.block_rows),
+        };
+        store.remap_into(&mut builder)?;
+        matrices.push(builder.finish()?);
+    }
+    let matrices = matrices.try_into().expect("one matrix per slab");
+    let remap_secs = start.elapsed().as_secs_f64();
+    Ok(Streamed { matrices, sketch_exact, rank_secs, remap_secs, spills })
 }
 
 /// Peak resident set size of this process in MiB, from Linux's
@@ -253,9 +324,88 @@ pub fn peak_rss_mb() -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msaw_gbdt::{Booster, DEFAULT_SKETCH_DISTINCT};
+    use msaw_gbdt::{encode_rows, Booster, DEFAULT_SKETCH_DISTINCT};
     use msaw_preprocess::{build_samples, FeaturePanel};
     use proptest::prelude::*;
+    use std::path::Path;
+
+    /// The regenerate-and-encode pipeline, rebuilt from public calls:
+    /// per-chunk sketches merged in chunk order, then every chunk
+    /// generated again, encoded and appended, spilled to `spill`.
+    /// Returns the spilled bytes, the model and whether the sketch
+    /// stayed exact.
+    fn regenerate_and_encode(
+        cohort: &CohortConfig,
+        cfg: &ScaleConfig,
+        spill: &Path,
+    ) -> (Vec<u8>, Booster, bool) {
+        let n = cohort.total_patients();
+        let chunk = cfg.chunk_patients;
+        let ranges: Vec<(u32, u32)> = (0..n.div_ceil(chunk))
+            .map(|c| ((c * chunk) as u32, ((c + 1) * chunk).min(n) as u32))
+            .collect();
+        let block = |&(start, end): &(u32, u32)| {
+            range_samples(cohort, cfg.outcome, &cfg.pipeline, start, end)
+        };
+        let mut sketch = CutSketch::with_capacity(N_FEATURES, cfg.sketch_capacity);
+        let mut labels = Vec::new();
+        for range in &ranges {
+            let block = block(range);
+            let mut part = CutSketch::with_capacity(N_FEATURES, cfg.sketch_capacity);
+            part.update(&block.rows);
+            sketch.merge(&part);
+            labels.extend(block.labels);
+        }
+        let TreeMethod::Hist { max_bins } = cfg.params.tree_method else {
+            panic!("the scale pipeline needs TreeMethod::Hist")
+        };
+        let mut builder =
+            ChunkedMatrixBuilder::spilled(sketch.cuts(max_bins), cfg.block_rows, spill).unwrap();
+        for range in &ranges {
+            let codes = encode_rows(builder.cuts(), &block(range).rows);
+            builder.push_encoded(&codes).unwrap();
+        }
+        let mut matrix = builder.finish().unwrap();
+        let model = train_chunked(&cfg.params, &mut matrix, &labels, 1).unwrap().booster;
+        (std::fs::read(spill).unwrap(), model, sketch.is_exact())
+    }
+
+    /// Remapping pass-1 ranks writes the bytes and trains the model of
+    /// regenerating and encoding every chunk, whether the sketch stays
+    /// exact or thins (capacity 64 thins the activity columns, both
+    /// within one chunk and across merges), at any chunk size and
+    /// worker count; no rank file outlives the run.
+    #[test]
+    fn both_sketch_regimes_equal_the_regenerate_and_encode_path() {
+        let cohort = CohortConfig::small(42);
+        let dir = std::env::temp_dir().join(format!("msaw_scale_regimes_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spill = dir.join("run.mscb");
+        for capacity in [DEFAULT_SKETCH_DISTINCT, 64] {
+            for chunk_patients in [1usize, 7, 300] {
+                let mut cfg = ScaleConfig::new(OutcomeKind::Qol);
+                cfg.params.n_estimators = 3;
+                cfg.block_rows = 200;
+                cfg.sketch_capacity = capacity;
+                cfg.chunk_patients = chunk_patients;
+                let (bytes, model, exact) =
+                    regenerate_and_encode(&cohort, &cfg, &dir.join("reference.mscb"));
+                assert_eq!(exact, capacity == DEFAULT_SKETCH_DISTINCT);
+                cfg.spill_path = Some(spill.clone());
+                for workers in [1usize, 2, 8] {
+                    cfg.workers = workers;
+                    let tag =
+                        format!("capacity={capacity} chunk={chunk_patients} workers={workers}");
+                    let report = run_scale(&cohort, &cfg).unwrap();
+                    assert_eq!(report.sketch_exact, exact, "{tag}");
+                    assert_eq!(report.train.booster, model, "{tag}");
+                    assert!(std::fs::read(&spill).unwrap() == bytes, "spill bytes differ: {tag}");
+                    assert!(!RankStore::path_beside(&spill).exists(), "rank file left: {tag}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// The streamed, chunked, out-of-core run must train the same model
     /// — bit for bit — as materialising the cohort and fitting in

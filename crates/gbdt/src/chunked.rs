@@ -105,7 +105,6 @@ pub struct CutSketch {
     cols: Vec<Vec<f64>>,
     /// Per-column flag: set once thinning has discarded distinct values.
     thinned: Vec<bool>,
-    scratch: Vec<f64>,
 }
 
 impl CutSketch {
@@ -121,7 +120,6 @@ impl CutSketch {
             capacity: capacity.max(2),
             cols: vec![Vec::new(); ncols],
             thinned: vec![false; ncols],
-            scratch: Vec::new(),
         }
     }
 
@@ -140,31 +138,17 @@ impl CutSketch {
     pub fn update(&mut self, rows: &[f64]) {
         let ncols = self.cols.len();
         assert!(ncols > 0 && rows.len().is_multiple_of(ncols), "row-major chunk width mismatch");
-        let nrows = rows.len() / ncols;
+        let mut distinct = Vec::new();
         for j in 0..ncols {
-            self.scratch.clear();
-            for i in 0..nrows {
-                let v = rows[i * ncols + j];
-                if !v.is_nan() {
-                    self.scratch.push(v);
-                }
-            }
-            if self.scratch.is_empty() {
-                continue;
-            }
-            self.scratch.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
-            self.scratch.dedup();
-            let merged = merge_distinct(&self.cols[j], &self.scratch);
-            self.cols[j] = merged;
-            if self.cols[j].len() > self.capacity {
-                thin_even(&mut self.cols[j], self.capacity);
-                self.thinned[j] = true;
-            }
+            column_distinct(rows, ncols, j, &mut distinct);
+            self.absorb(j, &distinct);
         }
     }
 
-    /// Absorb another sketch over the same features — the reduction the
-    /// parallel pass-1 fan-out uses. While every column is still exact,
+    /// Absorb another sketch over the same features — the reduction a
+    /// parallel sketch pass folds per-chunk sketches with (the streaming
+    /// pipelines fold ranked chunks through [`CutSketch::merge_ranked`],
+    /// which merges the same sets). While every column is still exact,
     /// merging distinct sets is associative and commutative, so the
     /// result is independent of how the input chunks were grouped into
     /// per-worker sketches; once capacity forces thinning, the merge
@@ -174,16 +158,38 @@ impl CutSketch {
         assert_eq!(self.cols.len(), other.cols.len(), "sketch width mismatch");
         assert_eq!(self.capacity, other.capacity, "sketch capacity mismatch");
         for j in 0..self.cols.len() {
-            if other.cols[j].is_empty() {
-                self.thinned[j] |= other.thinned[j];
-                continue;
-            }
-            self.cols[j] = merge_distinct(&self.cols[j], &other.cols[j]);
             self.thinned[j] |= other.thinned[j];
-            if self.cols[j].len() > self.capacity {
-                thin_even(&mut self.cols[j], self.capacity);
+            self.absorb(j, &other.cols[j]);
+        }
+    }
+
+    /// Merge one chunk's per-column sorted distinct values the way
+    /// [`CutSketch::merge`] merges a fresh sketch of that chunk: a
+    /// column the chunk alone overfills is thinned first.
+    pub(crate) fn merge_chunk(&mut self, distinct: &[Vec<f64>]) {
+        assert_eq!(self.cols.len(), distinct.len(), "sketch width mismatch");
+        for (j, values) in distinct.iter().enumerate() {
+            if values.len() > self.capacity {
+                let mut part = values.clone();
+                thin_even(&mut part, self.capacity);
                 self.thinned[j] = true;
+                self.absorb(j, &part);
+            } else {
+                self.absorb(j, values);
             }
+        }
+    }
+
+    /// Union sorted distinct `values` into column `j`, thinning past
+    /// capacity — the step every way of feeding the sketch ends in.
+    fn absorb(&mut self, j: usize, values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
+        self.cols[j] = merge_distinct(&self.cols[j], values);
+        if self.cols[j].len() > self.capacity {
+            thin_even(&mut self.cols[j], self.capacity);
+            self.thinned[j] = true;
         }
     }
 
@@ -194,8 +200,17 @@ impl CutSketch {
     }
 }
 
+/// Column `j`'s sorted distinct present values of a row-major chunk,
+/// into `out` — the per-chunk set the sketch and the pass-1 ranks share.
+pub(crate) fn column_distinct(rows: &[f64], ncols: usize, j: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(rows.iter().skip(j).step_by(ncols).copied().filter(|v| !v.is_nan()));
+    out.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
+    out.dedup();
+}
+
 /// Merge two sorted deduplicated runs into one.
-fn merge_distinct(a: &[f64], b: &[f64]) -> Vec<f64> {
+pub(crate) fn merge_distinct(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -337,8 +352,9 @@ impl ChunkedMatrixBuilder {
 }
 
 /// Encode a row-major chunk of raw feature values against fixed cut
-/// tables, off the builder — the per-worker half of the parallel
-/// pass-2 fan-out, appended with [`ChunkedMatrixBuilder::push_encoded`].
+/// tables, off the builder, for [`ChunkedMatrixBuilder::push_encoded`].
+/// The streaming pipelines get the same codes from pass-1 ranks
+/// instead ([`crate::RankStore::remap_into`]), without the raw rows.
 pub fn encode_rows(cuts: &[Vec<f64>], rows: &[f64]) -> Vec<u16> {
     let ncols = cuts.len();
     assert!(ncols > 0 && rows.len().is_multiple_of(ncols), "row-major chunk width mismatch");

@@ -60,6 +60,7 @@ pub mod forest;
 pub mod importance;
 pub mod objective;
 pub mod params;
+pub mod ranks;
 mod serialize;
 pub mod simd;
 pub mod split;
@@ -80,6 +81,7 @@ pub use forest::FlatForest;
 pub use importance::{FeatureImportance, ImportanceKind};
 pub use objective::Objective;
 pub use params::{Params, TreeMethod, DEFAULT_CONTEXT_BINS};
+pub use ranks::{RankStore, RankedChunk};
 pub use simd::SimdLevel;
 pub use tree::{Node, Tree, TreeDefect};
 

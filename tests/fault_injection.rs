@@ -4,11 +4,14 @@
 //! Two fault families, per the robustness design (DESIGN.md):
 //!
 //! * **Injected panics** — the `failpoint` feature arms a named site
-//!   inside the grid's pooled fit jobs; the suite asserts a detonation
-//!   surfaces as `PipelineError::Pool` carrying the *lowest* failing
-//!   job index, identically at 1, 2 and 8 workers, for the in-memory
-//!   grid and for the sharded grid over in-memory and spilled blocks,
-//!   and that the pool leaks no threads and stays usable afterwards.
+//!   inside the grid's pooled fit jobs (`grid_fit`) or the streaming
+//!   streaming pipelines' pass-1 chunk jobs (`stream_chunk`); the suite asserts a
+//!   detonation surfaces as `PipelineError::Pool` carrying the *lowest*
+//!   failing job index, identically at 1, 2 and 8 workers, for the
+//!   in-memory grid, the sharded grid over in-memory and spilled
+//!   blocks, and `run_scale`; that a failed streaming run leaves no
+//!   spill or rank file behind; and that the pool leaks no threads and
+//!   stays usable afterwards.
 //! * **Corrupted inputs** — sample CSVs with out-of-domain cells go
 //!   through the validating ingest: strict mode names the first bad
 //!   row, lenient mode quarantines exactly the corrupted rows and the
@@ -22,7 +25,8 @@
 use msaw_cohort::validate::ViolationReason;
 use msaw_cohort::{generate, CohortConfig, CohortData};
 use msaw_core::{
-    grid, try_run_full_grid_chunked, Approach, ChunkedGridConfig, ExperimentConfig, PipelineError,
+    grid, run_scale, try_run_full_grid_chunked, Approach, ChunkedGridConfig, ExperimentConfig,
+    PipelineError, ScaleConfig,
 };
 use msaw_gbdt::TreeMethod;
 use msaw_parallel::failpoint;
@@ -31,7 +35,7 @@ use msaw_preprocess::{
     SampleError, SampleSet,
 };
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -194,6 +198,86 @@ fn sharded_grid_panics_are_the_same_typed_error_at_every_worker_count_and_store(
             }
         }
         assert_eq!(msaw_parallel::live_workers(), 0, "worker threads leaked");
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// Every file left in `dir`, sorted.
+fn files_in(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> =
+        std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().path()).collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn failed_streaming_passes_leave_no_files_and_the_same_typed_error() {
+    with_faults(|| {
+        let cohort = CohortConfig::small(7);
+        let dir = std::env::temp_dir().join(format!("msaw_fault_stream_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let scale_spill = dir.join("scale.mscb");
+        let scale_cfg = |workers: usize| {
+            let mut cfg = ScaleConfig::new(OutcomeKind::Qol);
+            cfg.params.n_estimators = 4;
+            cfg.chunk_patients = 5;
+            cfg.block_rows = 64;
+            cfg.workers = workers;
+            cfg.spill_path = Some(scale_spill.clone());
+            cfg
+        };
+        let grid_cfg = |workers: usize| sharded_config(Some(dir.clone()), workers);
+        let mut spills =
+            vec![dir.join("grid_dd_fi.mscb"), dir.join("grid_kd_fi.mscb"), scale_spill.clone()];
+        spills.sort();
+        let read_spills = || spills.iter().map(|p| std::fs::read(p).unwrap()).collect::<Vec<_>>();
+
+        let clean_scale = run_scale(&cohort, &scale_cfg(1)).unwrap();
+        let clean_grid =
+            format!("{:?}", try_run_full_grid_chunked(&cohort, &grid_cfg(1)).unwrap().results);
+        // A successful run keeps its spill files and no rank file.
+        assert_eq!(files_in(&dir), spills);
+        let clean_bytes = read_spills();
+        assert!(cohort.total_patients() > 9 * 5, "chunk 9 must exist");
+
+        for workers in WORKER_COUNTS {
+            failpoint::disarm_all();
+            failpoint::arm("stream_chunk", 3);
+            failpoint::arm("stream_chunk", 9);
+            // The previous clean run's spill files are still there: a
+            // failed run removes what it would have written.
+            let errors = [
+                run_scale(&cohort, &scale_cfg(workers)).map(|_| ()).unwrap_err(),
+                try_run_full_grid_chunked(&cohort, &grid_cfg(workers)).map(|_| ()).unwrap_err(),
+            ];
+            for err in errors {
+                match err {
+                    PipelineError::Pool(p) => {
+                        assert_eq!(p.job, 3, "workers={workers}");
+                        assert!(
+                            p.message.contains("failpoint `stream_chunk` fired at job 3"),
+                            "{p}"
+                        );
+                    }
+                    other => panic!("expected a pool error, got {other}"),
+                }
+            }
+            assert_eq!(
+                files_in(&dir),
+                Vec::<PathBuf>::new(),
+                "a failed run left files (workers={workers})"
+            );
+            assert_eq!(msaw_parallel::live_workers(), 0, "worker threads leaked");
+
+            failpoint::disarm_all();
+            let rerun = run_scale(&cohort, &scale_cfg(workers)).unwrap();
+            assert_eq!(rerun.train.booster, clean_scale.train.booster, "workers={workers}");
+            let grid = try_run_full_grid_chunked(&cohort, &grid_cfg(workers)).unwrap();
+            assert_eq!(format!("{:?}", grid.results), clean_grid, "workers={workers}");
+            assert_eq!(files_in(&dir), spills);
+            assert!(read_spills() == clean_bytes, "spill bytes differ at workers={workers}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
