@@ -157,7 +157,7 @@ fn run() -> Result<(), BenchError> {
     let grad: Vec<f64> = (0..nrows).map(|i| ((i * 37 + 11) % 101) as f64 / 50.5 - 1.0).collect();
     let hess: Vec<f64> = (0..nrows).map(|i| ((i * 53 + 7) % 89) as f64 / 89.0 + 0.25).collect();
     const HIST_PASSES: usize = 50;
-    let hist_kernel = msaw_gbdt::simd::kernel_name();
+    let hist_kernel = msaw_gbdt::hist_kernel_name();
     let mut check_simd = 0.0;
     let hist_secs = time_median(5, || {
         for _ in 0..HIST_PASSES {

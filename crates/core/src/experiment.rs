@@ -140,7 +140,7 @@ fn balanced_params(base: &Params, labels: &[f64]) -> Params {
 /// the class-weight recipe switched on by `cfg.auto_balance_falls`. The
 /// paper's models did not reweight (which is exactly why its KD Falls
 /// model without FI collapses to the majority class).
-fn fit_params(cfg: &ExperimentConfig, outcome: OutcomeKind, y: &[f64]) -> Params {
+pub(crate) fn fit_params(cfg: &ExperimentConfig, outcome: OutcomeKind, y: &[f64]) -> Params {
     let params = cfg.params_for(outcome);
     if outcome.is_classification() && cfg.auto_balance_falls {
         balanced_params(params, y)
@@ -350,8 +350,11 @@ pub fn try_plan_variant<'a>(
 
 /// The set's shared context at the protocol's histogram resolution: the
 /// cuts every grid fit of the set trains against, and the final model
-/// with them.
-fn protocol_context<'a>(set: &'a SampleSet, cfg: &ExperimentConfig) -> TrainingContext<'a> {
+/// and the out-of-fold rotation with them.
+pub(crate) fn protocol_context<'a>(
+    set: &'a SampleSet,
+    cfg: &ExperimentConfig,
+) -> TrainingContext<'a> {
     match cfg.params_for(set.outcome).tree_method {
         TreeMethod::Hist { max_bins } => TrainingContext::with_max_bins(&set.features, max_bins),
         TreeMethod::Exact => set.training_context(),

@@ -3,6 +3,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::error::PipelineError;
+use crate::experiment::{fit_params, protocol_context};
 use msaw_cohort::Clinic;
 use msaw_gbdt::{Booster, TreeScratch};
 use msaw_metrics::{kfold, BoxStats};
@@ -11,6 +12,9 @@ use std::collections::BTreeMap;
 
 /// Predict every row of `set` using K-fold rotation: for each fold, a
 /// model is trained on the other folds and predicts the held-out rows.
+/// Each fold trains as the grid's fits do: on the protocol's histogram
+/// resolution, with the fold's own class balance when
+/// `cfg.auto_balance_falls` is set.
 /// A set too small for the fold rotation is
 /// [`PipelineError::TooFewSamples`], a failing fold fit is
 /// [`PipelineError::Train`].
@@ -22,16 +26,18 @@ pub fn try_oof_predictions(
     if set.len() < need {
         return Err(PipelineError::TooFewSamples { have: set.len(), need });
     }
-    let params = cfg.params_for(set.outcome);
-    // One shared context: the matrix is indexed once and every fold's
-    // model trains on a row view of it. One shared scratch: the first
-    // fold pays the arena allocations, later folds reuse them.
-    let ctx = set.training_context();
+    // One shared context at the protocol's resolution, the grid's cuts:
+    // the matrix is indexed once and every fold's model trains on a row
+    // view of it. One shared scratch: the first fold pays the arena
+    // allocations, later folds reuse them.
+    let ctx = protocol_context(set, cfg);
     let mut scratch = TreeScratch::new();
     let mut preds = vec![f64::NAN; set.len()];
     for fold in kfold(set.len(), cfg.cv_folds, cfg.seed ^ 0x00f) {
         let y_train: Vec<f64> = fold.train.iter().map(|&i| set.labels[i]).collect();
-        let model = Booster::train_on_rows_with(params, &ctx, &fold.train, &y_train, &mut scratch)?;
+        let params = fit_params(cfg, set.outcome, &y_train);
+        let model =
+            Booster::train_on_rows_with(&params, &ctx, &fold.train, &y_train, &mut scratch)?;
         // Batch-predict the held-out rows through the flat engine.
         let fold_preds = model.flat_forest().predict_rows(&set.features, &fold.validation);
         for (&row, &p) in fold.validation.iter().zip(&fold_preds) {
@@ -77,6 +83,7 @@ pub fn mae_boxes_by_clinic(set: &SampleSet, preds: &[f64]) -> Vec<(Clinic, BoxSt
 mod tests {
     use super::*;
     use msaw_cohort::{generate, CohortConfig};
+    use msaw_gbdt::{TrainingContext, TreeMethod};
     use msaw_preprocess::{build_samples, FeaturePanel, OutcomeKind};
 
     fn setup() -> (SampleSet, ExperimentConfig) {
@@ -124,6 +131,41 @@ mod tests {
             try_oof_predictions(&set, &cfg).unwrap(),
             try_oof_predictions(&set, &cfg).unwrap()
         );
+    }
+
+    /// Under a histogram protocol with class balancing, every fold trains
+    /// at the protocol's `max_bins` with its own balanced params, as the
+    /// grid's fits do.
+    #[test]
+    fn folds_train_at_the_protocols_resolution_and_balance() {
+        let data = generate(&CohortConfig::small(42));
+        let mut cfg = ExperimentConfig { auto_balance_falls: true, ..ExperimentConfig::fast() };
+        for params in [&mut cfg.regression_params, &mut cfg.classification_params] {
+            params.tree_method = TreeMethod::Hist { max_bins: 16 };
+        }
+        let panel = FeaturePanel::build(&data, &cfg.pipeline);
+        let set = build_samples(&data, &panel, OutcomeKind::Falls, &cfg.pipeline);
+        let preds = try_oof_predictions(&set, &cfg).unwrap();
+
+        let ctx = TrainingContext::with_max_bins(&set.features, 16);
+        let mut expected = vec![f64::NAN; set.len()];
+        for fold in kfold(set.len(), cfg.cv_folds, cfg.seed ^ 0x00f) {
+            let y: Vec<f64> = fold.train.iter().map(|&i| set.labels[i]).collect();
+            let params = fit_params(&cfg, set.outcome, &y);
+            let model = Booster::train_on_rows_with(
+                &params,
+                &ctx,
+                &fold.train,
+                &y,
+                &mut TreeScratch::new(),
+            )
+            .unwrap();
+            for &row in &fold.validation {
+                expected[row] = model.predict_row(set.features.row(row));
+            }
+        }
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|p| p.to_bits()).collect() };
+        assert_eq!(bits(&preds), bits(&expected));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! order. Every `(node, feature, bin)` cell therefore receives its IEEE
 //! additions in visit order whatever the worker count or store kind:
 //! workers own disjoint nodes or disjoint feature ranges, never a share
-//! of one cell, and the AVX2/AVX-512 kernels only widen slot-index
-//! arithmetic. The models follow:
+//! of one cell, and the AVX2 accumulation kernel (which AVX-512 hosts
+//! run too) only widens slot-index arithmetic. The models follow:
 //!
 //! * **One block** (every in-memory fit): the visit order *is* the
 //!   sample order, the order in which a recursive grower walking each
@@ -1102,12 +1102,14 @@ struct Gh<'a> {
 
 /// Accumulate `(grad, hess)` of `positions` (in the given order) into
 /// the features `fi_range` of one histogram — `data` covers exactly
-/// those features' slots — dispatching on the kernel `level`. Per
-/// `(feature, slot)` cell the additions happen in position order on
-/// every level (the AVX2/AVX-512 kernels only vectorize slot-index
-/// computation and use pair-adds, never per-lane sub-histograms), so
-/// feature-chunked parallel accumulation stays bit-identical to the
-/// serial pass and every SIMD pass bit-identical to the scalar one.
+/// those features' slots — dispatching on the kernel `level`: the AVX2
+/// kernel at AVX2 and above (a 512-bit twin timed the same), the scalar
+/// pass otherwise. Per `(feature, slot)` cell the additions happen in
+/// position order on every level (the AVX2 kernel only vectorizes
+/// slot-index computation and uses pair-adds, never per-lane
+/// sub-histograms), so feature-chunked parallel accumulation stays
+/// bit-identical to the serial pass and the SIMD pass bit-identical to
+/// the scalar one.
 fn accumulate(
     level: SimdLevel,
     rows: BlockRows<'_>,
@@ -1117,25 +1119,26 @@ fn accumulate(
     data: &mut [[f64; 2]],
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if level >= SimdLevel::Avx512 {
-            // SAFETY: `active_level` never reports Avx512 without
-            // AVX-512F CPU support, and streamed codes are range-checked
-            // or encoded in range.
-            unsafe { accumulate_avx512(rows, positions, gh, fi_range, data) };
-            return;
-        }
-        if level >= SimdLevel::Avx2 {
-            // SAFETY: `active_level` never reports Avx2-or-above without
-            // AVX2 CPU support, and streamed codes are range-checked or
-            // encoded in range.
-            unsafe { accumulate_avx2(rows, positions, gh, fi_range, data) };
-            return;
-        }
+    if level >= SimdLevel::Avx2 {
+        // SAFETY: `active_level` never reports Avx2-or-above without
+        // AVX2 CPU support (Avx512 implies it), and streamed codes are
+        // range-checked or encoded in range.
+        unsafe { accumulate_avx2(rows, positions, gh, fi_range, data) };
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
     accumulate_scalar(rows, positions, gh, fi_range, data);
+}
+
+/// Bench label: the accumulation kernel the histogram grower runs at
+/// the active level, `"avx2"` on AVX2 and AVX-512 hosts alike.
+#[doc(hidden)]
+pub fn hist_kernel_name() -> &'static str {
+    match crate::simd::active_level() {
+        SimdLevel::Scalar => "scalar",
+        SimdLevel::Avx2 | SimdLevel::Avx512 => "avx2",
+    }
 }
 
 /// The scalar accumulation pass (the always-compiled fallback).
@@ -1243,84 +1246,6 @@ unsafe fn accumulate_avx2(
     }
 }
 
-/// The AVX-512 accumulation pass: the same identity-chunk structure as
-/// [`accumulate_avx2`] but widening 16 codes per step (`vpmovzxwd zmm`)
-/// and adding 16 slot offsets in one 512-bit op. Only the slot-index
-/// arithmetic widens — the `(g, h)` sums remain 16 sequential pair-adds
-/// in feature order, so every `(feature, slot)` cell sees the same IEEE
-/// add order as the scalar and AVX2 passes and the result stays
-/// bit-identical across levels. Non-identity chunks fall back to the
-/// scalar pass; nothing allocates.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F; codes obey the bound
-/// [`accumulate_avx2`] states.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn accumulate_avx512(
-    rows: BlockRows<'_>,
-    positions: &[u32],
-    gh: Gh<'_>,
-    fi_range: Range<usize>,
-    data: &mut [[f64; 2]],
-) {
-    use crate::simd::x86::{pack_gh, pair_add};
-    use std::arch::x86_64::*;
-    const CHUNK: usize = 64;
-    let bounds = gh.bounds;
-    let base = bounds[fi_range.start];
-    let mut fi = fi_range.start;
-    while fi < fi_range.end {
-        let end = (fi + CHUNK).min(fi_range.end);
-        let identity =
-            (fi..end).all(|k| gh.features[k] == k) && bounds[end] - base <= i32::MAX as usize;
-        if !identity {
-            let (lo, hi) = (bounds[fi] - base, bounds[end] - base);
-            accumulate_scalar(rows, positions, gh, fi..end, &mut data[lo..hi]);
-            fi = end;
-            continue;
-        }
-        let nf_chunk = end - fi;
-        let mut off = [0i32; CHUNK];
-        for (c, o) in off[..nf_chunk].iter_mut().enumerate() {
-            *o = (bounds[fi + c] - base) as i32;
-        }
-        let full = nf_chunk / 16 * 16;
-        for &p in positions {
-            let codes = rows.row(p);
-            let g_h = pack_gh(gh.grad[p as usize], gh.hess[p as usize]);
-            let cp = codes.as_ptr().add(fi);
-            let mut c = 0usize;
-            while c < full {
-                let raw = _mm256_loadu_si256(cp.add(c) as *const __m256i);
-                let slots = _mm512_add_epi32(
-                    _mm512_cvtepu16_epi32(raw),
-                    _mm512_loadu_si512(off.as_ptr().add(c) as *const _),
-                );
-                let mut s = [0i32; 16];
-                _mm512_storeu_si512(s.as_mut_ptr() as *mut _, slots);
-                for &si in &s {
-                    // SAFETY: codes never exceed their missing code (see
-                    // `check_code_range`), so `si` indexes inside `data`.
-                    debug_assert!((si as usize) < data.len(), "code past its missing slot");
-                    pair_add(data.get_unchecked_mut(si as usize), g_h);
-                }
-                c += 16;
-            }
-            while c < nf_chunk {
-                // SAFETY: `fi + c` lies inside the row's view codes, and
-                // the code's bound puts `slot` inside `data`.
-                let slot = off[c] as usize + *codes.get_unchecked(fi + c) as usize;
-                debug_assert!(slot < data.len(), "code past its missing slot");
-                pair_add(data.get_unchecked_mut(slot), g_h);
-                c += 1;
-            }
-        }
-        fi = end;
-    }
-}
-
 /// Accumulate one block into the target histograms: target `t`'s
 /// positions are `positions[starts[t]..starts[t + 1]]`, in visit order.
 /// Workers own disjoint targets — or, when one target is big enough,
@@ -1411,19 +1336,9 @@ fn group_by_target(
 }
 
 /// The subtraction trick: `parent − child` slot-wise gives the sibling's
-/// histogram without touching its rows. The AVX2 path subtracts four
-/// f64 lanes at a time over the flattened cells — still one IEEE
-/// subtraction per cell component, bit-identical to the scalar loop.
-fn subtract_hist(level: SimdLevel, parent: &mut [[f64; 2]], child: &[[f64; 2]]) {
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Avx2 {
-        // SAFETY: `active_level` never reports Avx2-or-above without
-        // AVX2 CPU support (Avx512 implies it).
-        unsafe { crate::simd::x86::sub_f64_avx2(parent.as_flattened_mut(), child.as_flattened()) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
+/// histogram without touching its rows — one IEEE subtraction per cell
+/// component.
+fn subtract_hist(parent: &mut [[f64; 2]], child: &[[f64; 2]]) {
     for (ps, cs) in parent.iter_mut().zip(child) {
         ps[0] -= cs[0];
         ps[1] -= cs[1];
@@ -1897,7 +1812,7 @@ impl HistPools {
                     let (small, parent) = self.targets[t];
                     let small_hist = self.target_hists.pop().expect("one histogram per target");
                     let mut large_hist = std::mem::take(&mut self.arena[parent as usize].hist);
-                    subtract_hist(level, &mut large_hist, &small_hist);
+                    subtract_hist(&mut large_hist, &small_hist);
                     let Fate::Split { left, right, .. } = self.arena[parent as usize].fate.clone()
                     else {
                         unreachable!("confirmed splits keep their split fate")

@@ -25,7 +25,11 @@
 //! eight independent load chains the CPU pipelines where the node walk
 //! serialises on one — with no per-hop "am I at a leaf?" branch. Batch
 //! entry points fan row blocks across the `msaw_parallel` pool with
-//! index-keyed reassembly.
+//! index-keyed reassembly. On x86_64 a block's whole lockstep groups
+//! (16 rows at AVX2, 32 at AVX-512) go to the gather kernels of
+//! [`crate::simd`]; the rows past the last whole group, and every row
+//! at the scalar level, take the 8-row scalar walk. That split, in
+//! `accumulate_block`, is the only place a traversal tail is handled.
 //!
 //! ## Bit-identity contract
 //!
@@ -419,13 +423,15 @@ impl FlatForest {
         }
     }
 
-    /// Route one block through the level's kernel. The vector paths
-    /// validate the block's row indices and width once, precompute
-    /// each row's flat offset into the matrix buffer on the stack, and
-    /// hand the whole block to the level's kernel (AVX2 or AVX-512);
-    /// every other level runs the scalar [`Self::accumulate`]
-    /// unchanged. All produce bit-identical sums (see `simd.rs`
-    /// module docs).
+    /// Route one block through the level's kernel: the one place a
+    /// traversal tail is handled. The vector levels validate the block's
+    /// row indices and width once, precompute each row's flat offset
+    /// into the matrix buffer on the stack, and hand the block's whole
+    /// lockstep groups (16 rows at AVX2, 32 at AVX-512) to the level's
+    /// kernel; the rows past the last whole group, and every row at the
+    /// scalar level, run the scalar [`Self::accumulate`]. Each output
+    /// still adds its trees' leaf weights in tree order, so all levels
+    /// produce bit-identical sums (see `simd.rs` module docs).
     fn accumulate_block(
         &self,
         level: crate::simd::SimdLevel,
@@ -433,21 +439,30 @@ impl FlatForest {
         rows: RowSel,
         out: &mut [f64],
     ) {
+        // Rows `..done` go to the vector kernel, `done..` to the scalar walk.
         #[cfg(target_arch = "x86_64")]
-        if level >= crate::simd::SimdLevel::Avx2 && out.len() <= BLOCK_ROWS {
+        let done = if level >= crate::simd::SimdLevel::Avx2 && out.len() <= BLOCK_ROWS {
+            use crate::simd::x86::{accumulate_avx2, accumulate_avx512, GROUP, GROUP512};
+            type Kernel = unsafe fn(&[FlatNode], &[u32], &[u16], &[f64], &[i64], &mut [f64]);
+            let (group, kernel): (usize, Kernel) = if level == crate::simd::SimdLevel::Avx512 {
+                (GROUP512, accumulate_avx512)
+            } else {
+                (GROUP, accumulate_avx2)
+            };
+            let done = out.len() / group * group;
             let ncols = data.ncols();
             assert_eq!(ncols, self.n_features, "row width mismatch");
             let mut off = [0i64; BLOCK_ROWS];
             match rows {
                 RowSel::Contiguous(start) => {
-                    assert!(start + out.len() <= data.nrows(), "row range out of bounds");
-                    for (k, o) in off[..out.len()].iter_mut().enumerate() {
+                    assert!(start + done <= data.nrows(), "row range out of bounds");
+                    for (k, o) in off[..done].iter_mut().enumerate() {
                         *o = ((start + k) * ncols) as i64;
                     }
                 }
                 RowSel::Gather(block) => {
                     assert_eq!(block.len(), out.len());
-                    for (o, &r) in off[..out.len()].iter_mut().zip(block) {
+                    for (o, &r) in off[..done].iter_mut().zip(block) {
                         assert!(r < data.nrows(), "row index out of bounds");
                         *o = (r * ncols) as i64;
                     }
@@ -458,33 +473,25 @@ impl FlatForest {
             // every node, and the row offsets were just bounds-checked
             // against `data`.
             unsafe {
-                if level == crate::simd::SimdLevel::Avx512 {
-                    crate::simd::x86::accumulate_avx512(
-                        &self.nodes,
-                        &self.roots,
-                        &self.depths,
-                        data.as_slice(),
-                        &off[..out.len()],
-                        out,
-                    );
-                } else {
-                    crate::simd::x86::accumulate_avx2(
-                        &self.nodes,
-                        &self.roots,
-                        &self.depths,
-                        data.as_slice(),
-                        &off[..out.len()],
-                        out,
-                    );
-                }
-            }
-            return;
-        }
+                kernel(
+                    &self.nodes,
+                    &self.roots,
+                    &self.depths,
+                    data.as_slice(),
+                    &off[..done],
+                    &mut out[..done],
+                )
+            };
+            done
+        } else {
+            0
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = level;
+        let (done, _) = (0, level);
+        let tail = &mut out[done..];
         match rows {
-            RowSel::Contiguous(start) => self.accumulate(|k| data.row(start + k), out),
-            RowSel::Gather(block) => self.accumulate(|k| data.row(block[k]), out),
+            RowSel::Contiguous(start) => self.accumulate(|k| data.row(start + done + k), tail),
+            RowSel::Gather(block) => self.accumulate(|k| data.row(block[done + k]), tail),
         }
     }
 

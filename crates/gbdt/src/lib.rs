@@ -69,7 +69,7 @@ pub mod tree;
 pub use artifact::{fnv1a_64, ModelArtifact, ARTIFACT_VERSION};
 pub use booster::{Booster, EvalRecord, FitRun, TrainReport};
 #[doc(hidden)]
-pub use chunked::build_hists_for_bench;
+pub use chunked::{build_hists_for_bench, hist_kernel_name};
 pub use chunked::{
     encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, ChunkedMatrix,
     ChunkedMatrixBuilder, ChunkedView, CutSketch, DEFAULT_BLOCK_ROWS, DEFAULT_SKETCH_DISTINCT,

@@ -2,6 +2,12 @@
 //! traversal (prediction) and gradient/hessian histogram accumulation
 //! (training).
 //!
+//! Vector code stays only where a measurement shows it winning. The
+//! traversal has an AVX2 and an AVX-512 kernel; histogram accumulation
+//! has one AVX2 kernel, which AVX-512 hosts run too (`chunked.rs`).
+//! The boundary scan and the histogram subtraction are scalar on every
+//! level: a vector version of either timed the same as the plain loop.
+//!
 //! ## Dispatch strategy
 //!
 //! The toolchain is stable Rust, so kernels are written against
@@ -29,11 +35,12 @@
 //! * traversal: `_CMP_LT_OQ` is precisely the scalar `v < t` (false for
 //!   NaN), gathers/selects move bits without rounding, and each lane's
 //!   leaf weights are added to its accumulator in tree order — the same
-//!   operands in the same order as the scalar lockstep walk;
-//! * histograms: lanes never share an accumulator cell, each `(g, h)`
-//!   cell takes the same two IEEE additions per row in the same row
-//!   order (a 128-bit pair-add is two independent f64 adds), and the
-//!   subtraction trick stays element-wise.
+//!   operands in the same order as the scalar lockstep walk. A kernel
+//!   walks whole lockstep groups only; `FlatForest::accumulate_block`
+//!   hands the rows past the last whole group to the scalar walk;
+//! * histograms: lanes never share an accumulator cell, and each
+//!   `(g, h)` cell takes the same two IEEE additions per row in the
+//!   same row order (a 128-bit pair-add is two independent f64 adds).
 //!
 //! The equivalence is locked by `tests/simd_equivalence.rs` and by the
 //! archived `results/*.txt`, which must regenerate byte-identical with
@@ -53,6 +60,7 @@ pub enum SimdLevel {
     Avx2,
     /// AVX-512F gathers + 512-bit lanes (x86_64 only) — the same
     /// traversal algorithm as the AVX2 tier at eight lanes per vector.
+    /// Histogram accumulation at this level runs the AVX2 kernel.
     Avx512,
 }
 
@@ -115,7 +123,8 @@ pub fn force_level(level: Option<SimdLevel>) {
     FORCED.store(code, Ordering::Relaxed);
 }
 
-/// Human-readable name of the active kernel tier (bench/report labels).
+/// Human-readable name of the active traversal kernel tier
+/// (bench/report labels).
 pub fn kernel_name() -> &'static str {
     match active_level() {
         SimdLevel::Scalar => "scalar",
@@ -194,9 +203,10 @@ pub(crate) mod x86 {
     /// The AVX2 twin of `FlatForest::accumulate`: add every tree's leaf
     /// weight for the rows described by `row_off` (per output row, the
     /// f64 index of that row's first feature in `data`) into `out`.
-    /// Trees outer, [`GROUP`] rows in lockstep inside; the per-tree
-    /// remainder (`< GROUP` rows) walks scalar hops that mirror
-    /// `step_unchecked` exactly.
+    /// Trees outer, [`GROUP`] rows in lockstep inside. Whole groups
+    /// only: `out.len()` must be a multiple of [`GROUP`]
+    /// (debug-asserted); the caller walks any tail with the scalar
+    /// kernel.
     ///
     /// # Safety
     ///
@@ -217,6 +227,7 @@ pub(crate) mod x86 {
     ) {
         let n = out.len();
         debug_assert_eq!(row_off.len(), n);
+        debug_assert_eq!(n % GROUP, 0, "the caller walks the tail");
         let node_ptr = nodes.as_ptr();
         let data_ptr = data.as_ptr();
         let lane_mask = _mm256_set1_epi64x(0xFFFF_FFFF);
@@ -252,19 +263,6 @@ pub(crate) mod x86 {
                     _mm256_storeu_pd(op, _mm256_add_pd(_mm256_loadu_pd(op), w));
                 }
                 base += GROUP;
-            }
-            for k in base..n {
-                let ro = *row_off.get_unchecked(k) as usize;
-                let mut i = root as usize;
-                for _ in 0..depth {
-                    let node = nodes.get_unchecked(i);
-                    let fd = node.feature_and_default;
-                    let v = *data_ptr.add(ro + (fd & !FLAT_DEFAULT_LEFT_BIT) as usize);
-                    let go_left =
-                        (v < node.threshold) | (v.is_nan() & (fd & FLAT_DEFAULT_LEFT_BIT != 0));
-                    i = *node.children.get_unchecked(usize::from(!go_left)) as usize;
-                }
-                *out.get_unchecked_mut(k) += nodes.get_unchecked(i).threshold;
             }
         }
     }
@@ -314,8 +312,9 @@ pub(crate) mod x86 {
     }
 
     /// [`accumulate_avx2`] at eight lanes per vector ([`GROUP512`] rows
-    /// in lockstep per tree). Same structure, same remainder handling,
-    /// same bit-identity argument.
+    /// in lockstep per tree). Same structure, same whole-groups-only
+    /// contract (`out.len()` a multiple of [`GROUP512`]), same
+    /// bit-identity argument.
     ///
     /// # Safety
     ///
@@ -331,6 +330,7 @@ pub(crate) mod x86 {
     ) {
         let n = out.len();
         debug_assert_eq!(row_off.len(), n);
+        debug_assert_eq!(n % GROUP512, 0, "the caller walks the tail");
         let node_ptr = nodes.as_ptr();
         let data_ptr = data.as_ptr();
         let lane_mask = _mm512_set1_epi64(0xFFFF_FFFF);
@@ -365,19 +365,6 @@ pub(crate) mod x86 {
                 }
                 base += GROUP512;
             }
-            for k in base..n {
-                let ro = *row_off.get_unchecked(k) as usize;
-                let mut i = root as usize;
-                for _ in 0..depth {
-                    let node = nodes.get_unchecked(i);
-                    let fd = node.feature_and_default;
-                    let v = *data_ptr.add(ro + (fd & !FLAT_DEFAULT_LEFT_BIT) as usize);
-                    let go_left =
-                        (v < node.threshold) | (v.is_nan() & (fd & FLAT_DEFAULT_LEFT_BIT != 0));
-                    i = *node.children.get_unchecked(usize::from(!go_left)) as usize;
-                }
-                *out.get_unchecked_mut(k) += nodes.get_unchecked(i).threshold;
-            }
         }
     }
 
@@ -400,39 +387,6 @@ pub(crate) mod x86 {
     pub(crate) fn pack_gh(g: f64, h: f64) -> __m128d {
         // SAFETY: no memory access.
         unsafe { _mm_set_pd(h, g) }
-    }
-
-    /// Load a histogram cell as a 128-bit lane pair (`g` low), the
-    /// counterpart of [`pair_add`] for read-only operands.
-    #[inline(always)]
-    pub(crate) fn load_pair(cell: &[f64; 2]) -> __m128d {
-        // SAFETY: `cell` is a valid pair; unaligned load has no
-        // alignment requirement.
-        unsafe { _mm_loadu_pd(cell.as_ptr()) }
-    }
-
-    /// Element-wise `a[i] -= b[i]` over flattened histogram cells, four
-    /// f64 lanes at a time — each subtraction is the same single IEEE
-    /// operation the scalar loop performs on that cell.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. Slices must be equally long (the scalar `zip`
-    /// truncates; callers only ever pass equal lengths).
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn sub_f64_avx2(a: &mut [f64], b: &[f64]) {
-        let n = a.len().min(b.len());
-        let mut i = 0usize;
-        while i + QUAD <= n {
-            let ap = a.as_mut_ptr().add(i);
-            let d = _mm256_sub_pd(_mm256_loadu_pd(ap), _mm256_loadu_pd(b.as_ptr().add(i)));
-            _mm256_storeu_pd(ap, d);
-            i += QUAD;
-        }
-        while i < n {
-            *a.get_unchecked_mut(i) -= *b.get_unchecked(i);
-            i += 1;
-        }
     }
 }
 

@@ -2,7 +2,10 @@
 //! §3.3–3.4): candidate scoring and tie-breaking (`BestTracker`) and
 //! the histogram boundary scan (`scan_hist`). The exact grower
 //! (`engine`) feeds the tracker from rank-sorted node lists; the
-//! level-wise histogram grower (`chunked`) from node histograms.
+//! level-wise histogram grower (`chunked`) from node histograms. The
+//! boundary scan is scalar on every SIMD level: it is a serial prefix
+//! fold of one `(g, h)` pair per bin, and a 128-bit pair-add version
+//! timed the same as the plain loop.
 //!
 //! For every candidate threshold the finder evaluates *two* routings of
 //! the missing-value mass — all-missing-left and all-missing-right — and
@@ -178,29 +181,6 @@ pub(crate) fn scan_hist(
         return;
     }
     let [g_miss, h_miss] = hist[hist.len() - 1];
-    scan_boundaries(feature, cuts, hist, g_miss, h_miss, total_g, total_h, tracker);
-}
-
-/// The boundary accumulation itself, dispatched on the active SIMD
-/// level. Both paths fold the bins into the running `(gl, hl)` prefix
-/// in ascending bin order, so the offered candidates are bitwise
-/// identical whichever path runs.
-#[allow(clippy::too_many_arguments)]
-fn scan_boundaries(
-    feature: usize,
-    cuts: &[f64],
-    hist: &[[f64; 2]],
-    g_miss: f64,
-    h_miss: f64,
-    total_g: f64,
-    total_h: f64,
-    tracker: &mut BestTracker,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::active_level() != crate::simd::SimdLevel::Scalar {
-        scan_boundaries_simd(feature, cuts, hist, g_miss, h_miss, total_g, total_h, tracker);
-        return;
-    }
     let mut gl = 0.0;
     let mut hl = 0.0;
     // Boundary after bin i corresponds to threshold cuts[i].
@@ -208,32 +188,6 @@ fn scan_boundaries(
         gl += hist[i][0];
         hl += hist[i][1];
         tracker.offer_both(feature, cut, gl, hl, g_miss, h_miss, total_g, total_h);
-    }
-}
-
-/// The vector boundary pass: the running `(gl, hl)` prefix lives in one
-/// 128-bit register and each bin folds in with a single pair-add — two
-/// independent IEEE additions per boundary, in the same ascending bin
-/// order as the scalar loop, so every offered candidate is bitwise
-/// identical to the scalar pass.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn scan_boundaries_simd(
-    feature: usize,
-    cuts: &[f64],
-    hist: &[[f64; 2]],
-    g_miss: f64,
-    h_miss: f64,
-    total_g: f64,
-    total_h: f64,
-    tracker: &mut BestTracker,
-) {
-    use crate::simd::x86::{load_pair, pair_add};
-    let mut acc = [0.0f64; 2];
-    // Boundary after bin i corresponds to threshold cuts[i].
-    for (i, &cut) in cuts.iter().enumerate() {
-        pair_add(&mut acc, load_pair(&hist[i]));
-        tracker.offer_both(feature, cut, acc[0], acc[1], g_miss, h_miss, total_g, total_h);
     }
 }
 
@@ -424,49 +378,5 @@ mod tests {
         let h = vec![1.0; 3];
         let (_, _, default_left, _) = hist_split(&x, &g, &h, &[0], 8).unwrap();
         assert!(default_left);
-    }
-
-    #[test]
-    fn simd_boundary_scan_matches_scalar_bitwise() {
-        // The vector boundary pass folds bins in the same ascending
-        // order as the scalar loop, so the winning candidate must be
-        // bitwise identical — gain, threshold, and child stats alike.
-        // Safe to force levels here even with tests running in
-        // parallel: every dispatch path is bit-identical by contract.
-        let n_bins = 33usize; // cuts.len() + 1; odd, so the tail isn't lane-aligned
-        let cuts: Vec<f64> = (0..n_bins - 1).map(|i| i as f64 * 0.75 + 0.1).collect();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 2_000) as f64 / 500.0 - 2.0
-        };
-        // One slot per bin plus the trailing in-band missing slot.
-        let mut hist: Vec<[f64; 2]> = (0..=n_bins).map(|_| [next(), next().abs() + 0.1]).collect();
-        hist[n_bins] = [0.7, 1.3]; // non-trivial missing mass
-        let total_g: f64 = hist.iter().map(|s| s[0]).sum();
-        let total_h: f64 = hist.iter().map(|s| s[1]).sum();
-
-        let scan_at = |level: crate::simd::SimdLevel| {
-            crate::simd::force_level(Some(level));
-            let mut tracker = BestTracker::new(cfg(), total_g, total_h);
-            scan_hist(3, &cuts, &hist, total_g, total_h, &mut tracker);
-            crate::simd::force_level(None);
-            tracker.best.expect("a split must clear gamma=0 on this data")
-        };
-
-        let scalar = scan_at(crate::simd::SimdLevel::Scalar);
-        assert_eq!(scalar.feature, 3);
-        for level in [crate::simd::SimdLevel::Avx2, crate::simd::SimdLevel::Avx512]
-            .into_iter()
-            .filter(|&l| l <= crate::simd::detected_level())
-        {
-            let vector = scan_at(level);
-            assert_eq!(scalar, vector, "boundary scan diverged at {level:?}");
-            assert_eq!(scalar.gain.to_bits(), vector.gain.to_bits());
-            assert_eq!(scalar.left_grad.to_bits(), vector.left_grad.to_bits());
-            assert_eq!(scalar.left_hess.to_bits(), vector.left_hess.to_bits());
-        }
     }
 }

@@ -4,10 +4,11 @@
 //! lanes, threshold ties, remainder blocks shorter than a lockstep
 //! group, degenerate single-leaf trees, and any worker count.
 //!
-//! Prediction comparisons pass the kernel level explicitly
+//! Matrix prediction comparisons pass the kernel level explicitly
 //! (`try_predict_raw_batch_on`), so they need no global state; the
-//! training comparisons force the process-wide dispatch level and are
-//! serialized behind a mutex.
+//! row-list path (`predict_raw_rows_on`) and the training comparisons
+//! force the process-wide dispatch level and are serialized behind a
+//! mutex.
 
 use msaw_gbdt::simd::{self, SimdLevel};
 use msaw_gbdt::{Booster, ModelArtifact, Params, TreeMethod};
@@ -112,12 +113,33 @@ fn threshold_ties_route_right_in_every_lane() {
 #[test]
 fn remainder_blocks_shorter_than_a_lockstep_group_agree() {
     // 1..33 rows covers: sub-quad, sub-oct, exactly one AVX2 group
-    // (16), one AVX-512 group (32), and one-past each.
+    // (16), one AVX-512 group (32), and one-past each. 63..65 and
+    // 255..257 sit on either side of whole groups and of the pool's
+    // 256-row block, so a block's tail meets the scalar walk after a
+    // run of vector groups, and 257 rows leave a one-row second block.
     let data = pseudo_matrix(400, 5, 10);
     let model = train(&data, &pseudo_labels(400), 4);
-    for nrows in [1usize, 3, 7, 8, 15, 16, 17, 31, 32, 33] {
+    let flat = model.flat_forest();
+    let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for nrows in [1usize, 3, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257] {
         let query = pseudo_matrix(nrows, 5, 7);
         assert_levels_agree(&model, &query, &format!("nrows={nrows}"));
+
+        // The row-list path, over a scattered gather of `data`'s rows.
+        let rows: Vec<usize> = (0..nrows).map(|k| (k * 7 + 3) % data.nrows()).collect();
+        let rows_at = |level: SimdLevel, workers: usize| {
+            simd::force_level(Some(level));
+            let out = flat.predict_raw_rows_on(workers, &data, &rows);
+            simd::force_level(None);
+            out
+        };
+        let reference = rows_at(SimdLevel::Scalar, 1);
+        for level in vector_levels() {
+            for workers in [1usize, 2, 8] {
+                let what = format!("row list, nrows={nrows}: {level:?} workers={workers}");
+                assert_bits_eq(&rows_at(level, workers), &reference, &what);
+            }
+        }
     }
 }
 
@@ -179,10 +201,10 @@ fn hist_training_is_bit_identical_across_levels() {
 }
 
 /// Like [`train_bytes_at`] but with a tunable feature count. The
-/// histogram index-widening kernels process features in lockstep groups
-/// of 8 (AVX2) or 16 (AVX-512); narrow matrices only exercise their
-/// scalar tails, so the hist-path equivalence must be pinned at widths
-/// that reach the vector bodies too.
+/// histogram index-widening kernel (AVX2, which AVX-512 hosts run too)
+/// processes features in lockstep groups of 8; narrow matrices only
+/// exercise its scalar tail, so the hist-path equivalence must be
+/// pinned at widths that reach the vector body too.
 fn wide_train_bytes_at(level: SimdLevel, ncols: usize) -> Vec<u8> {
     let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     simd::force_level(Some(level));
@@ -201,10 +223,8 @@ fn wide_train_bytes_at(level: SimdLevel, ncols: usize) -> Vec<u8> {
 
 #[test]
 fn wide_feature_hist_training_is_bit_identical_across_levels() {
-    // 8: one full AVX2 group, AVX-512 tail only. 16: one full AVX-512
-    // group, exactly two AVX2 groups. 17/21: full group(s) plus a
-    // sub-group remainder on both tiers. 40: multiple full groups with
-    // a mixed tail.
+    // 8: one full group. 16: exactly two groups. 17/21: full groups
+    // plus a sub-group remainder. 40: five full groups.
     for ncols in [8usize, 16, 17, 21, 40] {
         let reference = wide_train_bytes_at(SimdLevel::Scalar, ncols);
         for level in vector_levels() {

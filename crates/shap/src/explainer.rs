@@ -12,10 +12,10 @@
 //! holding every recursion level's unique-feature path as a contiguous
 //! segment, so descending into a branch is a `copy_within` instead of a
 //! fresh `Vec` allocation per split node. The arithmetic is untouched —
-//! output is bit-identical to the clone-per-branch recursion retained in
-//! [`crate::reference`], and batch entry points fan rows across the
-//! shared `msaw-parallel` pool with slot-indexed reassembly, so results
-//! are byte-identical at any worker count.
+//! output is bit-identical to the clone-per-branch recursion retained as
+//! the oracle in `tests/reference`, and batch entry points fan rows
+//! across the shared `msaw-parallel` pool with slot-indexed reassembly,
+//! so results are byte-identical at any worker count.
 
 use msaw_gbdt::{Booster, Node, Tree};
 use msaw_tabular::Matrix;
@@ -171,7 +171,7 @@ pub(crate) const ROOT_FEATURE: usize = usize::MAX;
 /// `(depth+1)(depth+2)/2` triangular bound once and is then reused for
 /// every subsequent tree and row. The element values and the order of
 /// operations on them are exactly those of the clone-based recursion
-/// (see [`crate::reference`]), so attributions are bit-identical.
+/// (the oracle in `tests/reference`), so attributions are bit-identical.
 #[derive(Debug, Default)]
 pub struct PathArena {
     elements: Vec<PathElement>,

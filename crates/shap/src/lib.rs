@@ -26,7 +26,6 @@ pub mod dependence;
 pub mod explainer;
 pub mod global;
 pub mod interaction;
-pub mod reference;
 
 pub use dependence::{dependence_curve, sign_change_threshold, DependencePoint};
 pub use explainer::{Explanation, PathArena, TreeExplainer};

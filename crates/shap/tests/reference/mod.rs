@@ -1,16 +1,16 @@
 //! The pre-arena TreeSHAP recursion, kept verbatim as an oracle.
 //!
 //! This is the clone-per-branch implementation the arena traversal in
-//! [`crate::explainer`] replaced: every split node clones the live
+//! `msaw_shap::explainer` replaced: every split node clones the live
 //! unique-feature path for each of its two branches. It is O(nodes ×
 //! depth) in heap allocations and single-threaded — exactly why it was
 //! retired from the hot path — but it is the most direct transcription
 //! of Lundberg et al.'s Algorithm 2, which makes it the right reference
-//! for (a) the arena-vs-clone equivalence suite and (b) the `bench_shap`
-//! binary's pre-refactor baseline timings. Not for production use.
+//! for the arena-vs-clone equivalence suite. Test-only code.
 
-use crate::explainer::Condition;
 use msaw_gbdt::{Booster, Node, Tree};
+use msaw_shap::explainer::Condition;
+use msaw_shap::InteractionValues;
 use msaw_tabular::Matrix;
 
 /// One element of the unique-feature path (clone-based twin).
@@ -214,8 +214,7 @@ pub fn shap_values_row_clone(model: &Booster, row: &[f64]) -> Vec<f64> {
 
 /// The full pre-refactor batch path: a serial row loop over the
 /// clone-based recursion, computing each row's raw prediction alongside
-/// just as `TreeExplainer::shap_values` used to. The `bench_shap`
-/// baseline times exactly this.
+/// just as `TreeExplainer::shap_values` used to.
 pub fn shap_values_serial_clone(model: &Booster, data: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(data.nrows(), data.ncols());
     for i in 0..data.nrows() {
@@ -230,7 +229,7 @@ pub fn shap_values_serial_clone(model: &Booster, data: &Matrix) -> Matrix {
 
 /// The pre-refactor interaction path: `n_features + 1` serial
 /// conditional passes per row, clone-based recursion throughout.
-pub fn shap_interaction_values_clone(model: &Booster, row: &[f64]) -> crate::InteractionValues {
+pub fn shap_interaction_values_clone(model: &Booster, row: &[f64]) -> InteractionValues {
     let m = model.n_features();
     assert_eq!(row.len(), m, "feature count mismatch");
     let mut phi = vec![0.0; m];
@@ -256,5 +255,5 @@ pub fn shap_interaction_values_clone(model: &Booster, row: &[f64]) -> crate::Int
         let off_sum: f64 = (0..m).filter(|&j| j != i).map(|j| values[i * m + j]).sum();
         values[i * m + i] = phi[i] - off_sum;
     }
-    crate::InteractionValues { values, n_features: m }
+    InteractionValues { values, n_features: m }
 }

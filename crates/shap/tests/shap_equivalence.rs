@@ -2,13 +2,15 @@
 //!
 //! Locks the two refactor invariants: (1) the arena traversal is
 //! *bit-identical* to the retired clone-per-branch recursion kept in
-//! `msaw_shap::reference`, on models with NaNs and repeated features on
+//! `tests/reference`, on models with NaNs and repeated features on
 //! a path; (2) the pooled batch entry points are *byte-identical* at
 //! any worker count, including the interaction matrix's fanned
 //! conditional passes.
 
+mod reference;
+
 use msaw_gbdt::{Booster, Params};
-use msaw_shap::{reference, shap_interaction_values_with_workers, PathArena, TreeExplainer};
+use msaw_shap::{shap_interaction_values_with_workers, PathArena, TreeExplainer};
 use msaw_tabular::Matrix;
 use proptest::prelude::*;
 use rand::prelude::*;
