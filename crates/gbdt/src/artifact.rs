@@ -1,35 +1,35 @@
-//! The persisted-model artifact (format version 2): the full
+//! The persisted-model artifact (format version 3): the full
 //! prediction bundle and the workspace's one model format.
 //!
-//! It persists everything prediction needs, so a load neither
-//! recompiles a [`FlatForest`] nor loses the binning metadata a serving
-//! layer needs to quantise incoming rows:
+//! It persists what prediction and serving need and nothing derived
+//! from it:
 //!
 //! * the booster trees (SHAP and retraining still need the full
 //!   `Node` representation with covers and gains);
 //! * the per-feature quantisation cut points the model was trained
-//!   against (optional — exact-method models have none);
-//! * the compiled [`FlatForest`]: the contiguous 24-byte node array
-//!   plus per-tree roots and depths, written verbatim so a load is one
-//!   validation pass over the bytes rather than a recompile.
+//!   against (optional — exact-method models have none), which a
+//!   serving layer needs to quantise incoming rows.
+//!
+//! A load compiles the [`FlatForest`] from the decoded trees with
+//! [`ModelArtifact::from_booster`], the same compile a trained model
+//! goes through, so a loaded model predicts bit for bit what the
+//! in-process one does.
 //!
 //! ## Byte layout (little endian)
 //!
 //! ```text
 //! b"MSGB"  magic                                  4 B
-//! u16      version = 2                            2 B
+//! u16      version = 3                            2 B
 //! u8       objective tag (+ f64 payload)        1–9 B
 //! f64      base score                             8 B
 //! u32      feature count                          4 B
 //! u32      tree count                             4 B
-//! per tree u32 node count · tagged nodes          (tree records)
+//! per tree u32 node count · tagged nodes:
+//!   leaf   u8 0 · f64 weight · f64 cover         17 B
+//!   split  u8 1 · u32 feature · f64 threshold · u8 default_left ·
+//!          u32 left · u32 right · f64 cover · f64 gain   38 B
 //! u8       has_cuts (0 | 1)                       1 B
 //!   if 1, per feature: u32 cut count · f64 cuts
-//! u32      flat node count                        4 B
-//! u32 × T  per-tree root indices
-//! u16 × T  per-tree depths
-//! 24 B × N flat nodes: f64 threshold · u32 left · u32 right ·
-//!          u32 feature|default_left<<31 · u32 reserved (0)
 //! u64      FNV-1a checksum of every preceding byte
 //! ```
 //!
@@ -42,42 +42,53 @@
 //! 2. every claimed count is capped by the bytes actually remaining
 //!    *before* any allocation (no `with_capacity` DoS);
 //! 3. every tree is structurally validated — child indices in range,
-//!    tree-shaped reachability, split features `< n_features` — with
-//!    errors naming the tree and node;
+//!    tree-shaped reachability, split features `< n_features` — and
+//!    must fit the flat forest's `u16` depths and `u32` node indices,
+//!    with errors naming the tree and node;
 //! 4. cut sets must be finite and strictly ascending (the binning
-//!    search relies on order);
-//! 5. the flat section is cross-checked **node by node** against the
-//!    decoded trees: roots must equal the tree-length prefix sums,
-//!    depths must equal each tree's measured depth, and every 24-byte
-//!    node must equal what compiling that tree would produce. A valid
-//!    artifact therefore serves bit-identical predictions to an
-//!    in-process compile, and the unchecked batch kernel's bounds
-//!    invariants hold by construction.
+//!    search relies on order), and no bytes may trail them.
 //!
-//! Any violation is a typed [`PredictError::Decode`] — never a panic,
+//! Only then is the forest compiled, so the compiler's bounds asserts
+//! (which license the unchecked batch kernel) cannot fire. Any
+//! violation is a typed [`PredictError::Decode`] — never a panic,
 //! abort, or a model that fails later at predict time.
 //!
 //! ## Versioning policy
 //!
 //! The `u16` after the magic selects the decoder; fields are only ever
 //! appended behind a version bump, never reinterpreted. [`decode`]
-//! reads version 2 only. The retired version 1 — the booster alone,
-//! without cuts, flat forest or checksum — fails as `unsupported
-//! version 1`.
+//! reads version 3 only. The retired versions fail as `unsupported
+//! version N`: version 1 held the booster alone, and version 2 also
+//! stored the compiled 24-byte flat-forest nodes, which its decoder
+//! had to check node by node against a recompile of the trees.
 
 use crate::booster::Booster;
 use crate::error::PredictError;
-use crate::forest::{FlatForest, FlatNode, FLAT_DEFAULT_LEFT_BIT};
-use crate::serialize::{check_count, decode_booster_body, need, put_objective, put_tree, MAGIC};
+use crate::forest::FlatForest;
+use crate::objective::Objective;
 use crate::tree::{Node, Tree};
 use crate::Result;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// The artifact format version this module writes.
-pub const ARTIFACT_VERSION: u16 = 2;
+pub const ARTIFACT_VERSION: u16 = 3;
 
-/// Bytes of one serialised flat node.
-const FLAT_NODE_BYTES: usize = 24;
+/// The magic every persisted model starts with.
+const MAGIC: &[u8; 4] = b"MSGB";
+
+const OBJ_SQUARED: u8 = 0;
+const OBJ_LOGISTIC: u8 = 1;
+const NODE_LEAF: u8 = 0;
+const NODE_SPLIT: u8 = 1;
+
+/// Smallest possible on-wire tree record: the `u32` node count alone.
+/// Any claimed tree count above `remaining / MIN_TREE_BYTES` cannot be
+/// backed by real data, so it is rejected *before* allocating.
+const MIN_TREE_BYTES: usize = 4;
+
+/// Smallest possible on-wire node record: a leaf (`u8` tag + two
+/// `f64`s). The per-tree node-count cap divides by this.
+const MIN_NODE_BYTES: usize = 1 + 16;
 
 /// FNV-1a 64-bit hash — the artifact checksum and the registry's
 /// cohort-fingerprint primitive. Not cryptographic; it detects
@@ -99,8 +110,7 @@ pub struct ModelArtifact {
     /// Per-feature quantisation cut points the model was trained
     /// against, when the histogram method was used.
     pub cuts: Option<Vec<Vec<f64>>>,
-    /// The compiled prediction engine, loaded from the persisted node
-    /// array without recompiling.
+    /// The compiled prediction engine.
     pub forest: FlatForest,
 }
 
@@ -117,7 +127,7 @@ impl ModelArtifact {
         ModelArtifact { booster, cuts, forest }
     }
 
-    /// Serialise the bundle into the v2 byte format.
+    /// Serialise the bundle into the v3 byte format.
     pub fn encode(&self) -> Bytes {
         encode(self)
     }
@@ -136,13 +146,10 @@ impl ModelArtifact {
     }
 }
 
-/// Encode a bundle into the v2 format described in the module docs.
+/// Encode a bundle into the v3 format described in the module docs.
 pub fn encode(artifact: &ModelArtifact) -> Bytes {
     let model = &artifact.booster;
-    let forest = &artifact.forest;
-    let mut buf = BytesMut::with_capacity(
-        128 + model.trees().len() * 256 + forest.n_nodes() * FLAT_NODE_BYTES,
-    );
+    let mut buf = BytesMut::with_capacity(128 + model.trees().len() * 256);
     buf.put_slice(MAGIC);
     buf.put_u16_le(ARTIFACT_VERSION);
     put_objective(&mut buf, model.objective());
@@ -165,68 +172,59 @@ pub fn encode(artifact: &ModelArtifact) -> Bytes {
             }
         }
     }
-    buf.put_u32_le(forest.n_nodes() as u32);
-    for &root in forest.raw_roots() {
-        buf.put_u32_le(root);
-    }
-    for &depth in forest.raw_depths() {
-        buf.put_u16_le(depth);
-    }
-    for node in forest.raw_nodes() {
-        buf.put_f64_le(node.threshold);
-        buf.put_u32_le(node.children[0]);
-        buf.put_u32_le(node.children[1]);
-        buf.put_u32_le(node.feature_and_default);
-        buf.put_u32_le(0); // reserved; must be zero (canonical form)
-    }
     let checksum = fnv1a_64(buf.as_slice());
     buf.put_u64_le(checksum);
     buf.freeze()
 }
 
-/// Decode an artifact. See the module docs for the full validation
-/// contract; corruption of any byte is a typed error.
-pub fn decode(mut data: &[u8]) -> Result<ModelArtifact, PredictError> {
+/// Decode an artifact and compile its forest. See the module docs for
+/// the full validation contract; corruption of any byte is a typed
+/// error.
+pub fn decode(bytes: &[u8]) -> Result<ModelArtifact, PredictError> {
+    let mut data = bytes;
     need(data, 6, "header")?;
     let mut magic = [0u8; 4];
     data.copy_to_slice(&mut magic);
     if &magic != MAGIC {
         return Err(PredictError::Decode("bad magic".into()));
     }
-    match data.get_u16_le() {
-        ARTIFACT_VERSION => decode_v2_body(data),
-        other => Err(PredictError::Decode(format!("unsupported version {other}"))),
+    let version = data.get_u16_le();
+    if version != ARTIFACT_VERSION {
+        return Err(PredictError::Decode(format!("unsupported version {version}")));
     }
-}
-
-/// The v2 payload after magic + version: checksum first, then sections.
-fn decode_v2_body(mut data: &[u8]) -> Result<ModelArtifact, PredictError> {
-    // The checksum covers magic and version too; `data` starts after
-    // them, 6 bytes into the checksummed span.
-    const PREFIX: usize = 6;
+    // The checksum covers every byte before it, magic and version too.
     need(data, 8, "checksum trailer")?;
-    let body_len = data.len() - 8;
-    let mut trailer = &data[body_len..];
-    let stored = trailer.get_u64_le();
-    let mut checksummed = [0u8; PREFIX];
-    checksummed[..4].copy_from_slice(MAGIC);
-    checksummed[4..].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in checksummed.iter().chain(&data[..body_len]) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if hash != stored {
+    let body_len = bytes.len() - 8;
+    let stored = (&bytes[body_len..]).get_u64_le();
+    let computed = fnv1a_64(&bytes[..body_len]);
+    if computed != stored {
         return Err(PredictError::Decode(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {hash:#018x} \
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x} \
              (artifact corrupt or truncated)"
         )));
     }
-    data = &data[..body_len];
+    data = &bytes[6..body_len];
 
-    let booster = decode_booster_body(&mut data)?;
-    let n_features = booster.n_features();
-    let n_trees = booster.trees().len();
+    // Booster section.
+    let objective = get_objective(&mut data)?;
+    need(data, 16, "base score and counts")?;
+    let base_score = data.get_f64_le();
+    let n_features = data.get_u32_le() as usize;
+    let n_trees = data.get_u32_le() as usize;
+    check_count(data, n_trees, MIN_TREE_BYTES, "tree")?;
+    let mut trees = Vec::with_capacity(n_trees);
+    let mut n_nodes = 0usize;
+    for t in 0..n_trees {
+        let tree = get_tree(&mut data, t, n_features)?;
+        n_nodes += tree.len();
+        if n_nodes >= u32::MAX as usize {
+            return Err(PredictError::Decode(format!(
+                "tree {t}: the forest's {n_nodes} nodes overflow u32 node indices"
+            )));
+        }
+        trees.push(tree);
+    }
+    let booster = Booster { trees, base_score, objective, n_features };
 
     // Binning section.
     need(data, 1, "cuts flag")?;
@@ -262,101 +260,139 @@ fn decode_v2_body(mut data: &[u8]) -> Result<ModelArtifact, PredictError> {
         }
         other => return Err(PredictError::Decode(format!("unknown cuts flag {other}"))),
     };
-
-    // Flat-forest section: counts, roots, depths, node array.
-    need(data, 4, "flat node count")?;
-    let n_flat = data.get_u32_le() as usize;
-    let expected_nodes: usize = booster.trees().iter().map(Tree::len).sum();
-    if n_flat != expected_nodes {
-        return Err(PredictError::Decode(format!(
-            "flat forest has {n_flat} nodes but the trees hold {expected_nodes}"
-        )));
-    }
-    need(data, n_trees * 4, "flat roots")?;
-    let mut roots = Vec::with_capacity(n_trees);
-    for _ in 0..n_trees {
-        roots.push(data.get_u32_le());
-    }
-    need(data, n_trees * 2, "flat depths")?;
-    let mut depths = Vec::with_capacity(n_trees);
-    for _ in 0..n_trees {
-        depths.push(data.get_u16_le());
-    }
-    check_count(data, n_flat, FLAT_NODE_BYTES, "flat node")?;
-    need(data, n_flat * FLAT_NODE_BYTES, "flat node array")?;
-    let mut nodes = Vec::with_capacity(n_flat);
-    for i in 0..n_flat {
-        let threshold = data.get_f64_le();
-        let left = data.get_u32_le();
-        let right = data.get_u32_le();
-        let feature_and_default = data.get_u32_le();
-        let reserved = data.get_u32_le();
-        if reserved != 0 {
-            return Err(PredictError::Decode(format!(
-                "flat node {i}: reserved word is {reserved:#x}, expected 0"
-            )));
-        }
-        nodes.push(FlatNode { threshold, children: [left, right], feature_and_default });
-    }
     if data.has_remaining() {
         return Err(PredictError::Decode(format!("{} trailing bytes", data.remaining())));
     }
+    Ok(ModelArtifact::from_booster(booster, cuts))
+}
 
-    // Cross-check the flat section against the trees, node by node —
-    // this is what licenses the unchecked kernel *and* guarantees the
-    // loaded engine is bit-identical to a fresh compile.
-    let mut base = 0u32;
-    for (t, tree) in booster.trees().iter().enumerate() {
-        if roots[t] != base {
-            return Err(PredictError::Decode(format!(
-                "flat root of tree {t} is {}, expected {base}",
-                roots[t]
-            )));
+/// Truncation guard shared by every section parser.
+fn need(data: &[u8], n: usize, what: &str) -> Result<(), PredictError> {
+    if data.remaining() < n {
+        Err(PredictError::Decode(format!("truncated input while reading {what}")))
+    } else {
+        Ok(())
+    }
+}
+
+/// Reject a claimed element count that the bytes actually remaining in
+/// the buffer cannot possibly back (`min_bytes` per element), so a
+/// corrupt header yields a typed error instead of a huge `with_capacity`
+/// allocation (the OOM-abort DoS a 12-byte header used to be able to
+/// trigger).
+fn check_count(
+    data: &[u8],
+    count: usize,
+    min_bytes: usize,
+    what: &str,
+) -> Result<(), PredictError> {
+    if count > data.remaining() / min_bytes {
+        return Err(PredictError::Decode(format!(
+            "claimed {what} count {count} exceeds what {} remaining bytes can hold",
+            data.remaining()
+        )));
+    }
+    Ok(())
+}
+
+fn put_objective(buf: &mut BytesMut, objective: Objective) {
+    match objective {
+        Objective::SquaredError => buf.put_u8(OBJ_SQUARED),
+        Objective::Logistic { scale_pos_weight } => {
+            buf.put_u8(OBJ_LOGISTIC);
+            buf.put_f64_le(scale_pos_weight);
         }
-        let measured = tree.depth();
-        if usize::from(depths[t]) != measured {
-            return Err(PredictError::Decode(format!(
-                "flat depth of tree {t} is {}, expected {measured}",
-                depths[t]
-            )));
+    }
+}
+
+fn get_objective(data: &mut &[u8]) -> Result<Objective, PredictError> {
+    need(data, 1, "objective")?;
+    match data.get_u8() {
+        OBJ_SQUARED => Ok(Objective::SquaredError),
+        OBJ_LOGISTIC => {
+            need(data, 8, "scale_pos_weight")?;
+            Ok(Objective::Logistic { scale_pos_weight: data.get_f64_le() })
         }
-        for (i, node) in tree.nodes().iter().enumerate() {
-            let flat = &nodes[base as usize + i];
-            let expected = match node {
-                Node::Leaf { weight, .. } => {
-                    let me = base + i as u32;
-                    FlatNode { threshold: *weight, children: [me, me], feature_and_default: 0 }
-                }
-                Node::Split { feature, threshold, default_left, left, right, .. } => FlatNode {
-                    threshold: *threshold,
-                    children: [base + *left as u32, base + *right as u32],
-                    feature_and_default: (*feature as u32)
-                        | if *default_left { FLAT_DEFAULT_LEFT_BIT } else { 0 },
-                },
-            };
-            // Bitwise comparison: NaN thresholds must round-trip too.
-            let same = flat.threshold.to_bits() == expected.threshold.to_bits()
-                && flat.children == expected.children
-                && flat.feature_and_default == expected.feature_and_default;
-            if !same {
-                return Err(PredictError::Decode(format!(
-                    "flat node {} (tree {t}, node {i}) does not match its tree node",
-                    base as usize + i
-                )));
+        other => Err(PredictError::Decode(format!("unknown objective tag {other}"))),
+    }
+}
+
+/// Append one tree's record (`u32` node count, then tagged nodes).
+fn put_tree(buf: &mut BytesMut, tree: &Tree) {
+    buf.put_u32_le(tree.len() as u32);
+    for node in tree.nodes() {
+        match node {
+            Node::Leaf { weight, cover } => {
+                buf.put_u8(NODE_LEAF);
+                buf.put_f64_le(*weight);
+                buf.put_f64_le(*cover);
+            }
+            Node::Split { feature, threshold, default_left, left, right, cover, gain } => {
+                buf.put_u8(NODE_SPLIT);
+                buf.put_u32_le(*feature as u32);
+                buf.put_f64_le(*threshold);
+                buf.put_u8(u8::from(*default_left));
+                buf.put_u32_le(*left as u32);
+                buf.put_u32_le(*right as u32);
+                buf.put_f64_le(*cover);
+                buf.put_f64_le(*gain);
             }
         }
-        base += tree.len() as u32;
     }
+}
 
-    let forest = FlatForest::from_validated_parts(
-        nodes,
-        roots,
-        depths,
-        booster.base_score(),
-        booster.objective(),
-        n_features,
-    );
-    Ok(ModelArtifact { booster, cuts, forest })
+/// Decode tree `t` of an ensemble, validating node-count plausibility
+/// before allocating, then tree shape, feature bounds and depth before
+/// returning, so a malformed record is a typed error naming the tree
+/// and node — never a compile-time assert or an out-of-bounds read.
+fn get_tree(data: &mut &[u8], t: usize, n_features: usize) -> Result<Tree, PredictError> {
+    need(data, 4, "tree node count")?;
+    let n_nodes = data.get_u32_le() as usize;
+    check_count(data, n_nodes, MIN_NODE_BYTES, "node")?;
+    let mut tree = Tree::new();
+    for _ in 0..n_nodes {
+        need(data, 1, "node tag")?;
+        match data.get_u8() {
+            NODE_LEAF => {
+                need(data, 16, "leaf")?;
+                let weight = data.get_f64_le();
+                let cover = data.get_f64_le();
+                tree.push(Node::Leaf { weight, cover });
+            }
+            NODE_SPLIT => {
+                need(data, 4 + 8 + 1 + 4 + 4 + 8 + 8, "split")?;
+                let feature = data.get_u32_le() as usize;
+                let threshold = data.get_f64_le();
+                let default_left = data.get_u8() != 0;
+                let left = data.get_u32_le() as usize;
+                let right = data.get_u32_le() as usize;
+                let cover = data.get_f64_le();
+                let gain = data.get_f64_le();
+                tree.push(Node::Split {
+                    feature,
+                    threshold,
+                    default_left,
+                    left,
+                    right,
+                    cover,
+                    gain,
+                });
+            }
+            other => return Err(PredictError::Decode(format!("unknown node tag {other}"))),
+        }
+    }
+    if let Err(defect) = tree.check_structure(n_features) {
+        return Err(PredictError::Decode(format!("tree {t}: {defect}")));
+    }
+    // The flat forest walks each tree in a fixed `u16` count of hops.
+    let depth = tree.depth();
+    if depth > usize::from(u16::MAX) {
+        return Err(PredictError::Decode(format!(
+            "tree {t}: depth {depth} exceeds the flat forest's limit of {}",
+            u16::MAX
+        )));
+    }
+    Ok(tree)
 }
 
 #[cfg(test)]
@@ -389,6 +425,39 @@ mod tests {
     fn artifact(hist: bool) -> ModelArtifact {
         let (model, cuts) = trained(hist);
         ModelArtifact::from_booster(model, cuts)
+    }
+
+    /// An exact-method model on two features, regression or binary.
+    fn trained_model(binary: bool) -> Booster {
+        let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![(i % 12) as f64, (i % 5) as f64]).collect();
+        let x = Matrix::from_rows(&rows);
+        if binary {
+            let y: Vec<f64> = rows.iter().map(|r| f64::from(r[0] > 5.0)).collect();
+            Booster::train(&Params { n_estimators: 8, ..Params::binary(2.0) }, &x, &y).unwrap()
+        } else {
+            let y: Vec<f64> = rows.iter().map(|r| r[0] + 0.5 * r[1]).collect();
+            Booster::train(&Params { n_estimators: 8, ..Params::regression() }, &x, &y).unwrap()
+        }
+    }
+
+    /// A model's artifact bytes.
+    fn encoded(model: &Booster) -> Vec<u8> {
+        ModelArtifact::from_booster(model.clone(), None).encode().to_vec()
+    }
+
+    /// Append the FNV trailer a valid artifact ends with.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let checksum = fnv1a_64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
+    }
+
+    /// Edit an artifact's body and recompute its trailer, so the
+    /// structural checks — not the checksum — must reject the edit.
+    fn resealed(mut bytes: Vec<u8>, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 8);
+        edit(&mut bytes);
+        sealed(bytes)
     }
 
     #[test]
@@ -429,6 +498,18 @@ mod tests {
     }
 
     #[test]
+    fn v2_input_is_rejected_as_unsupported() {
+        // Version 2 (the trees plus their compiled flat nodes) is
+        // refused the same way, under a valid trailer too.
+        let bytes = resealed(encode(&artifact(true)).to_vec(), |body| {
+            body[4..6].copy_from_slice(&2u16.to_le_bytes());
+        });
+        let err = decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert_eq!(msg, "unsupported version 2");
+    }
+
+    #[test]
     fn every_single_byte_flip_is_detected() {
         // The checksum must catch any one-byte corruption with a typed
         // error; structural validation backstops it on collision.
@@ -452,23 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn non_canonical_reserved_word_is_rejected() {
-        // Rebuild a valid checksum over a corrupted reserved word to
-        // prove the structural check fires independently.
-        let a = artifact(false);
-        let bytes = encode(&a).to_vec();
-        let body_len = bytes.len() - 8;
-        // Last flat node's reserved word sits 4 bytes before the checksum.
-        let mut bad = bytes.clone();
-        bad[body_len - 4] = 0xff;
-        let checksum = fnv1a_64(&bad[..body_len]);
-        bad[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        let err = decode(&bad).unwrap_err();
-        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
-        assert!(msg.contains("reserved"), "{msg}");
-    }
-
-    #[test]
     fn file_round_trip() {
         let a = artifact(true);
         let dir = std::env::temp_dir().join("msaw_gbdt_artifact_test");
@@ -485,5 +549,220 @@ mod tests {
         // Known FNV-1a 64 test vectors.
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn round_trip_regression_model() {
+        let model = trained_model(false);
+        let decoded = decode(&encoded(&model)).unwrap();
+        assert_eq!(model, decoded.booster);
+    }
+
+    #[test]
+    fn round_trip_preserves_predictions() {
+        let model = trained_model(true);
+        let decoded = decode(&encoded(&model)).unwrap();
+        let row = vec![3.0, f64::NAN];
+        assert_eq!(model.predict_row(&row), decoded.booster.predict_row(&row));
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut bytes = encoded(&trained_model(false));
+        bytes[0] = b'X';
+        assert!(matches!(decode(&bytes), Err(PredictError::Decode(_))));
+    }
+
+    #[test]
+    fn truncation_rejected_everywhere() {
+        let bytes = encoded(&trained_model(false));
+        // Chop at several points; every prefix must fail cleanly, also
+        // under a recomputed trailer, where the section parsers rather
+        // than the checksum must catch the cut.
+        let body = &bytes[..bytes.len() - 8];
+        for cut in [0, 3, 5, 10, 23, 27, body.len() / 2, body.len() - 1] {
+            assert!(decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+            let err = decode(&sealed(body[..cut].to_vec())).unwrap_err();
+            assert!(matches!(err, PredictError::Decode(_)), "resealed prefix of {cut}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn trailing_garbage_rejected() {
+        let bytes = resealed(encoded(&trained_model(false)), |body| body.push(0));
+        let err = decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("trailing"), "{msg}");
+    }
+
+    #[test]
+    fn save_load_file_round_trip() {
+        let model = trained_model(false);
+        let dir = std::env::temp_dir().join("msaw_gbdt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.msgb");
+        ModelArtifact::from_booster(model.clone(), None).save(&path).unwrap();
+        let loaded = ModelArtifact::load(&path).unwrap();
+        assert_eq!(model, loaded.booster);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_missing_file_is_a_decode_error() {
+        let err = ModelArtifact::load("/nonexistent/path/model.msgb").unwrap_err();
+        assert!(matches!(err, PredictError::Decode(_)));
+    }
+
+    #[test]
+    fn unknown_version_rejected() {
+        let mut bytes = encoded(&trained_model(false));
+        bytes[4] = 99;
+        assert!(matches!(decode(&bytes), Err(PredictError::Decode(_))));
+    }
+
+    /// Byte offset of the `u32` tree count in a regression-model header:
+    /// magic (4) + version (2) + objective tag (1) + base score (8) +
+    /// feature count (4).
+    const TREE_COUNT_AT: usize = 19;
+
+    #[test]
+    fn absurd_tree_count_is_a_typed_error_not_an_allocation() {
+        // A corrupt 23-byte header claiming u32::MAX trees used to
+        // pre-allocate gigabytes before the first byte was read.
+        let bytes = resealed(encoded(&trained_model(false)), |body| {
+            body[TREE_COUNT_AT..TREE_COUNT_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("count"), "{msg}");
+    }
+
+    #[test]
+    fn absurd_node_count_is_a_typed_error_not_an_allocation() {
+        // First tree's node count sits right after the header.
+        let at = TREE_COUNT_AT + 4;
+        let bytes = resealed(encoded(&trained_model(false)), |body| {
+            body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let err = decode(&bytes).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("count"), "{msg}");
+    }
+
+    /// A complete artifact, without cuts, for a booster whose single
+    /// tree is written unvalidated under a valid checksum — the defects
+    /// a corrupted file could carry.
+    fn with_tree(tree: Tree, n_features: usize) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(MAGIC);
+        buf.put_u16_le(ARTIFACT_VERSION);
+        put_objective(&mut buf, Objective::SquaredError);
+        buf.put_f64_le(0.5);
+        buf.put_u32_le(n_features as u32);
+        buf.put_u32_le(1);
+        put_tree(&mut buf, &tree);
+        buf.put_u8(0);
+        sealed(buf.as_slice().to_vec())
+    }
+
+    fn split(feature: usize, left: usize, right: usize) -> Node {
+        Node::Split {
+            feature,
+            threshold: 1.0,
+            default_left: true,
+            left,
+            right,
+            cover: 2.0,
+            gain: 0.1,
+        }
+    }
+
+    fn leaf() -> Node {
+        Node::Leaf { weight: 0.25, cover: 1.0 }
+    }
+
+    #[test]
+    fn split_feature_out_of_range_is_rejected_at_decode() {
+        // feature 7 on a 2-feature model: used to decode cleanly, then
+        // read out of bounds (or panic) at predict time.
+        let mut tree = Tree::new();
+        tree.push(split(7, 1, 2));
+        tree.push(leaf());
+        tree.push(leaf());
+        let err = decode(&with_tree(tree, 2)).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(
+            msg.contains("tree 0") && msg.contains("node 0") && msg.contains("feature 7"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn child_index_out_of_range_is_rejected_at_decode() {
+        let mut tree = Tree::new();
+        tree.push(split(0, 1, 5));
+        tree.push(leaf());
+        tree.push(leaf());
+        let err = decode(&with_tree(tree, 2)).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("tree 0") && msg.contains("child index 5"), "{msg}");
+    }
+
+    #[test]
+    fn cyclic_tree_is_rejected_at_decode() {
+        // Root's left child points back at the root: an infinite
+        // predict-time loop had this decoded.
+        let mut tree = Tree::new();
+        tree.push(split(0, 0, 1));
+        tree.push(leaf());
+        let err = decode(&with_tree(tree, 2)).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("tree 0") && msg.contains("more than one parent"), "{msg}");
+    }
+
+    /// A right-leaning chain `depth` splits deep on feature 0: split
+    /// `d` sends `x < d` left to a leaf weighing `d`, so a row of value
+    /// `x` stops at split `⌈x⌉` and rows past every threshold reach the
+    /// deepest leaf.
+    fn chain(depth: usize) -> Tree {
+        let mut tree = Tree::new();
+        for d in 0..depth {
+            tree.push(Node::Split {
+                feature: 0,
+                threshold: d as f64,
+                default_left: d % 2 == 1,
+                left: 2 * d + 1,
+                right: 2 * d + 2,
+                cover: 1.0,
+                gain: 0.0,
+            });
+            tree.push(Node::Leaf { weight: d as f64 * 1e-3, cover: 1.0 });
+        }
+        tree.push(Node::Leaf { weight: -1.0, cover: 1.0 });
+        tree
+    }
+
+    #[test]
+    fn a_tree_deeper_than_the_flat_forest_allows_is_a_decode_error() {
+        let err = decode(&with_tree(chain(usize::from(u16::MAX) + 1), 1)).unwrap_err();
+        let PredictError::Decode(msg) = err else { panic!("wrong error kind") };
+        assert!(msg.contains("tree 0") && msg.contains("depth 65536"), "{msg}");
+    }
+
+    #[test]
+    fn the_deepest_tree_the_flat_forest_allows_decodes_and_predicts_like_its_booster() {
+        let bytes = with_tree(chain(usize::from(u16::MAX)), 1);
+        let loaded = decode(&bytes).unwrap();
+        assert_eq!(loaded.forest.n_nodes(), 2 * usize::from(u16::MAX) + 1);
+        assert_eq!(encode(&loaded).to_vec(), bytes, "encode → decode → encode");
+        let values = [-1.0, 0.0, 2.5, 3.0, 40_000.5, 65_534.0, 65_535.0, 1e9, f64::NAN];
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![values[i % values.len()]]).collect();
+        let x = Matrix::from_rows(&rows);
+        let batch = loaded.forest.predict_batch(&x);
+        for (row, got) in rows.iter().zip(&batch) {
+            let want = loaded.booster.predict_row(row);
+            assert_eq!(want.to_bits(), got.to_bits(), "row {row:?}");
+            assert_eq!(want.to_bits(), loaded.forest.predict_row(row).to_bits(), "row {row:?}");
+        }
     }
 }

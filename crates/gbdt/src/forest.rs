@@ -46,7 +46,7 @@ use crate::tree::{Node, Tree};
 use msaw_tabular::Matrix;
 
 /// Top bit of `feature_and_default`: set → missing values go left.
-const DEFAULT_LEFT_BIT: u32 = 1 << 31;
+pub(crate) const DEFAULT_LEFT_BIT: u32 = 1 << 31;
 
 /// Rows per parallel block: small enough that a block's outputs live in
 /// cache while the tree loop revisits them, large enough to amortise a
@@ -58,13 +58,11 @@ const BLOCK_ROWS: usize = 256;
 const LANES: usize = 8;
 
 /// One compiled node: 24 bytes, three loads per hop, no enum tag.
-/// Fields are crate-visible so the artifact codec can persist the
-/// compiled array verbatim and validate a loaded one field-by-field.
+/// Nodes live only in memory: the model artifact persists the trees,
+/// and a load compiles them here like any other model.
 ///
-/// `#[repr(C)]` pins the field layout the AVX2 kernel's gathers address
-/// by byte offset (checked below at compile time); the codec persists
-/// fields individually, so the representation change is invisible on
-/// disk.
+/// `#[repr(C)]` pins the field layout the vector kernels' gathers
+/// address by byte offset (checked below at compile time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub(crate) struct FlatNode {
@@ -75,9 +73,6 @@ pub(crate) struct FlatNode {
     /// Split feature, with [`DEFAULT_LEFT_BIT`] folded into the top bit.
     pub(crate) feature_and_default: u32,
 }
-
-/// Crate-visible alias of [`DEFAULT_LEFT_BIT`] for the artifact codec.
-pub(crate) const FLAT_DEFAULT_LEFT_BIT: u32 = DEFAULT_LEFT_BIT;
 
 // The SIMD traversal kernel gathers node fields by byte offset; if this
 // layout ever changes, fail the build rather than read garbage.
@@ -128,57 +123,25 @@ impl FlatForest {
         n_features: usize,
     ) -> Self {
         let total: usize = trees.iter().map(Tree::len).sum();
-        assert!(total < u32::MAX as usize, "forest too large for u32 node indices");
-        let mut nodes = Vec::with_capacity(total);
-        let mut roots = Vec::with_capacity(trees.len());
-        let mut depths = Vec::with_capacity(trees.len());
+        let mut forest = FlatForest {
+            nodes: Vec::with_capacity(total),
+            roots: Vec::with_capacity(trees.len()),
+            depths: Vec::with_capacity(trees.len()),
+            base_score,
+            objective,
+            n_features,
+        };
         for tree in trees {
-            assert!(!tree.is_empty(), "cannot compile an empty tree");
-            let base = nodes.len() as u32;
-            roots.push(base);
-            depths.push(u16::try_from(tree.depth()).expect("tree depth fits in u16"));
-            for (i, node) in tree.nodes().iter().enumerate() {
-                nodes.push(match node {
-                    Node::Leaf { weight, .. } => {
-                        let me = base + i as u32;
-                        FlatNode { threshold: *weight, children: [me, me], feature_and_default: 0 }
-                    }
-                    Node::Split {
-                        feature: f,
-                        threshold: t,
-                        default_left: dl,
-                        left: l,
-                        right: r,
-                        ..
-                    } => {
-                        // These bounds are what lets the batch kernel
-                        // elide its per-hop checks.
-                        assert!(*f < n_features, "split feature out of range");
-                        assert!(*l < tree.len() && *r < tree.len(), "child index out of range");
-                        FlatNode {
-                            threshold: *t,
-                            children: [base + *l as u32, base + *r as u32],
-                            feature_and_default: (*f as u32)
-                                | if *dl { DEFAULT_LEFT_BIT } else { 0 },
-                        }
-                    }
-                });
-            }
+            let depth = u16::try_from(tree.depth()).expect("tree depth fits in u16");
+            forest.push_tree(tree.nodes(), depth);
         }
-        FlatForest { nodes, roots, depths, base_score, objective, n_features }
+        forest
     }
 
     /// An empty shell for [`Self::recompile_single`] — holds no trees
     /// but keeps its buffers across recompiles.
     pub(crate) fn empty() -> Self {
-        FlatForest {
-            nodes: Vec::new(),
-            roots: Vec::new(),
-            depths: Vec::new(),
-            base_score: 0.0,
-            objective: Objective::SquaredError,
-            n_features: 0,
-        }
+        Self::from_trees(&[], 0.0, Objective::SquaredError, 0)
     }
 
     /// Recompile this forest in place to hold exactly one tree, reusing
@@ -186,7 +149,7 @@ impl FlatForest {
     /// every freshly grown tree without allocating. `tree_nodes` uses
     /// tree-relative child indices (a tree slice of the scratch arena)
     /// and `depth` is the grower-tracked depth [`Tree::depth`] would
-    /// report. Translation and validation mirror [`Self::from_trees`].
+    /// report.
     pub(crate) fn recompile_single(
         &mut self,
         tree_nodes: &[Node],
@@ -195,23 +158,33 @@ impl FlatForest {
         objective: Objective,
         n_features: usize,
     ) {
-        assert!(!tree_nodes.is_empty(), "cannot compile an empty tree");
-        assert!(tree_nodes.len() < u32::MAX as usize, "forest too large for u32 node indices");
         self.nodes.clear();
         self.roots.clear();
         self.depths.clear();
         self.base_score = base_score;
         self.objective = objective;
         self.n_features = n_features;
-        self.roots.push(0);
+        self.nodes.reserve(tree_nodes.len());
+        self.push_tree(tree_nodes, depth);
+    }
+
+    /// Append one tree of `depth` hops, its child indices rebased past
+    /// the nodes already compiled: the one Node→FlatNode translation
+    /// behind [`Self::from_trees`] and [`Self::recompile_single`].
+    fn push_tree(&mut self, tree_nodes: &[Node], depth: u16) {
+        assert!(!tree_nodes.is_empty(), "cannot compile an empty tree");
+        let base = self.nodes.len();
+        assert!(
+            base + tree_nodes.len() < u32::MAX as usize,
+            "forest too large for u32 node indices"
+        );
+        let base = base as u32;
+        self.roots.push(base);
         self.depths.push(depth);
-        if self.nodes.capacity() < tree_nodes.len() {
-            self.nodes.reserve(tree_nodes.len());
-        }
         for (i, node) in tree_nodes.iter().enumerate() {
             self.nodes.push(match node {
                 Node::Leaf { weight, .. } => {
-                    let me = i as u32;
+                    let me = base + i as u32;
                     FlatNode { threshold: *weight, children: [me, me], feature_and_default: 0 }
                 }
                 Node::Split {
@@ -222,14 +195,16 @@ impl FlatForest {
                     right: r,
                     ..
                 } => {
-                    assert!(*f < n_features, "split feature out of range");
+                    // These bounds are what lets the batch kernel
+                    // elide its per-hop checks.
+                    assert!(*f < self.n_features, "split feature out of range");
                     assert!(
                         *l < tree_nodes.len() && *r < tree_nodes.len(),
                         "child index out of range"
                     );
                     FlatNode {
                         threshold: *t,
-                        children: [*l as u32, *r as u32],
+                        children: [base + *l as u32, base + *r as u32],
                         feature_and_default: (*f as u32) | if *dl { DEFAULT_LEFT_BIT } else { 0 },
                     }
                 }
@@ -244,40 +219,6 @@ impl FlatForest {
         if self.nodes.capacity() < cap {
             self.nodes.reserve(cap - self.nodes.len());
         }
-    }
-
-    /// Reassemble a forest from parts the artifact decoder has already
-    /// validated: every child index `< nodes.len()`, every split
-    /// feature `< n_features`, `roots`/`depths` one entry per tree with
-    /// roots in range. The unchecked batch kernel relies on exactly
-    /// those invariants, so this constructor is crate-private — the
-    /// only callers are [`Self::from_trees`]-equivalent paths that have
-    /// proven them.
-    pub(crate) fn from_validated_parts(
-        nodes: Vec<FlatNode>,
-        roots: Vec<u32>,
-        depths: Vec<u16>,
-        base_score: f64,
-        objective: Objective,
-        n_features: usize,
-    ) -> Self {
-        debug_assert_eq!(roots.len(), depths.len());
-        FlatForest { nodes, roots, depths, base_score, objective, n_features }
-    }
-
-    /// The compiled node array (the artifact codec's persistence unit).
-    pub(crate) fn raw_nodes(&self) -> &[FlatNode] {
-        &self.nodes
-    }
-
-    /// Per-tree root indices, in ensemble order.
-    pub(crate) fn raw_roots(&self) -> &[u32] {
-        &self.roots
-    }
-
-    /// Per-tree maximum depths (the lockstep kernel's hop counts).
-    pub(crate) fn raw_depths(&self) -> &[u16] {
-        &self.depths
     }
 
     /// The objective the compiled model transforms raw scores with.

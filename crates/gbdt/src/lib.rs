@@ -61,7 +61,6 @@ pub mod importance;
 pub mod objective;
 pub mod params;
 pub mod ranks;
-mod serialize;
 pub mod simd;
 pub mod split;
 pub mod tree;

@@ -139,7 +139,7 @@ pub(crate) mod x86 {
     //! verified the matching CPU capability ([`super::active_level`]
     //! never returns a level the CPU lacks).
 
-    use crate::forest::{FlatNode, FLAT_DEFAULT_LEFT_BIT};
+    use crate::forest::{FlatNode, DEFAULT_LEFT_BIT};
     use std::arch::x86_64::*;
 
     /// f64 lanes per 256-bit vector.
@@ -231,7 +231,7 @@ pub(crate) mod x86 {
         let node_ptr = nodes.as_ptr();
         let data_ptr = data.as_ptr();
         let lane_mask = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let feat_mask = _mm_set1_epi32((!FLAT_DEFAULT_LEFT_BIT) as i32);
+        let feat_mask = _mm_set1_epi32((!DEFAULT_LEFT_BIT) as i32);
         for (t, &root) in roots.iter().enumerate() {
             let depth = *depths.get_unchecked(t) as usize;
             if depth == 0 {
@@ -334,7 +334,7 @@ pub(crate) mod x86 {
         let node_ptr = nodes.as_ptr();
         let data_ptr = data.as_ptr();
         let lane_mask = _mm512_set1_epi64(0xFFFF_FFFF);
-        let feat_mask = _mm256_set1_epi32((!FLAT_DEFAULT_LEFT_BIT) as i32);
+        let feat_mask = _mm256_set1_epi32((!DEFAULT_LEFT_BIT) as i32);
         for (t, &root) in roots.iter().enumerate() {
             let depth = *depths.get_unchecked(t) as usize;
             if depth == 0 {
