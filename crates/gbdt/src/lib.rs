@@ -62,6 +62,7 @@ pub mod objective;
 pub mod params;
 pub mod ranks;
 pub mod simd;
+mod sketch;
 pub mod split;
 pub mod tree;
 
@@ -71,7 +72,7 @@ pub use booster::{Booster, EvalRecord, FitRun, TrainReport};
 pub use chunked::{build_hists_for_bench, hist_kernel_name};
 pub use chunked::{
     encode_rows, predict_rows_chunked, train_chunked, train_chunked_on, ChunkedMatrix,
-    ChunkedMatrixBuilder, ChunkedView, CutSketch, DEFAULT_BLOCK_ROWS, DEFAULT_SKETCH_DISTINCT,
+    ChunkedMatrixBuilder, ChunkedView, DEFAULT_BLOCK_ROWS,
 };
 pub use context::{ContextCache, ExactIndex, TrainingContext, MISSING_RANK};
 pub use engine::TreeScratch;
@@ -82,6 +83,7 @@ pub use objective::Objective;
 pub use params::{Params, TreeMethod, DEFAULT_CONTEXT_BINS};
 pub use ranks::{RankStore, RankedChunk};
 pub use simd::SimdLevel;
+pub use sketch::{CutSketch, DEFAULT_SKETCH_DISTINCT};
 pub use tree::{Node, Tree, TreeDefect};
 
 /// Crate-wide result alias; the default error is the [`GbdtError`]

@@ -20,8 +20,8 @@
 //! its `u64` length and its `u64` FNV-1a checksum.
 
 use crate::binning::encode_value;
-use crate::chunked::{column_distinct, merge_distinct};
 use crate::error::ChunkError;
+use crate::sketch::{column_distinct, merge_distinct};
 use crate::{fnv1a_64, ChunkedMatrixBuilder, CutSketch};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
