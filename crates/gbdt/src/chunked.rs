@@ -271,13 +271,40 @@ fn header_bytes(cuts: &[Vec<f64>], block_rows: usize, nrows: usize, n_blocks: us
     out
 }
 
+/// A file removed when the guard drops, unless [`RemoveOnDrop::keep`]
+/// took its path first: how the spill writer and the rank file clean
+/// up on every exit path, a failed build or an early return included.
+#[derive(Debug)]
+pub(crate) struct RemoveOnDrop(Option<PathBuf>);
+
+impl RemoveOnDrop {
+    pub(crate) fn new(path: &Path) -> RemoveOnDrop {
+        RemoveOnDrop(Some(path.to_path_buf()))
+    }
+
+    /// Disarm the guard: the file stays, and its path is handed back.
+    fn keep(mut self) -> PathBuf {
+        self.0.take().expect("an armed guard holds its path")
+    }
+}
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        if let Some(path) = &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// Streaming writer for the spill file: header placeholder up front,
 /// one checksummed block record per completed block, header patched on
-/// seal.
+/// seal. Until [`SpillWriter::seal`] succeeds the file is removed when
+/// the writer drops, so an abandoned or failed build leaves nothing
+/// that could open as a matrix.
 #[derive(Debug)]
 struct SpillWriter {
     file: File,
-    path: PathBuf,
+    path: RemoveOnDrop,
     block_rows: usize,
     header_len: u64,
     offsets: Vec<u64>,
@@ -294,12 +321,13 @@ impl SpillWriter {
     ) -> Result<SpillWriter, ChunkError> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        let path = RemoveOnDrop::new(path);
         let header = header_bytes(cuts, block_rows, 0, 0);
         file.write_all(&header)?;
         let header_len = header.len() as u64;
         Ok(SpillWriter {
             file,
-            path: path.to_path_buf(),
+            path,
             block_rows,
             header_len,
             offsets: Vec::new(),
@@ -341,7 +369,7 @@ impl SpillWriter {
         let verified = (0..self.offsets.len()).map(|_| AtomicBool::new(false)).collect();
         Ok(DiskStore {
             file: self.file,
-            path: self.path,
+            path: self.path.keep(),
             offsets: self.offsets,
             rows: self.rows,
             missing,
@@ -1998,6 +2026,32 @@ pub(crate) mod tests {
         assert!(matches!(err, Err(ChunkError::Corrupt { what: "block checksum", .. })));
 
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_abandoned_spilled_build_leaves_no_file() {
+        // Two rows, less than one 4-row block: the file holds only the
+        // placeholder header, which would open as a sealed 0-row matrix.
+        let path = tmp_path("abandoned");
+        let mut b = ChunkedMatrixBuilder::spilled(vec![vec![0.5]; 2], 4, &path).unwrap();
+        b.push_encoded(&[0, 1, 1, 0]).unwrap();
+        assert!(path.exists());
+        drop(b);
+        assert!(!path.exists(), "an abandoned build left {}", path.display());
+    }
+
+    #[test]
+    fn a_failed_spilled_build_leaves_no_file() {
+        // One whole block is flushed to disk, then a chunk is refused.
+        let path = tmp_path("failed");
+        let mut b = ChunkedMatrixBuilder::spilled(vec![vec![0.5]; 2], 4, &path).unwrap();
+        b.push_encoded(&[0; 8]).unwrap();
+        assert!(matches!(
+            b.push_encoded(&[0, 9]),
+            Err(ChunkError::Corrupt { what: "code range", .. })
+        ));
+        drop(b);
+        assert!(!path.exists(), "a failed build left {}", path.display());
     }
 
     #[test]

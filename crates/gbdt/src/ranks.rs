@@ -20,6 +20,7 @@
 //! its `u64` length and its `u64` FNV-1a checksum.
 
 use crate::binning::encode_value;
+use crate::chunked::RemoveOnDrop;
 use crate::error::ChunkError;
 use crate::sketch::{column_distinct, merge_distinct};
 use crate::{fnv1a_64, ChunkedMatrixBuilder, CutSketch};
@@ -117,18 +118,13 @@ enum Records {
     Disk(RankFile),
 }
 
-/// The rank file and the payload length of every record in it.
+/// The rank file and the payload length of every record in it; the
+/// file is removed when the store drops.
 #[derive(Debug)]
 struct RankFile {
     file: File,
-    path: PathBuf,
+    _path: RemoveOnDrop,
     lens: Vec<usize>,
-}
-
-impl Drop for RankFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 impl RankStore {
@@ -143,7 +139,8 @@ impl RankStore {
         let path = RankStore::path_beside(spill_path);
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        Ok(RankStore { ncols, records: Records::Disk(RankFile { file, path, lens: Vec::new() }) })
+        let _path = RemoveOnDrop::new(&path);
+        Ok(RankStore { ncols, records: Records::Disk(RankFile { file, _path, lens: Vec::new() }) })
     }
 
     /// The rank file of a spill file: its path with `.ranks` appended.
