@@ -37,7 +37,8 @@ echo "==> cargo test (scalar SIMD fallback forced)"
 MSAW_FORCE_SCALAR=1 cargo test --workspace --quiet
 
 echo "==> serialisation fuzz suite"
-cargo test --quiet -p msaw-gbdt --test serialize_robustness --test rank_store_robustness
+cargo test --quiet -p msaw-gbdt --test serialize_robustness --test rank_store_robustness \
+    --test spill_robustness
 
 echo "==> fault-injection + serving robustness suites (5 runs at 4 test threads)"
 # libtest defaults to one test thread per core, so on a one-core box
@@ -62,7 +63,7 @@ cargo test --workspace --quiet --profile release-dbg
 
 echo "==> serialisation fuzz suite (release codegen + debug assertions)"
 cargo test --quiet -p msaw-gbdt --test serialize_robustness --test rank_store_robustness \
-    --profile release-dbg
+    --test spill_robustness --profile release-dbg
 
 echo "==> serving robustness suite (release codegen + debug assertions)"
 cargo test --quiet --test serve_robustness --profile release-dbg
