@@ -26,7 +26,7 @@
 //!   with data-driven thresholds (Fig. 7);
 //! * [`registry`] — persisted-model registry keyed by (outcome,
 //!   variant, cohort fingerprint), with atomic publish and verified
-//!   load of the v2 prediction-bundle artifacts;
+//!   load of the prediction-bundle artifacts;
 //! * [`scale`] — the population-scale streaming pipeline: cohorts
 //!   generated and featurized chunk by chunk, binned into fixed-size
 //!   row blocks (optionally spilled to disk), and trained out of core —

@@ -1,7 +1,7 @@
 //! Persisted-model registry: the bridge between training runs and the
 //! serving layer.
 //!
-//! A registry is a directory of v2 model artifacts
+//! A registry is a directory of model artifacts
 //! ([`msaw_gbdt::ModelArtifact`]), each keyed by *what it predicts and
 //! what it was trained on*: outcome, approach variant, and a
 //! fingerprint of the exact training cohort. The fingerprint means a
@@ -17,10 +17,10 @@
 //!   leaves a half-written artifact under a valid name — readers see
 //!   the old model or the new one, nothing in between.
 //! * **Verified load.** [`ModelRegistry::load`] re-validates the full
-//!   artifact (checksum, structure, flat-forest cross-check) through
-//!   the gbdt decoder; a corrupt file is a typed
-//!   [`RegistryError::Artifact`], never a panic or a silently wrong
-//!   model.
+//!   artifact (checksum, counts, tree structure, cut order) through
+//!   the gbdt decoder, which then compiles its forest; a corrupt file
+//!   is a typed [`RegistryError::Artifact`], never a panic or a
+//!   silently wrong model.
 //!
 //! File naming is deterministic — `{outcome}_{variant}_{hash:016x}.msgb`
 //! — so keys and paths are interconvertible and a directory listing is

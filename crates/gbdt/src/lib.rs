@@ -25,7 +25,8 @@
 //! * early stopping against a held-out evaluation set;
 //! * gain / cover / frequency feature importances;
 //! * one persisted model format: the checksummed prediction-bundle
-//!   [`ModelArtifact`];
+//!   [`ModelArtifact`], which stores the trees and cuts once and
+//!   compiles its [`FlatForest`] on load;
 //! * a shared-preparation engine: [`TrainingContext`] indexes and bins a
 //!   matrix once, then [`Booster::train_on_rows`] trains any number of
 //!   models on row-index views of it — bit-for-bit identical (exact
