@@ -44,7 +44,8 @@
 //! 3. every tree is structurally validated — child indices in range,
 //!    tree-shaped reachability, split features `< n_features` — and
 //!    must fit the flat forest's `u16` depths and `u32` node indices,
-//!    with errors naming the tree and node;
+//!    with errors naming the tree (and the node, for a structural
+//!    defect);
 //! 4. cut sets must be finite and strictly ascending (the binning
 //!    search relies on order), and no bytes may trail them.
 //!
