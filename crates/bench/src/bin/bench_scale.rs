@@ -19,6 +19,12 @@
 //!   blocks, isolating the prefetching block reader's throughput from
 //!   the in-memory path CI normally gates.
 //!
+//! Whatever the sweep's reach, every run also times generation alone:
+//! `generate_us_per_patient` is one thread's [`CohortStream`] over
+//! `scaled(42, 2000)`, microseconds per patient, median of three
+//! passes. It is the one layer the stage costs below cannot separate
+//! (pass 1's `sketch_secs` is generate + featurise + rank + sketch).
+//!
 //! CI gates the 10k point's normalised stage costs (`*_secs_per_mrow`,
 //! seconds per million sample rows; smaller is better) and peak RSS.
 //! At that point the three in-memory stage costs (sketch, encode, fit)
@@ -32,6 +38,7 @@
 //! full 1M sweep).
 
 use msaw_bench::{exit_on_error, BenchError, EXPERIMENT_SEED};
+use msaw_cohort::stream::CohortStream;
 use msaw_cohort::CohortConfig;
 use msaw_core::scale::{run_scale, ScaleConfig, ScaleReport};
 use msaw_preprocess::OutcomeKind;
@@ -47,6 +54,29 @@ const SPILL_FROM: usize = 100_000;
 /// row, and whose gated stage costs are medians of three runs (cheap
 /// enough to run several times, big enough to mean something).
 const PROBE_SCALE: usize = 10_000;
+
+/// Patients the generation probe streams: `scaled(42, 2000)`.
+const GENERATE_PATIENTS: usize = 2000;
+
+/// One thread's generation cost alone: [`CohortStream`] over
+/// `scaled(42, GENERATE_PATIENTS)`, microseconds per patient, median of
+/// three passes.
+fn generate_us_per_patient() -> f64 {
+    let cohort = CohortConfig::scaled(EXPERIMENT_SEED, GENERATE_PATIENTS);
+    let mut passes: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let mut n = 0usize;
+            for record in CohortStream::new(&cohort) {
+                std::hint::black_box(record);
+                n += 1;
+            }
+            start.elapsed().as_secs_f64() * 1.0e6 / n.max(1) as f64
+        })
+        .collect();
+    passes.sort_by(f64::total_cmp);
+    passes[1]
+}
 
 /// Seconds per million sample rows — the scale-free form CI gates.
 fn secs_per_mrow(secs: f64, n_rows: usize) -> f64 {
@@ -171,10 +201,14 @@ fn run() -> Result<(), BenchError> {
     }
     let _ = std::fs::remove_dir_all(&spill_dir);
 
+    eprintln!("generation alone: scaled({EXPERIMENT_SEED}, {GENERATE_PATIENTS}), one thread...");
+    let generate_us = generate_us_per_patient();
+    eprintln!("  {generate_us:.1} us/patient (median of 3)");
+
     let json = format!(
         "{{\n  \"cohort\": \"scaled\",\n  \"seed\": {EXPERIMENT_SEED},\n  \
          \"outcome\": \"QoL\",\n  \"max_patients\": {max_patients},\n{body}  \
-         \"wall_secs\": {:.3}\n}}\n",
+         \"generate_us_per_patient\": {generate_us:.1},\n  \"wall_secs\": {:.3}\n}}\n",
         wall.elapsed().as_secs_f64(),
     );
     std::fs::write(&out_path, json)

@@ -8,23 +8,26 @@ use crate::config::CohortConfig;
 use crate::domains::{Domain, DomainVector};
 use crate::outcomes::OutcomeRecord;
 use crate::patient::{Patient, PatientId};
+use crate::pro::ProTable;
 use crate::rng::{normal, substream, Stream};
 use crate::stream::CohortStream;
 use crate::trajectory::{self, Trajectory};
+use crate::N_WEEKS;
 use serde::{Deserialize, Serialize};
 
-/// Weekly PRO observations: `series[patient][question][week]`,
-/// `None` = the app prompt went unanswered (a gap).
+/// Weekly PRO observations: one flat [`ProTable`] per patient, in
+/// patient-id order. [`crate::missing::GAP`] (0) marks an app prompt
+/// that went unanswered.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProPanel {
-    /// Per-patient, per-question weekly answer series.
-    pub series: Vec<Vec<Vec<Option<u8>>>>,
+    /// Per-patient answer tables, indexed by `PatientId`.
+    pub series: Vec<ProTable>,
 }
 
 impl ProPanel {
     /// Weekly series of one `(patient, question)` pair.
-    pub fn get(&self, patient: PatientId, question: usize) -> &[Option<u8>] {
-        &self.series[patient.0 as usize][question]
+    pub fn get(&self, patient: PatientId, question: usize) -> &[u8] {
+        &self.series[patient.0 as usize][question * N_WEEKS..(question + 1) * N_WEEKS]
     }
 }
 
@@ -141,7 +144,7 @@ mod tests {
     use super::*;
     use crate::missing::gap_lengths;
     use crate::patient::Clinic;
-    use crate::{STUDY_MONTHS, WEEKS_PER_MONTH};
+    use crate::{N_PRO, STUDY_MONTHS, WEEKS_PER_MONTH};
 
     fn small() -> CohortData {
         generate(&CohortConfig::small(42))
@@ -157,8 +160,12 @@ mod tests {
         assert_eq!(data.activity.len(), n);
         assert_eq!(data.clinical.len(), n * 3);
         assert_eq!(data.outcomes.len(), n * 2);
-        for series in data.pro.series.iter().flatten() {
-            assert_eq!(series.len(), STUDY_MONTHS * WEEKS_PER_MONTH);
+        for p in &data.patients {
+            for q in 0..N_PRO {
+                let series = data.pro.get(p.id, q);
+                assert_eq!(series.len(), STUDY_MONTHS * WEEKS_PER_MONTH);
+                assert!(series.iter().all(|&a| a <= 5), "answers are 1-5, gaps 0");
+            }
         }
     }
 
@@ -205,8 +212,8 @@ mod tests {
         let mut total_gaps = 0usize;
         let mut total_len = 0usize;
         let mut max_len = 0usize;
-        for patient in &data.pro.series {
-            for series in patient {
+        for table in &data.pro.series {
+            for series in table.chunks_exact(N_WEEKS) {
                 for len in gap_lengths(series) {
                     total_gaps += 1;
                     total_len += len;

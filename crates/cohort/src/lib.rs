@@ -28,6 +28,16 @@
 //! Everything is deterministic given [`CohortConfig::seed`]. The latent
 //! trajectories are exported for *tests only* — the learning pipeline
 //! must never see them.
+//!
+//! A patient's PRO answers are one flat [`ProTable`] of [`N_PRO`] ×
+//! [`N_WEEKS`] bytes, question-major, with [`missing::GAP`] (0) for an
+//! unanswered week. [`generate_patient`] draws the 56 series eight
+//! questions at a time, one xoshiro256++ substream per vector lane,
+//! through a certified fast readout compiled for AVX-512, AVX2 and the
+//! baseline target and picked at runtime by
+//! [`msaw_parallel::simd::active_level`]. Every build yields the bytes
+//! of [`ProQuestion::answer`] called once per week on each question's
+//! own substream.
 
 pub mod activity;
 pub mod clinical;
@@ -48,13 +58,16 @@ pub use domains::{Domain, DomainVector};
 pub use generator::{generate, CohortData};
 pub use outcomes::OutcomeRecord;
 pub use patient::{Clinic, Patient, PatientId};
-pub use pro::{ProQuestion, N_PRO, QUESTION_BANK};
+pub use pro::{ProQuestion, ProTable, N_PRO, QUESTION_BANK};
 pub use stream::{generate_patient, CohortStream, PatientRecord};
 
 /// Months in the study (two 9-month windows).
 pub const STUDY_MONTHS: usize = 18;
 /// Weekly PRO cadence: 4 app prompts per month.
 pub const WEEKS_PER_MONTH: usize = 4;
+/// Weekly PRO prompts per question over the study: the length of one
+/// answer series.
+pub const N_WEEKS: usize = STUDY_MONTHS * WEEKS_PER_MONTH;
 /// Days per month used by the activity tracker simulator.
 pub const DAYS_PER_MONTH: usize = 30;
 /// Clinical visit months (baseline and the two outcome visits).

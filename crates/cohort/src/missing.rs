@@ -5,14 +5,14 @@ use crate::config::MissingnessConfig;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Punch gaps into a weekly observation series in place: each `Some`
-/// entry may start a gap (geometric length, capped), which overwrites
-/// the following entries with `None`. Returns the number of gaps started.
-pub fn inject_gaps<T>(
-    series: &mut [Option<T>],
-    cfg: &MissingnessConfig,
-    rng: &mut StdRng,
-) -> usize {
+/// The answer byte of an unanswered prompt in a [`crate::ProTable`]
+/// series (answers are 1–5).
+pub const GAP: u8 = 0;
+
+/// Punch gaps into a weekly answer series in place: each week may start
+/// a gap (geometric length, capped), which overwrites the following
+/// answers with [`GAP`]. Returns the number of gaps started.
+pub fn inject_gaps(series: &mut [u8], cfg: &MissingnessConfig, rng: &mut StdRng) -> usize {
     let mut gaps = 0usize;
     let mut i = 0usize;
     // Geometric success probability giving the requested mean length.
@@ -26,9 +26,7 @@ pub fn inject_gaps<T>(
                 len += 1;
             }
             let end = (i + len).min(series.len());
-            for slot in &mut series[i..end] {
-                *slot = None;
-            }
+            series[i..end].fill(GAP);
             gaps += 1;
             // Skip one slot so adjacent gaps cannot merge into an
             // observed missing run longer than `max_gap_len`.
@@ -40,12 +38,12 @@ pub fn inject_gaps<T>(
     gaps
 }
 
-/// Lengths of the missing runs in a series (the QA statistics).
-pub fn gap_lengths<T>(series: &[Option<T>]) -> Vec<usize> {
+/// Lengths of the [`GAP`] runs in a series (the QA statistics).
+pub fn gap_lengths(series: &[u8]) -> Vec<usize> {
     let mut lengths = Vec::new();
     let mut run = 0usize;
-    for slot in series {
-        if slot.is_none() {
+    for &slot in series {
+        if slot == GAP {
             run += 1;
         } else if run > 0 {
             lengths.push(run);
@@ -64,8 +62,8 @@ mod tests {
     use crate::config::MissingnessConfig;
     use crate::rng::{substream, Stream};
 
-    fn full_series(n: usize) -> Vec<Option<u8>> {
-        vec![Some(3); n]
+    fn full_series(n: usize) -> Vec<u8> {
+        vec![3; n]
     }
 
     #[test]
@@ -120,7 +118,7 @@ mod tests {
 
     #[test]
     fn gap_lengths_reads_runs_correctly() {
-        let s = [Some(1), None, None, Some(1), None, Some(1), None, None, None];
+        let s = [1, GAP, GAP, 1, GAP, 1, GAP, GAP, GAP];
         assert_eq!(gap_lengths(&s), vec![2, 1, 3]);
     }
 

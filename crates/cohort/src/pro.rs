@@ -11,12 +11,22 @@
 
 use crate::domains::Domain;
 use crate::rng::{box_muller, box_muller_uniforms};
+use crate::N_WEEKS;
+#[cfg(target_arch = "x86_64")]
+use msaw_parallel::simd::{active_level, SimdLevel};
+use rand::rngs::StdRng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::sync::LazyLock;
 
 /// Number of PRO items (as in the paper).
 pub const N_PRO: usize = 56;
+
+/// One patient's weekly PRO answers as one flat table: [`N_PRO`]
+/// series of [`N_WEEKS`] bytes in bank order, so question `q`'s series
+/// is `table[q * N_WEEKS..(q + 1) * N_WEEKS]`. Answers are 1–5 and
+/// [`crate::missing::GAP`] (0) marks an unanswered prompt.
+pub type ProTable = [u8; N_PRO * N_WEEKS];
 
 /// One questionnaire item.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,7 +169,7 @@ const THRESHOLDS: [f64; 4] = [-1.5, -0.5, 0.5, 1.5];
 // `answer` forms N = fl(fl(√fl(−2·ln u1))·fl(cos fl(τ·u2))) through libm
 // and cuts the readout z = fl(m + fl(s·N)), m = disc·(θ−0.5)·4 −
 // difficulty, s = noise_scale. Only the side of each threshold z falls
-// on matters, so `answer_series` forms N' from the same u1 ∈ [2⁻¹⁰²²,
+// on matters, so the lockstep draw forms N' from the same u1 ∈ [2⁻¹⁰²²,
 // 1) and u2 ∈ [0, 1) with `fast_ln` and `fast_cos_tau`, and keeps the
 // category of z' = fl(m + fl(s·N')) unless z' lies within a band of a
 // threshold. With u = 2⁻⁵³ the band covers four error sources:
@@ -207,77 +217,257 @@ impl ProQuestion {
     ///
     /// This is the reference implementation of the answer model: one
     /// libm Box–Muller draw per answer. The generator draws whole weekly
-    /// series through the crate's `answer_series`, which returns the
-    /// same answers from the same RNG words; the tests compare the two.
+    /// series eight questions at a time through the crate's lockstep
+    /// draw, which returns the same answers from the same RNG words; the
+    /// tests compare the two.
     pub fn answer<R: RngCore + ?Sized>(&self, theta: f64, noise_scale: f64, rng: &mut R) -> u8 {
         let (u1, u2) = box_muller_uniforms(rng);
-        self.category(self.exact_readout(theta, noise_scale, u1, u2))
-    }
-
-    /// Draw one answer per entry of `thetas` into `answers`: the same
-    /// bytes, from the same RNG words, as that many
-    /// [`ProQuestion::answer`] calls in order. Readouts are formed with
-    /// a fast `ln` and `cos` and certified against the thresholds (see
-    /// the derivation above `NORMAL_ERR`); the few that land within the
-    /// error band of a threshold are recomputed exactly. Returns how
-    /// many answers took that exact path.
-    ///
-    /// # Panics
-    /// When `answers` and `thetas` differ in length.
-    pub(crate) fn answer_series<R: RngCore + ?Sized>(
-        &self,
-        thetas: &[f64],
-        noise_scale: f64,
-        rng: &mut R,
-        answers: &mut [u8],
-    ) -> usize {
-        assert_eq!(thetas.len(), answers.len(), "one answer slot per theta");
-        let noise_band = noise_scale.abs() * NORMAL_ERR;
-        let mut exact = 0;
-        for (&theta, answer) in thetas.iter().zip(answers.iter_mut()) {
-            let (u1, u2) = box_muller_uniforms(rng);
-            let z = self.mean_readout(theta) + noise_scale * fast_normal(u1, u2);
-            // The thresholds are ±0.5 and ±1.5, so |z| is as far from the
-            // nearest one as z is.
-            let a = z.abs();
-            let band = noise_band + ROUNDING_BAND * (1.0 + a);
-            let clear = z.is_finite() & ((a - 0.5).abs() > band) & ((a - 1.5).abs() > band);
-            let z = if clear {
-                z
-            } else {
-                exact += 1;
-                self.exact_readout(theta, noise_scale, u1, u2)
-            };
-            *answer = self.category(z);
-        }
-        exact
-    }
-
-    /// The readout's noise-free part: latent capacity centred at 0.5.
-    #[inline]
-    fn mean_readout(&self, theta: f64) -> f64 {
-        self.discrimination * (theta - 0.5) * 4.0 - self.difficulty
+        category(self.exact_readout(theta, noise_scale, u1, u2), self.positive)
     }
 
     /// The graded-response readout of one libm Box–Muller draw, in the
     /// evaluation order `disc·(θ−0.5)·4 − difficulty + s·N`.
-    #[inline]
     fn exact_readout(&self, theta: f64, noise_scale: f64, u1: f64, u2: f64) -> f64 {
-        self.mean_readout(theta) + noise_scale * box_muller(u1, u2)
+        mean_readout(self.discrimination, self.difficulty, theta) + noise_scale * box_muller(u1, u2)
+    }
+}
+
+/// The readout's noise-free part: latent capacity centred at 0.5.
+#[inline(always)]
+fn mean_readout(discrimination: f64, difficulty: f64, theta: f64) -> f64 {
+    discrimination * (theta - 0.5) * 4.0 - difficulty
+}
+
+/// The Likert answer a readout cuts to, polarity applied.
+#[inline(always)]
+fn category(z: f64, positive: bool) -> u8 {
+    // 5 less the thresholds z lies below, counted without a branch; a
+    // NaN readout lies below none and answers 5.
+    let raw = 5 - THRESHOLDS.iter().map(|&t| u8::from(z < t)).sum::<u8>();
+    if positive {
+        raw
+    } else {
+        6 - raw
+    }
+}
+
+// The lockstep draw
+// -----------------
+// Each question owns one xoshiro256++ substream, so the draws of
+// different questions are independent and [`LANES`] of them can advance
+// side by side, one per f64 lane. `lanes_body` keeps every value
+// lane-major — `[_; LANES]` arrays, one row per week — and writes each
+// step as a loop over the lanes, so the compiler turns it into vector
+// code without a single intrinsic. Per lane and week it takes the two
+// words `answer` takes (u1's, then u2's), forms u1, u2 and the
+// certified readout z' through the same IEEE operations in the same
+// order as the scalar derivation above (no fused multiply-add, no
+// reassociation), and cuts z' with the band test as lane compares.
+// Only a week in which some lane lands inside its band branches; it
+// recomputes those lanes alone through `exact_readout`. The body is
+// compiled for AVX-512, for AVX2 and for the baseline target, and
+// `draw_lanes` picks one at runtime.
+
+/// Questions drawn in lockstep: eight f64 lanes fill one AVX-512
+/// vector, and the 56-item bank is seven groups of eight.
+pub(crate) const LANES: usize = 8;
+
+/// The lockstep draw's word source: one RNG word per lane per call.
+/// The generator draws from [`XoshiroLanes`]; tests replay chosen
+/// words through any lane.
+pub(crate) trait LaneWords {
+    /// The next word of every lane's stream.
+    fn next_words(&mut self) -> [u64; LANES];
+}
+
+/// [`LANES`] xoshiro256++ streams advanced in lockstep, stored
+/// word-major: `s[i][l]` is state word `i` of lane `l`.
+pub(crate) struct XoshiroLanes {
+    s: [[u64; LANES]; 4],
+}
+
+impl XoshiroLanes {
+    /// Lane `l` continues `rngs[l]` from the state it holds.
+    pub(crate) fn new(rngs: &[StdRng; LANES]) -> XoshiroLanes {
+        let states = rngs.each_ref().map(StdRng::state);
+        XoshiroLanes { s: std::array::from_fn(|i| states.map(|state| state[i])) }
     }
 
-    /// The Likert answer a readout cuts to, polarity applied.
-    #[inline]
-    fn category(&self, z: f64) -> u8 {
-        // 5 less the thresholds z lies below, counted without a branch;
-        // a NaN readout lies below none and answers 5.
-        let raw = 5 - THRESHOLDS.iter().map(|&t| u8::from(z < t)).sum::<u8>();
-        if self.positive {
-            raw
-        } else {
-            6 - raw
+    /// Lane `l`'s state, in [`StdRng::state`] order.
+    #[cfg(test)]
+    fn state(&self, lane: usize) -> [u64; 4] {
+        self.s.map(|word| word[lane])
+    }
+}
+
+impl LaneWords for XoshiroLanes {
+    /// xoshiro256++'s output and state update, as `StdRng::next_u64`
+    /// makes them, in every lane.
+    #[inline(always)]
+    fn next_words(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut words = [0; LANES];
+        for l in 0..LANES {
+            words[l] = s0[l].wrapping_add(s3[l]).rotate_left(23).wrapping_add(s0[l]);
+            let t = s1[l] << 17;
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t;
+            s3[l] = s3[l].rotate_left(45);
+        }
+        words
+    }
+}
+
+/// `rng.random_range(start..end)` of the word `w`: the vendored
+/// `rand`'s 53-bit unit float, then `start + u·(end − start)`.
+#[inline(always)]
+fn uniform(w: u64, start: f64, end: f64) -> f64 {
+    let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    start + u * (end - start)
+}
+
+/// Draw the weekly answer series of `questions[l]` into lane `l`:
+/// week `w` reads capacity `thetas[w][l]` and writes
+/// `series[l * N_WEEKS + w]`, from the words `words` yields for lane
+/// `l`. Each lane's series and words are those of
+/// [`ProQuestion::answer`] called once per week on that lane's stream.
+/// Returns, per lane, how many answers took the exact path.
+pub(crate) fn draw_lanes<W: LaneWords>(
+    questions: [&ProQuestion; LANES],
+    thetas: &[[f64; LANES]; N_WEEKS],
+    noise_scale: f64,
+    words: &mut W,
+    series: &mut [u8; LANES * N_WEEKS],
+) -> [usize; LANES] {
+    #[cfg(target_arch = "x86_64")]
+    match active_level() {
+        // SAFETY: `active_level` never reports a level the CPU lacks,
+        // and this one names both AVX-512F and AVX-512DQ.
+        SimdLevel::Avx512 => unsafe { lanes_avx512(questions, thetas, noise_scale, words, series) },
+        // SAFETY: `active_level` never reports a level the CPU lacks,
+        // and this one names AVX2.
+        SimdLevel::Avx2 => unsafe { lanes_avx2(questions, thetas, noise_scale, words, series) },
+        SimdLevel::Scalar => lanes_baseline(questions, thetas, noise_scale, words, series),
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    lanes_baseline(questions, thetas, noise_scale, words, series)
+}
+
+/// [`lanes_body`] compiled for AVX-512: each lane loop is one 512-bit
+/// operation, the word-to-float conversions included (AVX-512DQ).
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512DQ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn lanes_avx512<W: LaneWords>(
+    questions: [&ProQuestion; LANES],
+    thetas: &[[f64; LANES]; N_WEEKS],
+    noise_scale: f64,
+    words: &mut W,
+    series: &mut [u8; LANES * N_WEEKS],
+) -> [usize; LANES] {
+    lanes_body(questions, thetas, noise_scale, words, series)
+}
+
+/// [`lanes_body`] compiled for AVX2: four lanes per vector, without
+/// AVX-512DQ's 64-bit conversions. It measured faster than the
+/// baseline build, so AVX2 hosts get their own instantiation.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_avx2<W: LaneWords>(
+    questions: [&ProQuestion; LANES],
+    thetas: &[[f64; LANES]; N_WEEKS],
+    noise_scale: f64,
+    words: &mut W,
+    series: &mut [u8; LANES * N_WEEKS],
+) -> [usize; LANES] {
+    lanes_body(questions, thetas, noise_scale, words, series)
+}
+
+/// [`lanes_body`] compiled for the baseline target.
+fn lanes_baseline<W: LaneWords>(
+    questions: [&ProQuestion; LANES],
+    thetas: &[[f64; LANES]; N_WEEKS],
+    noise_scale: f64,
+    words: &mut W,
+    series: &mut [u8; LANES * N_WEEKS],
+) -> [usize; LANES] {
+    lanes_body(questions, thetas, noise_scale, words, series)
+}
+
+/// The lockstep draw itself; see [`draw_lanes`] and the notes above
+/// [`LANES`]. Always inlined, so each caller compiles it for its own
+/// target features.
+#[inline(always)]
+fn lanes_body<W: LaneWords>(
+    questions: [&ProQuestion; LANES],
+    thetas: &[[f64; LANES]; N_WEEKS],
+    noise_scale: f64,
+    words: &mut W,
+    series: &mut [u8; LANES * N_WEEKS],
+) -> [usize; LANES] {
+    let discrimination = questions.map(|q| q.discrimination);
+    let difficulty = questions.map(|q| q.difficulty);
+    // `category` per lane: a positive item answers 5 − below, a
+    // negative one 1 + below, where below counts the thresholds z lies
+    // below; (below ^ m) − m negates below when m is all ones.
+    let base = questions.map(|q| if q.positive { 5u64 } else { 1 });
+    let negate = questions.map(|q| if q.positive { u64::MAX } else { 0 });
+    let noise_band = noise_scale.abs() * NORMAL_ERR;
+    let mut exact = [0; LANES];
+    // Answers week-major, like θ, so each week's category is one lane
+    // operation; transposed into `series` at the end.
+    let mut answers = [[0u8; LANES]; N_WEEKS];
+    for (theta, answer) in thetas.iter().zip(&mut answers) {
+        let w1 = words.next_words();
+        let w2 = words.next_words();
+        let mut u1 = [0.0; LANES];
+        let mut u2 = [0.0; LANES];
+        let mut z = [0.0; LANES];
+        let mut clear = [false; LANES];
+        for l in 0..LANES {
+            u1[l] = uniform(w1[l], f64::MIN_POSITIVE, 1.0);
+            u2[l] = uniform(w2[l], 0.0, 1.0);
+            z[l] = mean_readout(discrimination[l], difficulty[l], theta[l])
+                + noise_scale * fast_normal(u1[l], u2[l]);
+            // The thresholds are ±0.5 and ±1.5, so |z| is as far from
+            // the nearest one as z is.
+            let a = z[l].abs();
+            let band = noise_band + ROUNDING_BAND * (1.0 + a);
+            clear[l] = z[l].is_finite() & ((a - 0.5).abs() > band) & ((a - 1.5).abs() > band);
+        }
+        if clear != [true; LANES] {
+            for l in 0..LANES {
+                if !clear[l] {
+                    exact[l] += 1;
+                    z[l] = questions[l].exact_readout(theta[l], noise_scale, u1[l], u2[l]);
+                }
+            }
+        }
+        let mut below = [0u64; LANES];
+        for t in THRESHOLDS {
+            for l in 0..LANES {
+                below[l] += u64::from(z[l] < t);
+            }
+        }
+        for l in 0..LANES {
+            let signed = (below[l] ^ negate[l]).wrapping_sub(negate[l]);
+            answer[l] = base[l].wrapping_add(signed) as u8;
         }
     }
+    for (l, lane) in series.chunks_exact_mut(N_WEEKS).enumerate() {
+        for (slot, week) in lane.iter_mut().zip(&answers) {
+            *slot = week[l];
+        }
+    }
+    exact
 }
 
 /// Box–Muller's transform with [`fast_ln`] and [`fast_cos_tau`] in
@@ -326,11 +516,32 @@ fn fast_cos_tau(u: f64) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::{substream, Stream};
+    use msaw_parallel::simd::{force_level, SimdLevel};
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
+    use std::array::from_fn;
+    use std::sync::Mutex;
+
+    /// `force_level` is process-global: tests that force a level hold
+    /// this lock, so each sees the instantiation it asked for. A test
+    /// that forces nothing may run under another test's level, which
+    /// is harmless because every level yields the same bytes.
+    static LEVEL: Mutex<()> = Mutex::new(());
+
+    /// `f` run once under each level the lockstep draw is compiled for
+    /// (AVX-512, AVX2, baseline; each clamped to the CPU), in that
+    /// order.
+    pub(crate) fn each_instantiation<T>(mut f: impl FnMut() -> T) -> [T; 3] {
+        let _guard = LEVEL.lock().unwrap_or_else(|e| e.into_inner());
+        let out = [SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Scalar].map(|level| {
+            force_level(Some(level));
+            f()
+        });
+        force_level(None);
+        out
+    }
 
     #[test]
     fn bank_has_56_items_with_unique_names() {
@@ -425,19 +636,72 @@ mod tests {
         }
     }
 
-    /// Series and reference answers over the same replayed words, plus
-    /// the series draw's exact-path count.
+    /// Replays fixed words per lane through the lockstep draw.
+    struct ReplayLanes<'a>([std::slice::Iter<'a, u64>; LANES]);
+
+    impl LaneWords for ReplayLanes<'_> {
+        fn next_words(&mut self) -> [u64; LANES] {
+            self.0.each_mut().map(|lane| *lane.next().expect("the test supplies every word"))
+        }
+    }
+
+    /// Capacity of the lanes around a replayed case.
+    const FILLER_THETA: f64 = 0.37;
+
+    /// Lockstep and reference answers over the same replayed words,
+    /// plus the lockstep draw's exact-path count. The case's `(θ, u1
+    /// word, u2 word)` triples repeat to fill [`N_WEEKS`] weeks, and the
+    /// case is drawn in every lane position under every instantiation,
+    /// beside bank items drawing ordinary words; every lane must match
+    /// its reference, and every position and instantiation must agree
+    /// on the case's exact-path count.
     fn replay_both(
         q: &ProQuestion,
         thetas: &[f64],
         noise_scale: f64,
         words: &[u64],
     ) -> (Vec<u8>, Vec<u8>, usize) {
-        let replay = || Replay(words.iter());
-        let mut series = vec![0; thetas.len()];
-        let exact = q.answer_series(thetas, noise_scale, &mut replay(), &mut series);
-        let mut rng = replay();
-        let reference = thetas.iter().map(|&t| q.answer(t, noise_scale, &mut rng)).collect();
+        assert_eq!(words.len(), 2 * thetas.len(), "two words per answer");
+        let week = |w: usize| w % thetas.len();
+        let case_thetas: Vec<f64> = (0..N_WEEKS).map(|w| thetas[week(w)]).collect();
+        let case_words: Vec<u64> =
+            (0..N_WEEKS).flat_map(|w| [words[2 * week(w)], words[2 * week(w) + 1]]).collect();
+        let fillers: [Vec<u64>; LANES] = from_fn(|l| {
+            let mut rng = substream(99, Stream::Pro, l as u64, 0);
+            (0..2 * N_WEEKS).map(|_| rng.next_u64()).collect()
+        });
+        let reference_of = |q: &ProQuestion, thetas: &[f64], words: &[u64]| -> Vec<u8> {
+            let mut rng = Replay(words.iter());
+            thetas.iter().map(|&t| q.answer(t, noise_scale, &mut rng)).collect()
+        };
+        let reference = reference_of(q, &case_thetas, &case_words);
+        let mut case: Option<(Vec<u8>, usize)> = None;
+        for at in 0..LANES {
+            let questions = from_fn(|l| if l == at { q } else { &QUESTION_BANK[l] });
+            let lane_words: [&[u64]; LANES] =
+                from_fn(|l| if l == at { &case_words[..] } else { &fillers[l][..] });
+            let grid =
+                from_fn(|w| from_fn(|l| if l == at { case_thetas[w] } else { FILLER_THETA }));
+            let expected: [Vec<u8>; LANES] = from_fn(|l| {
+                let thetas: Vec<f64> = grid.iter().map(|row: &[f64; LANES]| row[l]).collect();
+                reference_of(questions[l], &thetas, lane_words[l])
+            });
+            let runs = each_instantiation(|| {
+                let mut source = ReplayLanes(lane_words.map(|words| words.iter()));
+                let mut series = [0; LANES * N_WEEKS];
+                let exact = draw_lanes(questions, &grid, noise_scale, &mut source, &mut series);
+                (series, exact)
+            });
+            for (series, exact) in runs {
+                for (l, lane) in series.chunks_exact(N_WEEKS).enumerate() {
+                    assert_eq!(lane, expected[l], "lane {l}, case in lane {at}");
+                }
+                let got = (series[at * N_WEEKS..][..N_WEEKS].to_vec(), exact[at]);
+                let first = case.get_or_insert_with(|| got.clone());
+                assert_eq!(got.1, first.1, "exact-path count of the case in lane {at}");
+            }
+        }
+        let (series, exact) = case.expect("LANES > 0");
         (series, reference, exact)
     }
 
@@ -495,7 +759,7 @@ mod tests {
             let q = item_with_mean(0.5, positive);
             let (series, reference, exact) = replay_both(&q, &thetas, 1.0, &words);
             assert_eq!(series, reference);
-            assert_eq!(exact, thetas.len(), "every readout lies inside the band");
+            assert_eq!(exact, N_WEEKS, "every readout lies inside the band");
         }
     }
 
@@ -514,7 +778,7 @@ mod tests {
                 let (series, reference, exact) = replay_both(&q, &thetas, 1.0, &words);
                 assert_eq!(series, reference, "u1 word {u1:#x}, mean {mean}");
                 if forced {
-                    assert_eq!(exact, thetas.len(), "a tiny |N| stays inside the band");
+                    assert_eq!(exact, N_WEEKS, "a tiny |N| stays inside the band");
                 }
             }
         }
@@ -529,8 +793,8 @@ mod tests {
                 let q = item_with_mean(mean, true);
                 let (series, reference, exact) = replay_both(&q, &thetas, 0.0, &words);
                 assert_eq!(series, reference, "mean {mean}");
-                assert_eq!(exact, thetas.len(), "mean {mean} is within an ulp of {t}");
-                let expected = if mean < t { q.category(t.next_down()) } else { q.category(t) };
+                assert_eq!(exact, N_WEEKS, "mean {mean} is within an ulp of {t}");
+                let expected = category(if mean < t { t.next_down() } else { t }, true);
                 assert!(series.iter().all(|&a| a == expected), "mean {mean}");
             }
         }
@@ -544,24 +808,57 @@ mod tests {
             let thetas = [theta; 4];
             let (series, reference, exact) = replay_both(q, &thetas, noise, &words);
             assert_eq!(series, reference, "theta {theta}, noise {noise}");
-            assert_eq!(exact, thetas.len());
+            assert_eq!(exact, N_WEEKS);
         }
+    }
+
+    /// One lockstep draw: its answers, where each lane's generator
+    /// ended, and each lane's exact-path count.
+    struct Lockstep {
+        series: [u8; LANES * N_WEEKS],
+        lanes: XoshiroLanes,
+        exact: [usize; LANES],
+    }
+
+    /// The lockstep draw of `questions` on `rngs`, and every lane's
+    /// reference answers with the generator they leave behind.
+    fn lockstep_and_reference(
+        questions: [&ProQuestion; LANES],
+        thetas: &[[f64; LANES]; N_WEEKS],
+        noise_scale: f64,
+        rngs: &[StdRng; LANES],
+    ) -> (Lockstep, [(Vec<u8>, StdRng); LANES]) {
+        let mut lanes = XoshiroLanes::new(rngs);
+        let mut series = [0; LANES * N_WEEKS];
+        let exact = draw_lanes(questions, thetas, noise_scale, &mut lanes, &mut series);
+        let reference = from_fn(|l| {
+            let mut rng = rngs[l].clone();
+            let answers =
+                thetas.iter().map(|row| questions[l].answer(row[l], noise_scale, &mut rng));
+            (answers.collect(), rng)
+        });
+        (Lockstep { series, lanes, exact }, reference)
     }
 
     #[test]
     fn silent_and_loud_noise_agree_with_the_reference() {
-        let thetas: Vec<f64> = (0..72).map(|w| w as f64 / 71.0).collect();
+        let thetas = from_fn(|w| [w as f64 / 71.0; LANES]);
         let mut fell_back = 0;
-        for (i, q) in QUESTION_BANK.iter().enumerate() {
+        for group in QUESTION_BANK.chunks_exact(LANES) {
+            let questions = from_fn(|l| &group[l]);
             for noise in [0.0, 10.0] {
-                let mut series = vec![0; thetas.len()];
-                let mut a = substream(8, Stream::Pro, i as u64, noise as u64);
-                let mut b = a.clone();
-                fell_back += q.answer_series(&thetas, noise, &mut a, &mut series);
-                let reference: Vec<u8> =
-                    thetas.iter().map(|&t| q.answer(t, noise, &mut b)).collect();
-                assert_eq!(series, reference, "{} at noise {noise}", q.name);
-                assert_eq!(a, b, "both draws consume the same words");
+                let rngs = from_fn(|l| {
+                    let i = QUESTION_BANK.iter().position(|q| q == questions[l]).unwrap();
+                    substream(8, Stream::Pro, i as u64, noise as u64)
+                });
+                let (draw, reference) = lockstep_and_reference(questions, &thetas, noise, &rngs);
+                for (l, (answers, rng)) in reference.iter().enumerate() {
+                    let name = &questions[l].name;
+                    let series = &draw.series[l * N_WEEKS..][..N_WEEKS];
+                    assert_eq!(series, &answers[..], "{name} at noise {noise}");
+                    assert_eq!(draw.lanes.state(l), rng.state(), "both draws take the same words");
+                }
+                fell_back += draw.exact.iter().sum::<usize>();
             }
         }
         // Noise off, every readout is the item's mean readout: nowhere
@@ -572,23 +869,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The series draw is `answer` in a loop: same answers, same
-        /// words consumed, for any item, capacities and noise scale.
+        /// The lockstep draw is `answer` in a loop on each lane's own
+        /// stream: same answers, and each lane's generator ends where a
+        /// `StdRng` that took two words per week ends, for any eight
+        /// items (repeats allowed), capacities and noise scale, under
+        /// every instantiation.
         #[test]
         fn series_draw_equals_the_reference(
             seed in any::<u64>(),
-            item in 0..N_PRO,
-            thetas in proptest::collection::vec(-0.5f64..1.5, 0..80),
+            items in proptest::collection::vec(0..N_PRO, LANES),
+            thetas in proptest::collection::vec(-0.5f64..1.5, LANES * N_WEEKS),
             noise in 0.0f64..12.0,
         ) {
-            let q = &QUESTION_BANK[item];
-            let mut a: StdRng = substream(seed, Stream::Pro, 0, item as u64);
-            let mut b = a.clone();
-            let mut series = vec![0; thetas.len()];
-            q.answer_series(&thetas, noise, &mut a, &mut series);
-            let reference: Vec<u8> = thetas.iter().map(|&t| q.answer(t, noise, &mut b)).collect();
-            prop_assert_eq!(series, reference);
-            prop_assert_eq!(a, b);
+            let questions = from_fn(|l| &QUESTION_BANK[items[l]]);
+            let grid = from_fn(|w| from_fn(|l| thetas[w * LANES + l]));
+            let rngs = from_fn(|l| substream(seed, Stream::Pro, l as u64, items[l] as u64));
+            let runs = each_instantiation(|| lockstep_and_reference(questions, &grid, noise, &rngs));
+            for (draw, reference) in runs {
+                for (l, (answers, rng)) in reference.iter().enumerate() {
+                    prop_assert_eq!(&draw.series[l * N_WEEKS..][..N_WEEKS], &answers[..]);
+                    prop_assert_eq!(draw.lanes.state(l), rng.state());
+                }
+            }
         }
     }
 }

@@ -18,13 +18,13 @@ use crate::activity::{self, ActivityTrace};
 use crate::clinical::{self, clinical_panel, ClinicalAssessment, ClinicalVariable};
 use crate::config::{ClinicConfig, CohortConfig};
 use crate::generator::make_patient;
-use crate::missing::inject_gaps;
+use crate::missing::{inject_gaps, GAP};
 use crate::outcomes::{self, OutcomeRecord};
 use crate::patient::Patient;
-use crate::pro::{N_PRO, QUESTION_BANK};
+use crate::pro::{draw_lanes, ProTable, XoshiroLanes, LANES, N_PRO, QUESTION_BANK};
 use crate::rng::{substream, Stream};
 use crate::trajectory::{self, Trajectory};
-use crate::{STUDY_MONTHS, VISIT_MONTHS, WEEKS_PER_MONTH};
+use crate::{N_WEEKS, VISIT_MONTHS, WEEKS_PER_MONTH};
 use serde::{Deserialize, Serialize};
 
 /// Everything the simulator produces for one patient: the same fields
@@ -38,8 +38,10 @@ pub struct PatientRecord {
     pub patient: Patient,
     /// Latent trajectory — tests/validation only, never features.
     pub latent: Trajectory,
-    /// Weekly PRO answers with gaps: `pro[question][week]`.
-    pub pro: Vec<Vec<Option<u8>>>,
+    /// Weekly PRO answers with gaps, one flat table: question `q`'s
+    /// series is `pro[q * N_WEEKS..(q + 1) * N_WEEKS]`, and
+    /// [`crate::missing::GAP`] (0) marks an unanswered week.
+    pub pro: ProTable,
     /// Daily activity trace.
     pub activity: ActivityTrace,
     /// Clinical assessments at months 0, 9, 18 (in that order).
@@ -92,34 +94,34 @@ pub fn generate_patient(
 ) -> Option<PatientRecord> {
     let clinic_cfg = clinic_config_of(config, id)?;
     let seed = config.seed;
-    const N_WEEKS: usize = STUDY_MONTHS * WEEKS_PER_MONTH;
 
     let patient = make_patient(id, clinic_cfg, seed);
     let traj = trajectory::simulate(&patient, clinic_cfg, seed);
     let balance = trajectory::balance_trait(&patient, seed);
 
-    // Weekly PRO answers for all 56 questions, then gaps.
-    let mut per_question: Vec<Vec<Option<u8>>> = Vec::with_capacity(N_PRO);
-    let mut thetas = [0.0; N_WEEKS];
-    let mut answers = [0u8; N_WEEKS];
-    for (q_idx, question) in QUESTION_BANK.iter().enumerate() {
-        let mut rng_answers = substream(seed, Stream::Pro, patient.id.0 as u64, q_idx as u64);
-        for (week, theta) in thetas.iter_mut().enumerate() {
-            let month = week / WEEKS_PER_MONTH + 1;
-            let domain_theta = traj.capacity[month].get(question.domain);
-            let bl = question.balance_loading;
-            *theta = (1.0 - bl) * domain_theta + bl * balance;
+    // Weekly PRO answers, eight questions at a time, then gaps. Week w
+    // reads month w / 4 + 1, so θ is built per month and repeated.
+    let mut pro: ProTable = [GAP; N_PRO * N_WEEKS];
+    let mut thetas = [[0.0; LANES]; N_WEEKS];
+    let groups = QUESTION_BANK.chunks_exact(LANES).zip(pro.as_chunks_mut().0);
+    for (g, (group, series)) in groups.enumerate() {
+        let questions: [_; LANES] = std::array::from_fn(|l| &group[l]);
+        for (weeks, capacity) in thetas.chunks_exact_mut(WEEKS_PER_MONTH).zip(&traj.capacity[1..]) {
+            let theta = questions.map(|q| {
+                let bl = q.balance_loading;
+                (1.0 - bl) * capacity.get(q.domain) + bl * balance
+            });
+            weeks.fill(theta);
         }
-        question.answer_series(
-            &thetas,
-            clinic_cfg.observation_noise,
-            &mut rng_answers,
-            &mut answers,
-        );
-        let mut series: Vec<Option<u8>> = answers.iter().map(|&a| Some(a)).collect();
-        let mut rng_gaps = substream(seed, Stream::Gaps, patient.id.0 as u64, q_idx as u64);
-        inject_gaps(&mut series, &config.missingness, &mut rng_gaps);
-        per_question.push(series);
+        let rngs = std::array::from_fn(|l| {
+            substream(seed, Stream::Pro, u64::from(id), (g * LANES + l) as u64)
+        });
+        let mut words = XoshiroLanes::new(&rngs);
+        draw_lanes(questions, &thetas, clinic_cfg.observation_noise, &mut words, series);
+    }
+    for (q, series) in pro.chunks_exact_mut(N_WEEKS).enumerate() {
+        let mut rng_gaps = substream(seed, Stream::Gaps, u64::from(id), q as u64);
+        inject_gaps(series, &config.missingness, &mut rng_gaps);
     }
 
     let activity = activity::simulate(&patient, &traj, clinic_cfg, seed);
@@ -136,7 +138,7 @@ pub fn generate_patient(
     Some(PatientRecord {
         patient,
         latent: traj,
-        pro: per_question,
+        pro,
         activity,
         clinical: clinical_records,
         outcomes: outcome_records,
@@ -237,6 +239,20 @@ mod tests {
         let cold = generate_patient(&cfg, &panel, 5).unwrap();
         let warm = CohortStream::new(&cfg).nth(5).unwrap();
         assert!(cold.bits_eq(&warm));
+    }
+
+    #[test]
+    fn every_lockstep_instantiation_generates_the_same_records() {
+        let cfg = CohortConfig::small(5);
+        let panel = clinical_panel();
+        let [avx512, avx2, baseline] = crate::pro::tests::each_instantiation(|| {
+            (0..cfg.total_patients() as u32)
+                .map(|id| generate_patient(&cfg, &panel, id).unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (i, record) in baseline.iter().enumerate() {
+            assert!(record.bits_eq(&avx512[i]) && record.bits_eq(&avx2[i]), "patient {i}");
+        }
     }
 
     #[test]

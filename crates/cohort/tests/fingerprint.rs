@@ -6,7 +6,7 @@
 //! — fails here, before it reaches the archived experiment outputs.
 
 use msaw_cohort::stream::CohortStream;
-use msaw_cohort::{CohortConfig, DomainVector, PatientRecord};
+use msaw_cohort::{CohortConfig, DomainVector, PatientRecord, N_WEEKS};
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -57,12 +57,12 @@ impl Fnv {
         }
         self.f64s(&r.latent.frailty);
 
-        self.u64(r.pro.len() as u64);
-        for series in &r.pro {
+        let table = r.pro.chunks_exact(N_WEEKS);
+        self.u64(table.len() as u64);
+        for series in table {
             self.u64(series.len() as u64);
             // 0 marks a gap; answers are 1-5.
-            let answers: Vec<u8> = series.iter().map(|a| a.unwrap_or(0)).collect();
-            self.bytes(&answers);
+            self.bytes(series);
         }
 
         self.f64s(&r.activity.steps);

@@ -533,16 +533,24 @@ mod tests {
         }
     }
 
+    /// A fresh directory of this process's own in the temp dir, so
+    /// concurrent test runs never share a file; the test removes it.
+    fn process_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("msaw_gbdt_artifact_{}_{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn file_round_trip() {
         let a = artifact(true);
-        let dir = std::env::temp_dir().join("msaw_gbdt_artifact_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = process_dir("file_round_trip");
         let path = dir.join("model.msgb2");
         a.save(&path).unwrap();
         let b = ModelArtifact::load(&path).unwrap();
         assert_eq!(a.booster, b.booster);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -599,13 +607,12 @@ mod tests {
     #[test]
     fn save_load_file_round_trip() {
         let model = trained_model(false);
-        let dir = std::env::temp_dir().join("msaw_gbdt_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = process_dir("save_load_file_round_trip");
         let path = dir.join("model.msgb");
         ModelArtifact::from_booster(model.clone(), None).save(&path).unwrap();
         let loaded = ModelArtifact::load(&path).unwrap();
         assert_eq!(model, loaded.booster);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

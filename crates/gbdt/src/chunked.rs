@@ -515,8 +515,23 @@ impl ChunkedMatrix {
         }
         let file = OpenOptions::new().read(true).write(false).open(path)?;
         let file_len = file.metadata()?.len();
+        // Every header read is bounded by the real file length first, so
+        // a file cut short anywhere in the header is `Corrupt`, naming
+        // the region it ends in, never an end-of-file I/O error.
+        let read = |pos: u64, buf: &mut [u8], what: &'static str| {
+            if pos + buf.len() as u64 > file_len {
+                return Err(corrupt(
+                    what,
+                    format!(
+                        "{} bytes at byte {pos} overrun the file ({file_len} bytes)",
+                        buf.len()
+                    ),
+                ));
+            }
+            pread_exact(&file, path, pos, buf)
+        };
         let mut fixed = [0u8; 26];
-        pread_exact(&file, path, 0, &mut fixed)?;
+        read(0, &mut fixed, "fixed header")?;
         if &fixed[0..4] != MAGIC {
             return Err(corrupt("magic", format!("expected {MAGIC:?}, found {:?}", &fixed[0..4])));
         }
@@ -544,7 +559,7 @@ impl ChunkedMatrix {
         let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(ncols.min(4096));
         for j in 0..ncols {
             let mut cnt = [0u8; 4];
-            pread_exact(&file, path, pos, &mut cnt)?;
+            read(pos, &mut cnt, "cut count")?;
             header.extend_from_slice(&cnt);
             pos += 4;
             let n_cuts = u32::from_le_bytes(cnt) as usize;
@@ -569,7 +584,7 @@ impl ChunkedMatrix {
             );
         }
         let mut sum_bytes = [0u8; 8];
-        pread_exact(&file, path, pos, &mut sum_bytes)?;
+        read(pos, &mut sum_bytes, "header checksum")?;
         let stored = u64::from_le_bytes(sum_bytes);
         let computed = fnv1a_64(&header);
         if stored != computed {
@@ -716,7 +731,8 @@ fn load_disk_block_into(
         });
     }
     let n_codes = expect_rows * d.missing.len();
-    out.clear();
+    // No zero-fill: a successful read below writes every byte, and a
+    // failed one returns before anything reads the buffer.
     out.resize(n_codes, 0);
     let verify = !d.verified[b].load(Ordering::Acquire);
     {

@@ -8,23 +8,13 @@
 //! The boundary scan and the histogram subtraction are scalar on every
 //! level: a vector version of either timed the same as the plain loop.
 //!
-//! ## Dispatch strategy
+//! ## Dispatch
 //!
-//! The toolchain is stable Rust, so kernels are written against
-//! `std::arch` intrinsics and selected at **runtime**:
-//!
-//! 1. a process-wide forced level set through [`force_level`] (test hook)
-//!    wins if present;
-//! 2. otherwise the `MSAW_FORCE_SCALAR` environment variable (any value
-//!    other than empty or `0`) pins the scalar fallback — read once and
-//!    cached, like the rest of the process' env-derived config;
-//! 3. otherwise the best level the CPU supports, probed via
-//!    `is_x86_feature_detected!` (always [`SimdLevel::Scalar`] off
-//!    x86_64).
-//!
-//! Forced levels are clamped to the detected capability, so forcing
-//! [`SimdLevel::Avx2`] on a machine without AVX2 degrades to scalar
-//! instead of executing unsupported instructions.
+//! Kernels are selected at runtime on
+//! [`msaw_parallel::simd::active_level`], re-exported here with the rest
+//! of the level API: a [`force_level`] override wins, then
+//! `MSAW_FORCE_SCALAR` pins scalar, then the best detected level. A
+//! forced level is clamped to the CPU's capability.
 //!
 //! ## Bit-identity contract
 //!
@@ -46,82 +36,7 @@
 //! archived `results/*.txt`, which must regenerate byte-identical with
 //! SIMD enabled.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// A vector capability tier the kernels can target. Ordered: higher
-/// levels strictly extend lower ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdLevel {
-    /// The always-available scalar fallback (the pre-SIMD code paths,
-    /// kept verbatim).
-    Scalar,
-    /// AVX2 gathers + 256-bit lanes (x86_64 only).
-    Avx2,
-    /// AVX-512F gathers + 512-bit lanes (x86_64 only) — the same
-    /// traversal algorithm as the AVX2 tier at eight lanes per vector.
-    /// Histogram accumulation at this level runs the AVX2 kernel.
-    Avx512,
-}
-
-/// Process-wide forced level: 0 = none, 1 = Scalar, 2 = Avx2, 3 = Avx512.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Best level the running CPU supports.
-pub fn detected_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return SimdLevel::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-    }
-    SimdLevel::Scalar
-}
-
-/// The level the environment selects when nothing is forced in-process:
-/// `MSAW_FORCE_SCALAR` pins scalar, otherwise the detected capability.
-fn env_level() -> SimdLevel {
-    static ENV: OnceLock<SimdLevel> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let forced_scalar =
-            std::env::var_os("MSAW_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-        if forced_scalar {
-            SimdLevel::Scalar
-        } else {
-            detected_level()
-        }
-    })
-}
-
-/// The level the kernels will dispatch on for the next batch/round.
-/// Entry points read this once per call, so a level change never lands
-/// mid-kernel.
-pub fn active_level() -> SimdLevel {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => SimdLevel::Scalar,
-        2 => SimdLevel::Avx2.min(detected_level()),
-        3 => SimdLevel::Avx512.min(detected_level()),
-        _ => env_level(),
-    }
-}
-
-/// Test/bench hook: force a dispatch level process-wide (`None` restores
-/// the environment/detected default). Levels above the detected
-/// capability are clamped at dispatch time, so this can never select an
-/// unsupported instruction set.
-#[doc(hidden)]
-pub fn force_level(level: Option<SimdLevel>) {
-    let code = match level {
-        None => 0,
-        Some(SimdLevel::Scalar) => 1,
-        Some(SimdLevel::Avx2) => 2,
-        Some(SimdLevel::Avx512) => 3,
-    };
-    FORCED.store(code, Ordering::Relaxed);
-}
+pub use msaw_parallel::simd::{active_level, detected_level, force_level, SimdLevel};
 
 /// Human-readable name of the active traversal kernel tier
 /// (bench/report labels).
@@ -393,26 +308,10 @@ pub(crate) mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `force_level` is process-global; serialize the tests that touch it.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn forced_level_clamps_to_detected_capability() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Forcing Avx2 must never exceed what the CPU supports.
-        force_level(Some(SimdLevel::Avx2));
-        assert!(active_level() <= detected_level());
-        force_level(Some(SimdLevel::Scalar));
-        assert_eq!(active_level(), SimdLevel::Scalar);
-        force_level(None);
-        assert!(active_level() <= detected_level());
-    }
 
     #[test]
     fn kernel_name_matches_level() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The only unit test here that forces a level.
         force_level(Some(SimdLevel::Scalar));
         assert_eq!(kernel_name(), "scalar");
         force_level(None);

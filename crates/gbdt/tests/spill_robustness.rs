@@ -1,10 +1,11 @@
 //! Adversarial-input contract for the spill reader: **no corrupted or
 //! truncated spill file may open and train as if it were whole, and none
 //! may panic the reader**. Every strict prefix of a sealed spill file,
-//! and every byte XORed with 0x01, 0x80 and 0xff, must be refused with a
-//! typed [`ChunkError`], either by [`ChunkedMatrix::open`] (header,
+//! and every byte XORed with 0x01, 0x80 and 0xff, must be refused with
+//! [`ChunkError::Corrupt`], either by [`ChunkedMatrix::open`] (header,
 //! cut table, file length) or by the first [`train_chunked`] pass, whose
-//! first load of each block checks its row count and checksum. Two
+//! first load of each block checks its row count and checksum. A strict
+//! prefix must be refused by `open`. Two
 //! spills are fuzzed: a three-block file, which trains through the
 //! prefetching reader, and a one-block file, which takes the serial
 //! loader.
@@ -49,14 +50,14 @@ enum Refused {
 }
 
 /// Write `bytes` to `path`, open it and run one fit pass over it. A
-/// case that opens and trains, that fails with anything but the
-/// reader's typed errors, or that panics fails the test naming `case`.
+/// case that opens and trains, that fails with anything but
+/// `ChunkError::Corrupt`, or that panics fails the test naming `case`.
 fn refuse(path: &Path, bytes: &[u8], case: &str) -> Refused {
     std::fs::write(path, bytes).unwrap();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut matrix = match ChunkedMatrix::open(path) {
             Ok(matrix) => matrix,
-            Err(ChunkError::Corrupt { .. } | ChunkError::Io(_)) => return Ok(Refused::AtOpen),
+            Err(ChunkError::Corrupt { .. }) => return Ok(Refused::AtOpen),
             Err(other) => return Err(format!("open failed with {other}")),
         };
         let params = Params {
@@ -90,7 +91,10 @@ fn fuzz(block_rows: usize, tag: &str) -> (usize, usize) {
         Refused::AtFit => tally.1 += 1,
     };
     for len in 0..good.len() {
-        count(refuse(&path, &good[..len], &format!("{tag}: prefix of {len} bytes")));
+        let case = format!("{tag}: prefix of {len} bytes");
+        let refused = refuse(&path, &good[..len], &case);
+        assert!(matches!(refused, Refused::AtOpen), "{case}: opened");
+        count(refused);
     }
     for at in 0..good.len() {
         for pattern in [0x01u8, 0x80, 0xff] {

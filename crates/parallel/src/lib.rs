@@ -36,12 +36,17 @@
 //! [`live_workers`] reports how many pool worker threads are alive in
 //! the process — zero whenever no threaded pool run is in flight.
 //!
+//! [`simd`] holds the process-wide SIMD level every vector kernel in
+//! the workspace dispatches on.
+//!
 //! Extracted from `msaw-core`'s grid runner (which fans ~72 fold/final
 //! fits) so the SHAP engine can fan row batches and conditional passes
 //! across the same machinery.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+pub mod simd;
 
 /// A job inside the pool panicked.
 ///

@@ -11,7 +11,10 @@ use crate::interpolate::interpolate_in_place;
 use crate::samples::{label_of, OutcomeKind, PipelineConfig, SampleMeta};
 use crate::stream::SampleBlock;
 use msaw_cohort::activity::ActivityTrace;
-use msaw_cohort::{Clinic, PatientId, PatientRecord, N_PRO, STUDY_MONTHS, WEEKS_PER_MONTH};
+use msaw_cohort::missing::GAP;
+use msaw_cohort::{
+    Clinic, PatientId, PatientRecord, ProTable, N_PRO, N_WEEKS, STUDY_MONTHS, WEEKS_PER_MONTH,
+};
 
 /// Features per sample: the 56 PRO items in bank order, then the steps,
 /// sleep and calories monthly means.
@@ -21,30 +24,24 @@ pub const N_FEATURES: usize = N_PRO + 3;
 /// [`N_FEATURES`], row `m − 1` holding month `m`.
 pub(crate) const MONTH_TABLE_LEN: usize = STUDY_MONTHS * N_FEATURES;
 
-/// Weekly slots of one PRO series.
-const N_WEEKS: usize = STUDY_MONTHS * WEEKS_PER_MONTH;
-
-/// Interpolate and aggregate one patient's weekly PRO series and daily
-/// activity trace into `table`, a month table ([`MONTH_TABLE_LEN`]
-/// values, `NaN` = still missing after QA). Allocation-free.
+/// Interpolate and aggregate one patient's weekly PRO answer table and
+/// daily activity trace into `table`, a month table
+/// ([`MONTH_TABLE_LEN`] values, `NaN` = still missing after QA).
+/// Allocation-free.
 ///
 /// # Panics
-/// When `pro` holds fewer than [`N_PRO`] series, a series is not
-/// `STUDY_MONTHS × WEEKS_PER_MONTH` weeks long, or `table` is not a
-/// month table.
+/// When `table` is not a month table.
 pub(crate) fn featurise_into(
-    pro: &[Vec<Option<u8>>],
+    pro: &ProTable,
     trace: &ActivityTrace,
     cfg: &PipelineConfig,
     table: &mut [f64],
 ) {
-    assert!(pro.len() >= N_PRO, "{} PRO series, expected {N_PRO}", pro.len());
     assert_eq!(table.len(), MONTH_TABLE_LEN, "a month table holds {MONTH_TABLE_LEN} values");
     let mut weekly = [0.0; N_WEEKS];
-    for (q, series) in pro.iter().take(N_PRO).enumerate() {
-        assert_eq!(series.len(), N_WEEKS, "a PRO series spans {N_WEEKS} weeks");
-        for (slot, answer) in weekly.iter_mut().zip(series) {
-            *slot = answer.map_or(f64::NAN, f64::from);
+    for (q, series) in pro.chunks_exact(N_WEEKS).enumerate() {
+        for (slot, &answer) in weekly.iter_mut().zip(series) {
+            *slot = if answer == GAP { f64::NAN } else { f64::from(answer) };
         }
         interpolate_in_place(&mut weekly, cfg.max_interpolation_gap);
         let months = weekly.chunks_exact(WEEKS_PER_MONTH);

@@ -4,7 +4,7 @@
 use crate::featurise::{append_rows, featurise_into, MONTH_TABLE_LEN, N_FEATURES};
 use crate::stream::SampleBlock;
 use msaw_cohort::activity::ActivityTrace;
-use msaw_cohort::{Clinic, CohortData, OutcomeRecord, PatientId, QUESTION_BANK};
+use msaw_cohort::{Clinic, CohortData, OutcomeRecord, PatientId, ProTable, QUESTION_BANK};
 use msaw_tabular::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -221,16 +221,12 @@ pub struct PatientFeatures {
 }
 
 impl PatientFeatures {
-    /// Interpolate + aggregate one patient's weekly PRO series and
-    /// daily activity trace into monthly features, through the same
+    /// Interpolate + aggregate one patient's weekly PRO answer table
+    /// and daily activity trace into monthly features, through the same
     /// featuriser every sample path uses.
-    pub fn build(
-        pro_series: &[Vec<Option<u8>>],
-        trace: &ActivityTrace,
-        cfg: &PipelineConfig,
-    ) -> PatientFeatures {
+    pub fn build(pro: &ProTable, trace: &ActivityTrace, cfg: &PipelineConfig) -> PatientFeatures {
         let mut table = vec![0.0; MONTH_TABLE_LEN];
-        featurise_into(pro_series, trace, cfg, &mut table);
+        featurise_into(pro, trace, cfg, &mut table);
         PatientFeatures { table }
     }
 }

@@ -104,14 +104,16 @@ else
     # Scaling smoke: rerun the streaming pipeline's 10k-patient point
     # and gate its normalised stage costs (seconds per million rows),
     # the spilled prefetching fit, and peak RSS against the committed
-    # full-sweep baseline. The spilled fit gets 50% headroom — it is
-    # disk-bound and shared-runner I/O is the noisiest thing we gate.
+    # full-sweep baseline, plus one thread's generation cost alone. The
+    # spilled fit gets 50% headroom — it is disk-bound and
+    # shared-runner I/O is the noisiest thing we gate.
     echo "==> perf smoke (bench_scale, 10k-patient point)"
     ./target/release/bench_scale "$perf_tmp/scale.json" 10000
     ./target/release/perf_check BENCH_scale.json "$perf_tmp/scale.json" \
         scale10000_sketch_secs_per_mrow scale10000_encode_secs_per_mrow \
         scale10000_fit_secs_per_mrow \
-        scale10000_spilled_fit_secs_per_mrow:0.5 scale10000_peak_rss_mb
+        scale10000_spilled_fit_secs_per_mrow:0.5 scale10000_peak_rss_mb \
+        generate_us_per_patient
 
     # Sharded-grid smoke under the forced scalar fallback: the chunked
     # fits must run (and stay gate-clean) without the vector kernels.
